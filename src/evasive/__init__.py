@@ -1,7 +1,7 @@
 """Point sets in PG(n, q) meeting every s-space in at most r points.
 
 Constructions (explicit curves, ovoids, graph-based sets, spread products,
-and seeded randomized ones), an exact brute-force verifier with witnesses,
+and seeded randomized ones), an exact projection verifier with witnesses,
 and closed-form size bounds, all over exact GF(p^k) arithmetic.
 """
 

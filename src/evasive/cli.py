@@ -77,14 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", help="output file (default: a name derived from the parameters)")
     c.add_argument("--no-verify", action="store_true", help="skip the final verification pass")
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    c.add_argument("--threads", type=int, default=1)
 
     v = sub.add_parser("verify", help="check a point-set file against (r, s)")
     v.add_argument("file")
     v.add_argument("--r", type=int, help="default: the r recorded in the file")
     v.add_argument("--s", type=int, help="default: the s recorded in the file")
     v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    v.add_argument("--threads", type=int, default=1)
 
     b = sub.add_parser("bounds", help="report size bounds for (r, s)-sets in PG(n, q)")
     b.add_argument("--n", type=int, required=True)
@@ -163,17 +161,17 @@ def cmd_construct(args) -> int:
     elif kind == "gv":
         _need(args, ["n", "q", "r", "s"], kind)
         X = gv_construction(args.n, _field_from_q(args.q), args.r, args.s,
-                            Prng(args.seed), budget=args.budget, threads=args.threads)
+                            Prng(args.seed), budget=args.budget)
         r, s = args.r, args.s
     elif kind == "quadrics":
         _need(args, ["m", "q"], kind)
         X = quadric_42_construction(args.m, _field_from_q(args.q), Prng(args.seed),
-                                    budget=args.budget, threads=args.threads)
+                                    budget=args.budget)
         r, s = 4, 2
     elif kind == "cubics":
         _need(args, ["q"], kind)
         X = cubic_92_construction(_field_from_q(args.q), Prng(args.seed),
-                                  budget=args.budget, threads=args.threads)
+                                  budget=args.budget)
         r, s = 9, 2
     else:
         X = _construct_product(args)
@@ -182,7 +180,7 @@ def cmd_construct(args) -> int:
     if args.no_verify:
         verified = "skipped"
     else:
-        ok, _ = is_rs_set(X, r, s, budget=args.budget, threads=args.threads)
+        ok, _ = is_rs_set(X, r, s, budget=args.budget)
         verified = "yes" if ok else "no"
     out = args.out or _default_out(kind, args, X)
     with open(out, "wb") as fh:
@@ -202,7 +200,7 @@ def cmd_verify(args) -> int:
     s = args.s if args.s is not None else file_s
     if r is None or s is None:
         raise ParameterError("the file does not record (r, s); pass --r and --s")
-    ok, witness = is_rs_set(X, r, s, budget=args.budget, threads=args.threads)
+    ok, witness = is_rs_set(X, r, s, budget=args.budget)
     if ok:
         print(f"VALID ({r},{s})-set: {len(X)} points in PG({X.n},{X.field.order})")
         return 0

@@ -394,11 +394,14 @@ class FieldSpec(_TableMixin):
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> FieldSpec:
     """GF(p^k) with the canonical (lex-smallest) irreducible modulus."""
-    if not _is_prime(p):
-        raise ParameterError(f"p={p} is not prime")
     if k < 1:
         raise ParameterError(f"k={k} must be >= 1")
-    if p**k >= ORDER_LIMIT:
+    # bounding p and k first keeps the primality test and the power small
+    if p >= ORDER_LIMIT:
+        raise ParameterError(f"p={p} does not fit in 64 bits")
+    if not _is_prime(p):
+        raise ParameterError(f"p={p} is not prime")
+    if k >= 64 or p**k >= ORDER_LIMIT:
         raise ParameterError(f"field order {p}^{k} does not fit in 64 bits")
     if k == 1:
         return FieldSpec(p, 1, (0, 1))

@@ -37,6 +37,11 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def pointset_from_json_bytes(data: bytes):
     """Parse and fully validate a point-set file.
 
@@ -46,20 +51,21 @@ def pointset_from_json_bytes(data: bytes):
     """
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the digit limit
         raise ParameterError(f"not a point-set file: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be a JSON object")
     for key in ("p", "k", "modulus", "n", "r", "s", "points"):
         _require(key in doc, f"missing key {key!r}")
     p, k, n = doc["p"], doc["k"], doc["n"]
-    _require(isinstance(p, int) and isinstance(k, int), "p and k must be integers")
+    _require(_is_int(p) and _is_int(k), "p and k must be integers")
     field = make_field(p, k)
     _require(list(field.modulus) == doc["modulus"],
              f"modulus {doc['modulus']} is not the canonical modulus "
              f"{list(field.modulus)} for GF({p}^{k})")
-    _require(isinstance(n, int) and n >= 1, "n must be an integer >= 1")
+    _require(_is_int(n) and n >= 1, "n must be an integer >= 1")
     for name in ("r", "s"):
-        _require(doc[name] is None or (isinstance(doc[name], int) and doc[name] >= 0),
+        _require(doc[name] is None or (_is_int(doc[name]) and doc[name] >= 0),
                  f"{name} must be null or a nonnegative integer")
     pts = doc["points"]
     _require(isinstance(pts, list), "points must be a list")
@@ -67,7 +73,7 @@ def pointset_from_json_bytes(data: bytes):
     for pt in pts:
         _require(isinstance(pt, list) and len(pt) == n + 1,
                  f"each point needs {n + 1} coordinates")
-        _require(all(isinstance(c, int) and 0 <= c < field.order for c in pt),
+        _require(all(_is_int(c) and 0 <= c < field.order for c in pt),
                  f"coordinates must be encodings in [0, {field.order})")
         tpt = tuple(pt)
         _require(any(pt), "the zero vector is not a projective point")

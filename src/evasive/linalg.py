@@ -60,11 +60,15 @@ def batch_rank(field, mats: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def batch_span_members(field, rref_mats, pivot_cols, points):
-    """Membership of each point in each row space of an RREF batch.
+def batch_residues(field, rref_mats, pivot_cols, points):
+    """Residue of each point modulo each row space of an RREF batch.
 
     rref_mats (B, m, w) must be output of batch_rref; points (N, w).
-    Returns a boolean (B, N) array.
+    Returns a (B, N, w) array holding each point minus its combination of
+    the RREF rows that clears the pivot columns.  The residue is zero
+    exactly when the point lies in the row space, and two points have
+    proportional residues exactly when they span the same space together
+    with the rows.
     """
     t = field.tables()
     B, m, w = rref_mats.shape
@@ -79,19 +83,34 @@ def batch_span_members(field, rref_mats, pivot_cols, points):
         f = np.take_along_axis(V, c[:, None, None], axis=2)[:, :, 0]
         rrow = np.where(live[:, None], rref_mats[:, step, :], 0)
         V = t.sub[V, t.mul[f[:, :, None], rrow[:, None, :]]]
-    return (V == 0).all(axis=2)
+    return V
+
+
+def batch_span_members(field, rref_mats, pivot_cols, points):
+    """Membership of each point in each row space of an RREF batch.
+
+    rref_mats (B, m, w) must be output of batch_rref; points (N, w).
+    Returns a boolean (B, N) array.
+    """
+    return (batch_residues(field, rref_mats, pivot_cols, points) == 0).all(axis=2)
 
 
 def combination_batches(n: int, m: int, batch_size: int):
-    """Index arrays (B, m) covering C(n, m) in lexicographic order."""
+    """Index arrays (B, m) covering C(n, m) in lexicographic order.
+
+    Batches grow 1, 2, 4, ... up to batch_size, so a scan that stops at
+    its first hit pays for little more work than it needed.
+    """
     it = itertools.combinations(range(n), m)
+    size = 1
     while True:
-        chunk = list(itertools.islice(it, batch_size))
+        chunk = list(itertools.islice(it, size))
         if not chunk:
             return
         yield np.asarray(chunk, dtype=np.int64)
+        size = min(2 * size, batch_size)
 
 
 def span_batch_size(num_points: int, width: int, cell_budget: int = 4_000_000) -> int:
-    """Batch size keeping the (B, N, w) membership workspace near cell_budget."""
+    """Batch size keeping the (B, N, w) residue workspace near cell_budget."""
     return max(1, min(4096, cell_budget // max(1, num_points * width)))

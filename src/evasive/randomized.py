@@ -197,8 +197,7 @@ def random_irreducible_quadric(n: int, field, rng: Prng) -> HomogeneousForm:
     raise RuntimeError(f"no irreducible quadric in {QUADRIC_REJECTION_CAP} draws")
 
 
-def cleanup(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET,
-            threads: int = 1) -> PointSet:
+def cleanup(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Delete violating subspace intersections until X is an (r, s)-set.
 
     Each round finds the first violation in lexicographic order and removes
@@ -206,7 +205,7 @@ def cleanup(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET,
     each round strictly shrinks X.
     """
     while True:
-        ok, witness = is_rs_set(X, r, s, budget=budget, threads=threads)
+        ok, witness = is_rs_set(X, r, s, budget=budget)
         if ok:
             return X
         doomed = set(witness.intersection)
@@ -222,7 +221,7 @@ def gv_keep_probability(n: int, q: int, r: int, s: int) -> float:
 
 
 def gv_construction(n: int, field, r: int, s: int, rng: Prng, *,
-                    budget: int = DEFAULT_BUDGET, threads: int = 1) -> PointSet:
+                    budget: int = DEFAULT_BUDGET) -> PointSet:
     """Random deletion from PG(n, q) followed by cleanup.
 
     Keeps each point with probability q^(-s - s(n-s)/r) and removes
@@ -242,12 +241,11 @@ def gv_construction(n: int, field, r: int, s: int, rng: Prng, *,
     pts = _points_array(field, n)
     keep = [tuple(row) for row in pts.tolist() if rng.real53() < p]
     X = PointSet.from_normalized(field, n, tuple(keep))
-    return cleanup(X, r, s, budget=budget, threads=threads)
+    return cleanup(X, r, s, budget=budget)
 
 
 def quadric_42_construction(m: int, field, rng: Prng, *,
-                            budget: int = DEFAULT_BUDGET,
-                            threads: int = 1) -> PointSet:
+                            budget: int = DEFAULT_BUDGET) -> PointSet:
     """Intersect m random irreducible quadrics in PG(2m-1, q), then clean up.
 
     The surviving set is a (4, 2)-set; its typical size is on the order of
@@ -264,7 +262,7 @@ def quadric_42_construction(m: int, field, rng: Prng, *,
     X = PointSet.from_normalized(
         field, n, tuple(map(tuple, pts[mask].tolist()))
     )
-    return cleanup(X, 4, 2, budget=budget, threads=threads)
+    return cleanup(X, 4, 2, budget=budget)
 
 
 def _vanishes_on_some_hyperplane(form: HomogeneousForm) -> bool:
@@ -283,7 +281,7 @@ def _vanishes_on_some_hyperplane(form: HomogeneousForm) -> bool:
 
 
 def cubic_92_construction(field, rng: Prng, *, reject_hyperplane_factors: bool = False,
-                          budget: int = DEFAULT_BUDGET, threads: int = 1) -> PointSet:
+                          budget: int = DEFAULT_BUDGET) -> PointSet:
     """Intersect two random cubics in PG(4, q), then clean up to a (9, 2)-set.
 
     Cubics are sampled uniformly; cleanup removes any plane meeting the
@@ -304,4 +302,4 @@ def cubic_92_construction(field, rng: Prng, *, reject_hyperplane_factors: bool =
     X = PointSet.from_normalized(
         field, n, tuple(map(tuple, pts[mask].tolist()))
     )
-    return cleanup(X, 9, 2, budget=budget, threads=threads)
+    return cleanup(X, 9, 2, budget=budget)

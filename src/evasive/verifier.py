@@ -1,24 +1,44 @@
 """Exact verification that a point set meets every s-space in few points.
 
-The workhorse is a scan over point subsets: every s-space S with
-|X ∩ S| = t >= 1 satisfies X ∩ S ⊆ <B> for some B ⊆ X ∩ S with
-|B| <= s+1, and conversely the span of any (s+1)-subset of X extends to an
-s-space.  The maximum of span_count over subsets of size min(s+1, |X|)
-therefore equals the maximum of |X ∩ S| over all s-spaces: a smaller
-subset's span count is dominated by any size-(s+1) superset drawn from X.
+Every s-space S with |X ∩ S| = t >= 1 satisfies X ∩ S ⊆ <B> for some
+B ⊆ X ∩ S with |B| <= s+1, and conversely the span of any (s+1)-subset of
+X extends to an s-space.  The maximum of |X ∩ <B>| over subsets B of size
+m = min(s+1, |X|) therefore equals the maximum of |X ∩ S| over all
+s-spaces: a smaller subset's span count is dominated by any size-m
+superset drawn from X.
 
-Subsets are enumerated in lexicographic order over the sorted point list,
-so reported witnesses are deterministic: the first qualifying subset wins.
-An independent oracle enumerates every s-space of the ambient explicitly
-(deliberately plain scalar code) for cross-checking on tiny instances.
+The counts come from projections, not from one span test per subset.
+Write a subset as B = P ∪ {p_j}, with P its first m-1 points and
+j > max(P).  Projecting from <P> sends each point p to its residue modulo
+<P> (see linalg.batch_residues): zero when p ∈ <P>, and otherwise a vector
+r with <P, p> = <P, r>.  For p, p' outside <P>, <P, p> = <P, p'> exactly
+when their residues are proportional, so after scaling every residue to
+leading coordinate 1 the points of X in <P, p_j> are those in <P> plus
+those whose residue equals that of p_j:
+
+    |X ∩ <P, p_j>| = |X ∩ <P>| + |class of j|    when p_j ∉ <P>,
+    |X ∩ <P, p_j>| = |X ∩ <P>|                   when p_j ∈ <P>.
+
+A class holds points on both sides of P in the sorted order, since <P, p_j>
+contains earlier points as well as later ones; only the subset's own last
+point must come after max(P).  One reduction of all N points per P thus
+serves every subset extending P: about C(N, s)·N·w work, against
+C(N, s+1)·N·w for testing each subset's span on its own.  It is the
+projection from a subspace that bounds.best_upper_bound argues with.
+
+Subsets are enumerated in lexicographic order over the sorted point list:
+prefixes P in lex order, and for each P the j > max(P) in increasing order.
+Sorted tuples compare on their first m-1 entries before their last, so this
+(P, j) order is the lex order of the m-subsets, and reported witnesses are
+deterministic: the first qualifying subset wins.  An independent oracle
+enumerates every s-space of the ambient explicitly (deliberately plain
+scalar code) for cross-checking on tiny instances.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -69,42 +89,62 @@ class ViolationWitness:
         assert set(self.generating_points) <= set(self.intersection)
 
 
-def _batch_counts(field, pts_array, idx_batch):
-    mats = pts_array[idx_batch]
-    _, pivots = linalg.batch_rref(field, mats)
-    members = linalg.batch_span_members(field, mats, pivots, pts_array)
-    return members.sum(axis=1)
+def _class_sizes(field, R):
+    """For residues R (B, N, w): how many rows of R[b] are proportional to R[b, j].
+
+    Entries for zero residues are meaningless; callers mask them.
+    """
+    t = field.tables()
+    B, N, w = R.shape
+    lead = np.take_along_axis(R, (R != 0).argmax(axis=2)[:, :, None], axis=2)
+    R = t.mul[R, t.inv[lead]]
+    q = field.order
+    new = np.ones((B, N), dtype=bool)
+    if q ** w < 2**63:
+        keys = R @ (q ** np.arange(w - 1, -1, -1, dtype=np.int64))
+        order = np.argsort(keys, axis=1)
+        sk = np.take_along_axis(keys, order, axis=1)
+        new[:, 1:] = sk[:, 1:] != sk[:, :-1]
+    else:
+        # packed base-q keys would overflow int64: sort the rows themselves
+        flat = R.reshape(B * N, w)
+        cols = tuple(flat[:, c] for c in range(w - 1, -1, -1))
+        order = np.lexsort(cols + (np.repeat(np.arange(B), N),)).reshape(B, N)
+        order -= np.arange(0, B * N, N)[:, None]
+        sR = np.take_along_axis(R, order[:, :, None], axis=1)
+        new[:, 1:] = (sR[:, 1:] != sR[:, :-1]).any(axis=2)
+    run = np.cumsum(new.ravel()) - 1
+    sizes = np.empty((B, N), dtype=np.int64)
+    np.put_along_axis(sizes, order, np.bincount(run)[run].reshape(B, N), axis=1)
+    return sizes
 
 
-def _count_stream(X: PointSet, m: int, budget: int, threads: int):
-    """Yield (start_index, idx_batch, span_counts) in lexicographic order."""
-    total = comb(len(X), m)
+def _span_counts(X: PointSet, m: int, budget: int):
+    """Yield (prefixes, counts) covering the m-subsets of X in lex order.
+
+    prefixes (B, m-1) are index arrays P in lex order; counts (B, N) holds
+    |X ∩ <P, p_j>| at column j when j > max(P), and -1 elsewhere.
+    """
+    N = len(X)
+    total = comb(N, m)
     if total > budget:
         raise BudgetExceeded(
-            f"subset scan needs C({len(X)}, {m}) = {total} spans, budget is {budget}"
+            f"subset scan needs C({N}, {m}) = {total} spans, budget is {budget}"
         )
     field = X.field
     arr = X.array
-    bs = linalg.span_batch_size(len(X), X.n + 1)
-    batches = linalg.combination_batches(len(X), m, bs)
-    if threads <= 1:
-        start = 0
-        for idx in batches:
-            yield start, idx, _batch_counts(field, arr, idx)
-            start += len(idx)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        pending = deque()
-        start = 0
-        for idx in batches:
-            pending.append((start, idx, ex.submit(_batch_counts, field, arr, idx)))
-            start += len(idx)
-            if len(pending) >= 2 * threads:
-                s0, i0, fut = pending.popleft()
-                yield s0, i0, fut.result()
-        while pending:
-            s0, i0, fut = pending.popleft()
-            yield s0, i0, fut.result()
+    cols = np.arange(N)
+    bs = linalg.span_batch_size(N, X.n + 1)
+    # a prefix holding the last point has no j > max(P) to extend it
+    for P in linalg.combination_batches(N - 1, m - 1, bs):
+        mats = arr[P]
+        _, pivots = linalg.batch_rref(field, mats)
+        R = linalg.batch_residues(field, mats, pivots, arr)
+        inside = ~R.any(axis=2)
+        counts = inside.sum(axis=1)[:, None] + np.where(inside, 0, _class_sizes(field, R))
+        last = P[:, -1] if m > 1 else np.full(len(P), -1)
+        counts[cols[None, :] <= last[:, None]] = -1
+        yield P, counts
 
 
 def _make_witness(X: PointSet, idx) -> ViolationWitness:
@@ -119,10 +159,10 @@ def _check_dims(X: PointSet, s: int) -> None:
         raise ParameterError(f"need 0 <= s < n, got s={s}, n={X.n}")
 
 
-def max_in_s_space(X: PointSet, s: int, *, budget: int = DEFAULT_BUDGET, threads: int = 1):
+def max_in_s_space(X: PointSet, s: int, *, budget: int = DEFAULT_BUDGET):
     """Maximum of |X ∩ S| over all s-spaces S, with a witness achieving it.
 
-    Runs the subset scan to completion.  The witness is built from the
+    Runs the scan to completion.  The witness is built from the
     lexicographically first subset attaining the maximum.
     """
     _check_dims(X, s)
@@ -131,16 +171,16 @@ def max_in_s_space(X: PointSet, s: int, *, budget: int = DEFAULT_BUDGET, threads
     m = min(s + 1, len(X))
     best_count = -1
     best_idx = None
-    for start, idx, counts in _count_stream(X, m, budget, threads):
-        mx = int(counts.max())
-        if mx > best_count:
-            best_count = mx
-            best_idx = idx[int(counts.argmax())].copy()
+    for P, counts in _span_counts(X, m, budget):
+        b, j = divmod(int(counts.argmax()), len(X))
+        if counts[b, j] > best_count:
+            best_count = int(counts[b, j])
+            best_idx = (*P[b].tolist(), j)
     return best_count, _make_witness(X, best_idx)
 
 
-def find_violation(X: PointSet, dim: int, limit: int, *, budget: int = DEFAULT_BUDGET,
-                   threads: int = 1) -> ViolationWitness | None:
+def find_violation(X: PointSet, dim: int, limit: int, *,
+                   budget: int = DEFAULT_BUDGET) -> ViolationWitness | None:
     """First subset (lex order) of size min(dim+1, |X|) spanning > limit points.
 
     Returns None when every dim-space meets X in at most `limit` points.
@@ -150,17 +190,17 @@ def find_violation(X: PointSet, dim: int, limit: int, *, budget: int = DEFAULT_B
     if len(X) <= limit:
         return None
     m = min(dim + 1, len(X))
-    stream = _count_stream(X, m, budget, threads)
-    for start, idx, counts in stream:
-        hits = np.nonzero(counts > limit)[0]
+    stream = _span_counts(X, m, budget)
+    for P, counts in stream:
+        hits = np.flatnonzero(counts > limit)
         if len(hits):
-            witness = _make_witness(X, idx[int(hits[0])])
             stream.close()
-            return witness
+            b, j = divmod(int(hits[0]), len(X))
+            return _make_witness(X, (*P[b].tolist(), j))
     return None
 
 
-def is_rs_set(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET, threads: int = 1):
+def is_rs_set(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET):
     """Whether every s-space contains at most r points of X.
 
     Returns (True, None) or (False, witness); the scan aborts on the first
@@ -171,12 +211,11 @@ def is_rs_set(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET, thre
     _check_dims(X, s)
     if len(X) <= r:
         return True, None
-    witness = find_violation(X, s, r, budget=budget, threads=threads)
+    witness = find_violation(X, s, r, budget=budget)
     return witness is None, witness
 
 
-def is_proper(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET,
-              threads: int = 1) -> bool:
+def is_proper(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> bool:
     """No m-space contains m + 1 + (r - s) points of X, for any m in [0, s]."""
     if not r > s >= 1:
         raise ParameterError(f"need r > s >= 1, got r={r}, s={s}")
@@ -185,7 +224,7 @@ def is_proper(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET,
         return True
     for m_dim in range(s + 1):
         limit = m_dim + r - s
-        if find_violation(X, m_dim, limit, budget=budget, threads=threads) is not None:
+        if find_violation(X, m_dim, limit, budget=budget) is not None:
             return False
     return True
 

@@ -65,6 +65,17 @@ def corrupt(key, value):
     corrupt("points", [[2, 2, 2, 2]]),     # not normalized
     corrupt("points", [[1, 1, 2, 2], [1, 1, 1, 1]]),  # not ascending
     corrupt("points", [[1, 1, 1, 1], [1, 1, 1, 1]]),  # duplicate
+    corrupt("p", True),                    # JSON booleans are not integers
+    corrupt("k", True),
+    corrupt("r", True),
+    corrupt("s", False),
+    corrupt("points", [[True, 1, 1, 1]]),
+    b'{"p":3,"k":1,"modulus":[0,1],"n":true,"r":null,"s":null,"points":[[0,1]]}\n',
+    # k >= 64 is refused before p**k is computed
+    b'{"p":2,"k":100000000,"modulus":[],"n":1,"r":null,"s":null,"points":[]}\n',
+    corrupt("p", 2**64 + 13),
+    pytest.param(b'{"p":' + b"9" * 5000 + b"}\n", id="int-past-digit-limit"),
+    pytest.param(b"[" * 100_000, id="nesting-past-recursion-limit"),
 ])
 def test_malformed_files_rejected(blob):
     with pytest.raises(ParameterError):

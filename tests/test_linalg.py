@@ -99,7 +99,7 @@ def test_batch_rref_empty_and_zero_matrices():
 def test_combination_batches_covers_lex_order():
     batches = list(combination_batches(6, 3, batch_size=7))
     assert all(b.shape[1] == 3 for b in batches)
-    assert max(len(b) for b in batches) <= 7
+    assert [len(b) for b in batches] == [1, 2, 4, 7, 6]  # doubling up to the cap
     flat = [tuple(row) for b in batches for row in b.tolist()]
     assert flat == list(itertools.combinations(range(6), 3))
 

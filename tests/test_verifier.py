@@ -1,6 +1,11 @@
 """Subspace intersection verifier, frozen witnesses, and the brute-force oracle."""
 
+import itertools
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evasive.constructions import (
     elliptic_ovoid,
@@ -10,7 +15,7 @@ from evasive.constructions import (
 )
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_field
-from evasive.projgeom import PointSet, all_points
+from evasive.projgeom import PointSet, SubspaceBasis, all_points, count_points
 from evasive.randomized import Prng
 from evasive.verifier import (
     find_violation,
@@ -114,16 +119,6 @@ def test_budget_guard():
         max_in_s_space(big, 1, budget=10)
 
 
-def test_threads_agree():
-    X = graph_curve_for_prime_power(3)
-    assert max_in_s_space(X, 2, threads=2) == max_in_s_space(X, 2, threads=1)
-    assert is_rs_set(X, 3, 2, threads=3)[0]
-    # max witness itself must match too (lex-first attaining subset)
-    _, w1 = max_in_s_space(X, 2, threads=1)
-    _, w2 = max_in_s_space(X, 2, threads=2)
-    assert w1 == w2
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("s", [1, 2])
 def test_oracle_agreement_random_sets(seed, s):
@@ -161,3 +156,110 @@ def test_max_monotone_under_adding_points():
         cur = max_in_s_space(X, 2)[0]
         assert cur >= prev
         prev = cur
+
+
+# ---------------------------------------------------------------------------
+# The projection kernel against scalar references.
+
+def brute_first_violation(X, dim, limit):
+    """First subset in lex order whose span holds > limit points, scalar code."""
+    for sub in itertools.combinations(X.points, min(dim + 1, len(X))):
+        basis = SubspaceBasis.from_vectors(X.field, X.n, sub)
+        inside = tuple(p for p in X.points if basis.contains(p))
+        if len(inside) > limit:
+            return sub, inside
+    return None
+
+
+def brute_max(X, s):
+    return max(
+        sum(SubspaceBasis.from_vectors(X.field, X.n, sub).contains(p) for p in X.points)
+        for sub in itertools.combinations(X.points, min(s + 1, len(X)))
+    )
+
+
+def assert_matches_brute_force(X, s, limit):
+    w = find_violation(X, s, limit)
+    ref = brute_first_violation(X, s, limit)
+    if ref is None:
+        assert w is None
+    else:
+        assert (w.generating_points, w.intersection) == ref
+        w.recheck(X)
+
+
+KERNEL_FIELDS = [F2, F3, make_field(2, 2), F5]
+ORACLE_WORK_CAP = 10_000  # (s+1)-subsets of the ambient the oracle may enumerate
+
+
+@st.composite
+def small_instances(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 4))
+    s = draw(st.integers(0, n - 1))
+    pts = list(all_points(n, field))
+    idx = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=10, unique=True))
+    return PointSet.from_vectors(field, n, [pts[i] for i in idx]), s
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_instances(), st.integers(0, 10))
+def test_kernel_matches_scalar_references(inst, limit):
+    X, s = inst
+    count, w = max_in_s_space(X, s)
+    assert count == brute_max(X, s) == w.count
+    w.recheck(X)
+    if comb(count_points(X.n, X.field.order), s + 1) <= ORACLE_WORK_CAP:
+        assert count == oracle_max_in_s_space(X, s)
+    assert_matches_brute_force(X, s, limit)
+
+
+def test_kernel_points_as_0_spaces():
+    X = graph_curve_for_prime_power(2)
+    assert max_in_s_space(X, 0)[0] == 1
+    assert find_violation(X, 0, 1) is None
+    w = find_violation(X, 0, 0)
+    assert w.generating_points == w.intersection == (X.points[0],)
+    assert w.span_dim == 0
+
+
+def test_kernel_fewer_points_than_subset_size():
+    X = PointSet.from_vectors(F3, 3, [(0, 0, 1, 2), (1, 2, 0, 0)])
+    count, w = max_in_s_space(X, 2)
+    assert count == 2 and w.generating_points == w.intersection == X.points
+    assert_matches_brute_force(X, 2, 1)
+    one = PointSet.from_vectors(F3, 3, [(1, 1, 1, 1)])
+    assert max_in_s_space(one, 2)[0] == 1 and find_violation(one, 2, 0).count == 1
+
+
+def test_kernel_degenerate_subsets():
+    # s = 2: the collinear triple is a 3-subset whose last point lies on the
+    # line its first two span, so it spans only that line
+    line = [(0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0)]
+    X = PointSet.from_vectors(F3, 3, line + [(1, 0, 0, 0), (1, 1, 1, 1)])
+    for limit in range(1, 5):
+        assert_matches_brute_force(X, 2, limit)
+    assert max_in_s_space(X, 2)[0] == brute_max(X, 2) == 4
+    # s = 3: the prefix itself is three collinear points of rank 2
+    Y = PointSet.from_vectors(F2, 4, [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 0, 1, 1),
+                                      (0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (1, 1, 1, 1, 1)])
+    for limit in range(1, 6):
+        assert_matches_brute_force(Y, 3, limit)
+    assert max_in_s_space(Y, 3)[0] == brute_max(Y, 3)
+
+
+def test_kernel_without_packed_keys():
+    # 256^9 >= 2^63: residues of PG(8, 256) are grouped row by row
+    field = make_field(2, 8)
+    rng = Prng(5)
+    base = [tuple(rng.below(256) for _ in range(9)) for _ in range(4)]
+    combos = [tuple(field.add(a, field.mul(c, b)) for a, b in zip(base[0], base[1]))
+              for c in (3, 200)]
+    combos.append(tuple(field.add(a, field.mul(7, b)) for a, b in zip(base[2], base[3])))
+    X = PointSet.from_vectors(field, 8, base + combos)
+    assert field.order ** (X.n + 1) >= 2**63
+    for s in (0, 1, 2):
+        assert max_in_s_space(X, s)[0] == brute_max(X, s)
+        for limit in range(1, 5):
+            assert_matches_brute_force(X, s, limit)
+    assert max_in_s_space(X, 1)[0] == 4
