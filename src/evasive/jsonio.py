@@ -60,7 +60,10 @@ def pointset_from_json_bytes(data: bytes):
     p, k, n = doc["p"], doc["k"], doc["n"]
     _require(_is_int(p) and _is_int(k), "p and k must be integers")
     field = make_field(p, k)
-    _require(list(field.modulus) == doc["modulus"],
+    modulus = doc["modulus"]
+    _require(isinstance(modulus, list) and all(_is_int(c) for c in modulus),
+             "modulus must be a list of integers")
+    _require(list(field.modulus) == modulus,
              f"modulus {doc['modulus']} is not the canonical modulus "
              f"{list(field.modulus)} for GF({p}^{k})")
     _require(_is_int(n) and n >= 1, "n must be an integer >= 1")

@@ -95,24 +95,14 @@ def _class_sizes(field, R):
     Entries for zero residues are meaningless; callers mask them.
     """
     t = field.tables()
-    B, N, w = R.shape
+    B, N, _ = R.shape
     lead = np.take_along_axis(R, (R != 0).argmax(axis=2)[:, :, None], axis=2)
     R = t.mul[R, t.inv[lead]]
-    q = field.order
+    # sort each batch's rows lexicographically: equal residues become adjacent
+    order = np.lexsort(np.moveaxis(R, 2, 0))
+    sR = np.take_along_axis(R, order[:, :, None], axis=1)
     new = np.ones((B, N), dtype=bool)
-    if q ** w < 2**63:
-        keys = R @ (q ** np.arange(w - 1, -1, -1, dtype=np.int64))
-        order = np.argsort(keys, axis=1)
-        sk = np.take_along_axis(keys, order, axis=1)
-        new[:, 1:] = sk[:, 1:] != sk[:, :-1]
-    else:
-        # packed base-q keys would overflow int64: sort the rows themselves
-        flat = R.reshape(B * N, w)
-        cols = tuple(flat[:, c] for c in range(w - 1, -1, -1))
-        order = np.lexsort(cols + (np.repeat(np.arange(B), N),)).reshape(B, N)
-        order -= np.arange(0, B * N, N)[:, None]
-        sR = np.take_along_axis(R, order[:, :, None], axis=1)
-        new[:, 1:] = (sR[:, 1:] != sR[:, :-1]).any(axis=2)
+    new[:, 1:] = (sR[:, 1:] != sR[:, :-1]).any(axis=2)
     run = np.cumsum(new.ravel()) - 1
     sizes = np.empty((B, N), dtype=np.int64)
     np.put_along_axis(sizes, order, np.bincount(run)[run].reshape(B, N), axis=1)

@@ -70,6 +70,8 @@ def corrupt(key, value):
     corrupt("r", True),
     corrupt("s", False),
     corrupt("points", [[True, 1, 1, 1]]),
+    corrupt("modulus", [False, 1]),        # equals [0, 1] only under bool == int
+    corrupt("modulus", [0.0, 1]),
     b'{"p":3,"k":1,"modulus":[0,1],"n":true,"r":null,"s":null,"points":[[0,1]]}\n',
     # k >= 64 is refused before p**k is computed
     b'{"p":2,"k":100000000,"modulus":[],"n":1,"r":null,"s":null,"points":[]}\n',

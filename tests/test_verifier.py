@@ -1,11 +1,8 @@
 """Subspace intersection verifier, frozen witnesses, and the brute-force oracle."""
 
 import itertools
-from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from evasive.constructions import (
     elliptic_ovoid,
@@ -15,7 +12,7 @@ from evasive.constructions import (
 )
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_field
-from evasive.projgeom import PointSet, SubspaceBasis, all_points, count_points
+from evasive.projgeom import PointSet, SubspaceBasis, all_points
 from evasive.randomized import Prng
 from evasive.verifier import (
     find_violation,
@@ -188,32 +185,6 @@ def assert_matches_brute_force(X, s, limit):
         w.recheck(X)
 
 
-KERNEL_FIELDS = [F2, F3, make_field(2, 2), F5]
-ORACLE_WORK_CAP = 10_000  # (s+1)-subsets of the ambient the oracle may enumerate
-
-
-@st.composite
-def small_instances(draw):
-    field = draw(st.sampled_from(KERNEL_FIELDS))
-    n = draw(st.integers(1, 4))
-    s = draw(st.integers(0, n - 1))
-    pts = list(all_points(n, field))
-    idx = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=10, unique=True))
-    return PointSet.from_vectors(field, n, [pts[i] for i in idx]), s
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(small_instances(), st.integers(0, 10))
-def test_kernel_matches_scalar_references(inst, limit):
-    X, s = inst
-    count, w = max_in_s_space(X, s)
-    assert count == brute_max(X, s) == w.count
-    w.recheck(X)
-    if comb(count_points(X.n, X.field.order), s + 1) <= ORACLE_WORK_CAP:
-        assert count == oracle_max_in_s_space(X, s)
-    assert_matches_brute_force(X, s, limit)
-
-
 def test_kernel_points_as_0_spaces():
     X = graph_curve_for_prime_power(2)
     assert max_in_s_space(X, 0)[0] == 1
@@ -248,8 +219,8 @@ def test_kernel_degenerate_subsets():
     assert max_in_s_space(Y, 3)[0] == brute_max(Y, 3)
 
 
-def test_kernel_without_packed_keys():
-    # 256^9 >= 2^63: residues of PG(8, 256) are grouped row by row
+def test_kernel_in_pg_8_256():
+    # wide residues over a large field: two collinear triples among seven points
     field = make_field(2, 8)
     rng = Prng(5)
     base = [tuple(rng.below(256) for _ in range(9)) for _ in range(4)]
@@ -257,7 +228,6 @@ def test_kernel_without_packed_keys():
               for c in (3, 200)]
     combos.append(tuple(field.add(a, field.mul(7, b)) for a, b in zip(base[2], base[3])))
     X = PointSet.from_vectors(field, 8, base + combos)
-    assert field.order ** (X.n + 1) >= 2**63
     for s in (0, 1, 2):
         assert max_in_s_space(X, s)[0] == brute_max(X, s)
         for limit in range(1, 5):
