@@ -29,7 +29,7 @@ from .constructions import (
     trimmed_incidence_graph,
 )
 from .errors import BudgetExceeded, ParameterError
-from .gf import FieldSpec, ExtensionSpec, make_extension, make_field
+from .gf import FieldSpec, make_extension, make_field
 from .jsonio import pointset_from_json_bytes, pointset_to_json_bytes
 from .projgeom import (
     PointSet,
@@ -68,7 +68,6 @@ __all__ = [
     "BoundEntry",
     "BoundsReport",
     "BudgetExceeded",
-    "ExtensionSpec",
     "FieldSpec",
     "HomogeneousForm",
     "ParameterError",

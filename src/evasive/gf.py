@@ -1,23 +1,29 @@
-"""Exact arithmetic in GF(p^k) and in extension towers GF(q^N).
+"""Exact arithmetic in finite fields: GF(p) and quotients base[X]/(f).
+
+One class, ``FieldSpec``, covers every field.  A field is either GF(p), which
+has no base, or base[X]/(f) for a monic irreducible f of degree N over a base
+field.  ``make_field(p, k)`` is the degree-k quotient over GF(p) and
+``make_extension(base, N)`` the degree-N quotient over ``base``.  Fields are
+equal when their (base, N, modulus) are, plus p for GF(p), so GF(p)^N is
+GF(p^N): ``make_extension(make_field(p, 1), N) == make_field(p, N)``.
 
 Element encoding contract
 -------------------------
-An element of GF(p^k) is an integer in [0, p^k).  Its base-p digits, least
-significant first, are the coefficients of the element written in the power
-basis 1, X, X^2, ... of GF(p)[X] modulo the field's irreducible modulus.  The
-same rule applies one level up: an element of GF(q^N) built over a base field
-of order q is an integer in [0, q^N) whose base-q digits are base-field
-encodings.  Encodings 0 and 1 are always the additive and multiplicative
-identities, and for prime fields the encoding is plain arithmetic mod p.
+An element of GF(p) is an integer in [0, p) under plain arithmetic mod p.
+An element of base[X]/(f), with q the order of the base, is an integer in
+[0, q^N) whose base-q digits, least significant first, are the base
+encodings of its coefficients in the power basis 1, X, ..., X^(N-1).
+Unrolled down to GF(p), the base-p digits of an encoding are its coordinates
+over GF(p), so addition is digit-wise mod p in every field.  Encodings 0 and
+1 are always the additive and multiplicative identities.
 
 Canonical modulus
 -----------------
-``make_field(p, k)`` always selects the lexicographically smallest monic
-irreducible polynomial of degree k over GF(p), comparing coefficient vectors
-written constant term first, coefficients ordered by integer encoding.  For
-k = 1 the convention is modulus X, i.e. coefficients (0, 1).
-``make_extension(base, N)`` applies the same rule over the base field.  Two
-calls with equal parameters therefore produce bit-identical field specs.
+Every quotient uses the lexicographically smallest monic irreducible
+polynomial of degree N over its base, comparing coefficient vectors written
+constant term first, coefficients ordered by integer encoding.  GF(p) carries
+the modulus X, i.e. coefficients (0, 1), by convention.  Two calls with equal
+parameters therefore produce bit-identical field specs.
 
 Polynomials in this module are tuples of coefficient encodings, constant term
 first, with trailing (high-degree) zeros trimmed; the zero polynomial is ().
@@ -103,13 +109,6 @@ def _ptrim(c: tuple[int, ...]) -> tuple[int, ...]:
     return c[:i]
 
 
-def _padd(F, a, b):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _ptrim(tuple(F.add(x, y) for x, y in zip(a, b)))
-
-
 def _psub(F, a, b):
     n = max(len(a), len(b))
     a = a + (0,) * (n - len(a))
@@ -131,27 +130,26 @@ def _pmul(F, a, b):
 
 
 def _pmod(F, a, m):
-    # m must be nonzero; reduces a modulo m
+    # reduces a modulo the monic polynomial m
     dm = len(m) - 1
-    lead_inv = F.inv(m[-1])
     a = list(a)
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i]
         if c == 0:
             continue
-        f = F.mul(c, lead_inv)
-        for j in range(dm + 1):
-            a[i - dm + j] = F.sub(a[i - dm + j], F.mul(f, m[j]))
-    return _ptrim(tuple(a))
+        # subtracting c X^(i-dm) m clears a[i], which the slice below drops
+        for j, mj in enumerate(m[:-1], i - dm):
+            if mj:
+                a[j] = F.sub(a[j], F.mul(c, mj))
+    return _ptrim(tuple(a[:dm]))
 
 
 def _pgcd(F, a, b):
+    # monic gcd, for b != (); scaling b to be monic leaves a mod b unchanged
     while b:
+        li = F.inv(b[-1])
+        b = tuple(F.mul(c, li) for c in b)
         a, b = b, _pmod(F, a, b)
-    if a:
-        # normalize monic so gcd output is canonical
-        li = F.inv(a[-1])
-        a = _ptrim(tuple(F.mul(c, li) for c in a))
     return a
 
 
@@ -195,42 +193,37 @@ def _lex_smallest_irreducible(F, L: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Shared lazy table construction.
-
-def _digit_matrix(q: int, base: int, width: int) -> np.ndarray:
-    a = np.arange(q, dtype=np.int64)
-    return (a[:, None] // base ** np.arange(width, dtype=np.int64)[None, :]) % base
-
+# Lazy table construction, one path for every field.
 
 def _build_tables(F) -> FieldTables:
-    q = F.order
+    q, p = F.order, F.p
     if q > TABLE_LIMIT:
         raise ParameterError(
             f"field order {q} exceeds TABLE_LIMIT={TABLE_LIMIT}; "
             "bulk operations are not available for fields this large"
         )
-    if getattr(F, "k", None) == 1:
-        p = F.p
-        r = np.arange(p, dtype=np.int64)
-        add = (r[:, None] + r[None, :]) % p
-        mul = (r[:, None] * r[None, :]) % p
-    else:
-        base_order, width, digit_add = F._digit_layout()
-        digits = _digit_matrix(q, base_order, width)
-        pairsum = digit_add[digits[:, None, :], digits[None, :, :]]
-        weights = base_order ** np.arange(width, dtype=np.int64)
-        add = pairsum @ weights
-        # multiplication through discrete logs over the cyclic unit group
-        g = _find_generator(F)
-        exp = np.empty(q - 1, dtype=np.int64)
-        exp[0] = 1
-        for i in range(1, q - 1):
-            exp[i] = F.mul(int(exp[i - 1]), g)
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        mul = np.zeros((q, q), dtype=np.int64)
-        idx = (log[1:, None] + log[None, 1:]) % (q - 1)
-        mul[1:, 1:] = exp[idx]
+    # multiplication through discrete logs over the cyclic unit group; exp
+    # runs over two periods, so a sum of two logs needs no reduction
+    g = _find_generator(F)
+    exp = np.empty(2 * (q - 1), dtype=np.int64)
+    x = 1
+    for i in range(q - 1):
+        exp[i] = x
+        x = F.mul(x, g)
+    exp[q - 1:] = exp[:q - 1]
+    log = np.zeros(q, dtype=np.int64)
+    log[exp[:q - 1]] = np.arange(q - 1)
+    mul = np.zeros((q, q), dtype=np.int64)
+    mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
+    # addition is digit-wise mod p, so the add table of the encodings below
+    # p^(i+1) is p x p blocks of the table below p^i, each block shifted by
+    # p^i times the sum mod p of the two new top digits
+    r = np.arange(p, dtype=np.int64)
+    digit_add = (r[:, None] + r[None, :]) % p
+    add = np.zeros((1, 1), dtype=np.int64)
+    for i in range(F.k):
+        m = p**i
+        add = (add[None, :, None, :] + m * digit_add[:, None, :, None]).reshape(m * p, m * p)
     neg = np.argmax(add == 0, axis=1)
     sub = add[:, neg]
     inv = np.argmax(mul == 1, axis=1)
@@ -244,9 +237,10 @@ def _build_tables(F) -> FieldTables:
 
 
 def _find_generator(F) -> int:
+    # 1 generates the unit group of GF(2) and fails the test everywhere else
     q = F.order
     factors = _prime_factors(q - 1)
-    for g in range(2, q):
+    for g in range(1, q):
         if all(F.pow(g, (q - 1) // t) != 1 for t in factors):
             return g
     raise RuntimeError("multiplicative group has no generator")  # unreachable
@@ -263,23 +257,33 @@ class _TableMixin:
 
 
 # ---------------------------------------------------------------------------
-# GF(p^k)
+# The field class
 
 class FieldSpec(_TableMixin):
-    """Arithmetic in GF(p^k) on canonical integer encodings.
+    """GF(p) when ``base`` is None, else base[X]/(modulus), on integer encodings.
 
-    Construct through ``make_field``; instances are cached and immutable.
+    ``p`` is the characteristic, ``k`` the degree over GF(p), ``N`` the
+    degree over ``base`` and ``order`` = p^k.  Construct through
+    ``make_field`` or ``make_extension``; instances are cached and immutable.
     """
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.k = k
+    def __init__(self, base: FieldSpec | None, N: int, modulus: tuple[int, ...],
+                 p: int | None = None):
+        self.base = base
+        self.N = N
         self.modulus = modulus
-        self.order = p**k
+        self.p = p if base is None else base.p
+        self.k = N if base is None else base.k * N
+        self.order = self.p**self.k
+        self._q = self.p if base is None else base.order
         self._tables = None
-        if k > 1:
-            # X^k == xk_red modulo the (monic) modulus
-            self._xk_red = tuple((-c) % p for c in modulus[:-1])
+        self._key = (self.p, base, N, modulus)
+        self._hash = hash(self._key)
+        # beta is the power-basis generator (the class of X); degenerate for N=1
+        self.beta = self._q if N > 1 else 1
+        # mul reads this only when the base is GF(p): X^N == sum of r X^j
+        # over the (j, r) in _red
+        self._red = tuple((j, (-c) % self.p) for j, c in enumerate(modulus[:-1]) if c)
 
     # -- scalar operations ---------------------------------------------------
 
@@ -312,179 +316,31 @@ class FieldSpec(_TableMixin):
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        p = self.p
-        if self.k == 1:
-            return a * b % p
-        da = self.digits(a)
-        db = self.digits(b)
-        conv = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                conv[i + j] = (conv[i + j] + x * y) % p
-        red = self._xk_red
-        for i in range(2 * self.k - 2, self.k - 1, -1):
-            c = conv[i]
-            if c == 0:
-                continue
-            conv[i] = 0
-            for j, r in enumerate(red):
-                if r:
-                    conv[i - self.k + j] = (conv[i - self.k + j] + c * r) % p
-        return self.from_digits(conv[: self.k])
+        base = self.base
+        if base is None:
+            return a * b % self.p
+        ca, cb = self.coords(a), self.coords(b)
+        if base.base is not None:
+            return self.from_coords(_pmod(base, _pmul(base, ca, cb), self.modulus))
+        # coefficients in GF(p): integer convolution, reduced mod p on the way
+        p, N = self.p, self.N
+        conv = [0] * (2 * N - 1)
+        for i, x in enumerate(ca):
+            if x:
+                for j, y in enumerate(cb, i):
+                    conv[j] += x * y
+        for i in range(2 * N - 2, N - 1, -1):
+            c = conv[i] % p
+            if c:
+                for j, r in self._red:
+                    conv[i - N + j] += c * r
+        return self.from_coords([c % p for c in conv[:N]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self.k == 1:
+        if self.base is None:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    # -- encoding helpers ----------------------------------------------------
-
-    def digits(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of a, constant term first, length k."""
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
-
-    def from_digits(self, digits) -> int:
-        out = 0
-        for d in reversed(tuple(digits)):
-            out = out * self.p + d
-        return out
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def _digit_layout(self):
-        prime = make_field(self.p, 1)
-        return self.p, self.k, prime.tables().add
-
-    # -- identity ------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((FieldSpec, self.p, self.k, self.modulus))
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
-
-
-@functools.lru_cache(maxsize=None)
-def make_field(p: int, k: int) -> FieldSpec:
-    """GF(p^k) with the canonical (lex-smallest) irreducible modulus."""
-    if k < 1:
-        raise ParameterError(f"k={k} must be >= 1")
-    # bounding p and k first keeps the primality test and the power small
-    if p >= ORDER_LIMIT:
-        raise ParameterError(f"p={p} does not fit in 64 bits")
-    if not _is_prime(p):
-        raise ParameterError(f"p={p} is not prime")
-    if k >= 64 or p**k >= ORDER_LIMIT:
-        raise ParameterError(f"field order {p}^{k} does not fit in 64 bits")
-    if k == 1:
-        return FieldSpec(p, 1, (0, 1))
-    prime = make_field(p, 1)
-    modulus = _lex_smallest_irreducible(prime, k)
-    return FieldSpec(p, k, modulus)
-
-
-# ---------------------------------------------------------------------------
-# GF(q^N) towers
-
-class ExtensionSpec(_TableMixin):
-    """Arithmetic in GF(q^N) over a base field, power-basis integer encoding.
-
-    Elements are integers in [0, q^N) whose base-q digits are base-field
-    encodings, constant term first.  ``embed`` maps base elements to constant
-    polynomials (the encoding is unchanged), ``coords`` is the inverse
-    coordinate map onto GF(q)^N.
-    """
-
-    def __init__(self, base: FieldSpec, N: int, ext_modulus: tuple[int, ...]):
-        self.base = base
-        self.N = N
-        self.ext_modulus = ext_modulus
-        self.order = base.order**N
-        self._tables = None
-        self._xn_red = tuple(base.neg(c) for c in ext_modulus[:-1])
-        # beta is the power-basis generator (the class of X); degenerate for N=1
-        self.beta = base.order if N > 1 else 1
-
-    # -- scalar operations ---------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        base = self.base
-        q = base.order
-        out = 0
-        w = 1
-        for _ in range(self.N):
-            out += base.add(a % q, b % q) * w
-            a //= q
-            b //= q
-            w *= q
-        return out
-
-    def neg(self, a: int) -> int:
-        base = self.base
-        q = base.order
-        out = 0
-        w = 1
-        for _ in range(self.N):
-            out += base.neg(a % q) * w
-            a //= q
-            w *= q
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        base = self.base
-        da = self.coords(a)
-        db = self.coords(b)
-        conv = [0] * (2 * self.N - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                if y:
-                    conv[i + j] = base.add(conv[i + j], base.mul(x, y))
-        red = self._xn_red
-        for i in range(2 * self.N - 2, self.N - 1, -1):
-            c = conv[i]
-            if c == 0:
-                continue
-            conv[i] = 0
-            for j, r in enumerate(red):
-                if r:
-                    conv[i - self.N + j] = base.add(conv[i - self.N + j], base.mul(c, r))
-        return self.from_coords(conv[: self.N])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -501,14 +357,14 @@ class ExtensionSpec(_TableMixin):
     # -- coordinate maps -----------------------------------------------------
 
     def embed(self, a: int) -> int:
-        """Base field element as a constant of the extension (same encoding)."""
-        if not 0 <= a < self.base.order:
+        """Base field element as a constant of this field (same encoding)."""
+        if self.base is None or not 0 <= a < self.base.order:
             raise ParameterError(f"{a} is not a base field encoding")
         return a
 
     def coords(self, x: int) -> tuple[int, ...]:
-        """Power-basis coordinates of x over the base field, constant first."""
-        q = self.base.order
+        """Power-basis coordinates of x over the base, constant term first."""
+        q = self._q
         out = []
         for _ in range(self.N):
             out.append(x % q)
@@ -516,7 +372,7 @@ class ExtensionSpec(_TableMixin):
         return tuple(out)
 
     def from_coords(self, coords) -> int:
-        q = self.base.order
+        q = self._q
         out = 0
         for c in reversed(tuple(coords)):
             out = out * q + c
@@ -525,31 +381,47 @@ class ExtensionSpec(_TableMixin):
     def elements(self) -> range:
         return range(self.order)
 
-    def _digit_layout(self):
-        return self.base.order, self.N, self.base.tables().add
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionSpec)
-            and (self.base, self.N, self.ext_modulus)
-            == (other.base, other.N, other.ext_modulus)
-        )
+        return self is other or (isinstance(other, FieldSpec) and self._key == other._key)
 
     def __hash__(self):
-        return hash((ExtensionSpec, self.base, self.N, self.ext_modulus))
+        return self._hash
 
     def __repr__(self):
+        if self.base is None:
+            return f"GF({self.p})"
+        if self.base.base is None:
+            return f"GF({self.p}^{self.k})"
         return f"{self.base!r}^{self.N}"
 
 
-@functools.lru_cache(maxsize=None)
-def make_extension(base: FieldSpec, N: int) -> ExtensionSpec:
-    """GF(q^N) over base, canonical (lex-smallest) degree-N modulus."""
+def _quotient(base: FieldSpec, N: int) -> FieldSpec:
+    """base[X]/(f) for the canonical degree-N modulus f, after the size check."""
     if N < 1:
-        raise ParameterError(f"N={N} must be >= 1")
-    if base.order**N >= ORDER_LIMIT:
-        raise ParameterError(f"extension order {base.order}^{N} does not fit in 64 bits")
-    ext_modulus = _lex_smallest_irreducible(base, N)
-    return ExtensionSpec(base, N, ext_modulus)
+        raise ParameterError(f"degree {N} must be >= 1")
+    # every base has at least 2 elements, so N >= 64 overflows; checking that
+    # first keeps the power small
+    if N >= 64 or base.order**N >= ORDER_LIMIT:
+        raise ParameterError(f"field order {base.order}^{N} does not fit in 64 bits")
+    return FieldSpec(base, N, _lex_smallest_irreducible(base, N))
+
+
+@functools.lru_cache(maxsize=None)
+def make_field(p: int, k: int) -> FieldSpec:
+    """GF(p^k): GF(p) for k = 1, else the degree-k quotient over GF(p)."""
+    if k != 1:
+        return _quotient(make_field(p, 1), k)
+    # bounding p first keeps the primality test small
+    if p >= ORDER_LIMIT:
+        raise ParameterError(f"p={p} does not fit in 64 bits")
+    if not _is_prime(p):
+        raise ParameterError(f"p={p} is not prime")
+    return FieldSpec(None, 1, (0, 1), p)
+
+
+@functools.lru_cache(maxsize=None)
+def make_extension(base: FieldSpec, N: int) -> FieldSpec:
+    """GF(q^N): the degree-N quotient over base (canonical modulus)."""
+    return _quotient(base, N)

@@ -12,14 +12,19 @@ from __future__ import annotations
 import json
 
 from .errors import ParameterError
-from .gf import FieldSpec, make_field
+from .gf import make_field
 from .projgeom import PointSet, normalize
 
 
+def require_flat_field(field) -> None:
+    """Refuse a field that (p, k, modulus) does not name: make_field(p, k) must be it."""
+    if field != make_field(field.p, field.k):
+        raise ParameterError(f"only flat GF(p^k) fields serialize, not {field!r}; "
+                             "rebuild tower-field objects over the flat field first")
+
+
 def pointset_to_json_bytes(X: PointSet, r=None, s=None) -> bytes:
-    if not isinstance(X.field, FieldSpec):
-        raise ParameterError("only flat GF(p^k) point sets serialize; "
-                             "rebuild extension-field sets over the flat field first")
+    require_flat_field(X.field)
     doc = {
         "p": X.field.p,
         "k": X.field.k,

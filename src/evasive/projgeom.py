@@ -22,7 +22,7 @@ from math import prod
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import ExtensionSpec
+from .gf import FieldSpec
 from . import linalg
 
 DEFAULT_BUDGET = 10**8
@@ -76,27 +76,8 @@ def _points_array(field, n: int) -> np.ndarray:
 
 
 def rank(field, vectors) -> int:
-    """Rank of a list of coordinate vectors, by Gaussian elimination."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    w = len(rows[0])
-    r = 0
-    for col in range(w):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        li = field.inv(rows[r][col])
-        rows[r] = [field.mul(li, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank of a list of coordinate vectors."""
+    return len(rref(field, vectors)[0])
 
 
 def rref(field, vectors):
@@ -249,7 +230,7 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     return num // den
 
 
-def field_reduction_spread(point, ext: ExtensionSpec) -> SubspaceBasis:
+def field_reduction_spread(point, ext: FieldSpec) -> SubspaceBasis:
     """The spread element of a point of PG(M-1, q^N) under field reduction.
 
     Expanding each GF(q^N) coordinate into N base-field coordinates maps a

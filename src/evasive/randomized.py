@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
+from .jsonio import require_flat_field
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank
 from .verifier import is_rs_set
 
@@ -117,6 +118,7 @@ class HomogeneousForm:
         return int(self.evaluate(np.array([point], dtype=np.int64))[0])
 
     def to_json_dict(self) -> dict:
+        require_flat_field(self.field)
         return {
             "p": self.field.p,
             "k": self.field.k,

@@ -184,6 +184,14 @@ def test_product_multiplicative_sizes():
     assert Z2.n == 24
 
 
+def test_product_accepts_flat_field_for_prime_base():
+    # GF(2)^4 is GF(2^4), so Y may be built over either
+    X, Y, Z = build_85_point_product()
+    flat = make_field(2, 4)
+    assert Y.field == flat
+    assert product_construction(X, 2, rational_normal_curve(2, flat), 1) == Z
+
+
 def test_product_validates_left_factor():
     base = make_field(2, 1)
     # a full line inside the plane: fails the line ceiling 1 + 2 - 1 = 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evasive.errors import ParameterError
-from evasive.gf import TABLE_LIMIT, ExtensionSpec, make_extension, make_field
+from evasive.gf import TABLE_LIMIT, FieldSpec, make_extension, make_field
 
 
 def naive_smallest_irreducible(F, degree):
@@ -72,12 +72,12 @@ def test_prime_field_convention():
 def test_extension_modulus_matches_trial_division():
     F3 = make_field(3, 1)
     ext = make_extension(F3, 5)
-    assert ext.ext_modulus == naive_smallest_irreducible(F3, 5)
-    assert ext.ext_modulus == (1, 0, 0, 0, 2, 1)
+    assert ext.modulus == naive_smallest_irreducible(F3, 5)
+    assert ext.modulus == (1, 0, 0, 0, 2, 1)
 
     F4 = make_field(2, 2)
     ext4 = make_extension(F4, 2)
-    assert ext4.ext_modulus == naive_smallest_irreducible(F4, 2)
+    assert ext4.modulus == naive_smallest_irreducible(F4, 2)
 
 
 def test_frozen_scalar_arithmetic():
@@ -94,7 +94,7 @@ def test_frozen_scalar_arithmetic():
 def test_digit_round_trip():
     F8 = make_field(2, 3)
     for a in F8.elements():
-        assert F8.from_digits(F8.digits(a)) == a
+        assert F8.from_coords(F8.coords(a)) == a
     ext = make_extension(make_field(3, 1), 3)
     for a in ext.elements():
         assert ext.from_coords(ext.coords(a)) == a
@@ -104,8 +104,9 @@ AXIOM_FIELDS = [
     make_field(2, 1), make_field(3, 1), make_field(5, 1), make_field(7, 1),
     make_field(11, 1), make_field(2, 2), make_field(2, 3), make_field(2, 4),
     make_field(3, 2), make_field(2, 6),
-    make_extension(make_field(2, 1), 4),
-    make_extension(make_field(3, 1), 2),
+    # these two equal GF(2^4) and GF(3^2); the ids name how they are built
+    pytest.param(make_extension(make_field(2, 1), 4), id="GF(2)^4"),
+    pytest.param(make_extension(make_field(3, 1), 2), id="GF(3)^2"),
     make_extension(make_field(2, 2), 2),
 ]
 
@@ -188,7 +189,7 @@ def test_extension_power_basis_coordinates():
     ext9 = make_extension(make_field(3, 1), 2)
     assert ext9.coords(ext9.embed(2)) == (2, 0)
     # beta satisfies the extension modulus: beta^2 + c1 beta + c0 = 0
-    c0, c1, _ = ext9.ext_modulus
+    c0, c1, _ = ext9.modulus
     beta = ext9.beta
     lhs = ext9.add(ext9.mul(beta, beta),
                    ext9.add(ext9.mul(ext9.embed(c1), beta), ext9.embed(c0)))
@@ -234,6 +235,11 @@ def test_parameter_validation():
         make_field(2, 64)
     with pytest.raises(ParameterError):
         make_extension(make_field(3, 2), 21)
+    # the degree is bounded before the order is computed
+    with pytest.raises(ParameterError):
+        make_extension(make_field(2, 1), 10**12)
+    with pytest.raises(ParameterError):
+        make_extension(make_field(2, 1), 0)
     with pytest.raises(ZeroDivisionError):
         make_field(7, 1).inv(0)
     with pytest.raises(ZeroDivisionError):
@@ -251,7 +257,7 @@ def test_tables_refused_above_limit():
 
 def test_extension_spec_identity():
     e1 = make_extension(make_field(2, 1), 4)
-    assert isinstance(e1, ExtensionSpec)
+    assert isinstance(e1, FieldSpec)
     make_extension.cache_clear()
     e2 = make_extension(make_field(2, 1), 4)
     assert e1 == e2 and hash(e1) == hash(e2)

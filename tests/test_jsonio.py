@@ -6,7 +6,7 @@ import pytest
 
 from evasive.constructions import elliptic_ovoid, monomial_curve
 from evasive.errors import ParameterError
-from evasive.gf import make_field
+from evasive.gf import make_extension, make_field
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
 
 
@@ -100,3 +100,11 @@ def test_empty_point_list_round_trips():
     blob = pointset_to_json_bytes(X)
     Y, r, s = pointset_from_json_bytes(blob)
     assert Y == X and r is None and s is None
+
+
+def test_only_flat_fields_serialize():
+    from evasive.projgeom import PointSet
+    for field in (make_extension(make_field(2, 2), 2), make_extension(make_field(2, 1), 1)):
+        X = PointSet.from_vectors(field, 1, [(1, 1)])
+        with pytest.raises(ParameterError):
+            pointset_to_json_bytes(X)

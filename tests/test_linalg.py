@@ -22,7 +22,7 @@ FIELDS = [
     make_field(7, 1),
     make_field(2, 2),
     make_field(3, 2),
-    make_extension(make_field(2, 1), 4),
+    pytest.param(make_extension(make_field(2, 1), 4), id="GF(2)^4"),  # equals GF(2^4)
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from evasive.constructions import elliptic_ovoid
 from evasive.errors import ParameterError
-from evasive.gf import make_field
+from evasive.gf import make_extension, make_field
 from evasive.projgeom import PointSet, all_points, gaussian_binomial, rank
 from evasive.randomized import (
     HomogeneousForm,
@@ -123,6 +123,17 @@ def test_form_json_round_trip():
     assert g == f
     with pytest.raises(ParameterError):
         HomogeneousForm.from_json_dict({"degree": 2})
+
+
+def test_form_json_refuses_tower_fields():
+    # (p, k) would read back as the flat GF(2^4), a different field
+    tower = make_extension(make_field(2, 2), 2)
+    f = HomogeneousForm(tower, 2, 2, {(2, 0, 0): 5})
+    with pytest.raises(ParameterError):
+        f.to_json_dict()
+    # over GF(2)^4, which is GF(2^4), the form serializes
+    flat = HomogeneousForm(make_extension(make_field(2, 1), 4), 2, 2, {(2, 0, 0): 5})
+    assert HomogeneousForm.from_json_dict(flat.to_json_dict()) == flat
 
 
 def test_hypersurface_points_frozen():
