@@ -48,6 +48,22 @@ def field_of_order(q: int):
     return make_field(p, k)
 
 
+def _monomial_points(n: int, field, budget: int, point) -> PointSet:
+    # point(x, F_0(x)) for every x in (GF(q)^*)^(n-1), F_0 the product of x
+    if n < 2:
+        raise ParameterError(f"need n >= 2, got n={n}")
+    q = field.order
+    if (q - 1) ** (n - 1) > budget:
+        raise BudgetExceeded(f"(q-1)^(n-1) = {(q - 1) ** (n - 1)} exceeds budget {budget}")
+    pts = []
+    for x in itertools.product(range(1, q), repeat=n - 1):
+        f0 = 1
+        for xi in x:
+            f0 = field.mul(f0, xi)
+        pts.append(point(x, f0))
+    return PointSet.from_vectors(field, n, pts)
+
+
 def monomial_curve(n: int, field, budget: int = DEFAULT_BUDGET) -> PointSet:
     """The (n, 1)-set {(1, F_0(x), x_1 F_0(x), ..., x_{n-1} F_0(x))} in PG(n, q).
 
@@ -55,34 +71,13 @@ def monomial_curve(n: int, field, budget: int = DEFAULT_BUDGET) -> PointSet:
     range over the nonzero field elements, so the set has (q-1)^(n-1) points
     and no line meets it in more than n points.
     """
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got n={n}")
-    q = field.order
-    if (q - 1) ** (n - 1) > budget:
-        raise BudgetExceeded(f"(q-1)^(n-1) = {(q - 1) ** (n - 1)} exceeds budget {budget}")
-    pts = []
-    for x in itertools.product(range(1, q), repeat=n - 1):
-        f0 = 1
-        for xi in x:
-            f0 = field.mul(f0, xi)
-        pts.append((1, f0) + tuple(field.mul(xi, f0) for xi in x))
-    return PointSet.from_vectors(field, n, pts)
+    return _monomial_points(
+        n, field, budget, lambda x, f0: (1, f0) + tuple(field.mul(xi, f0) for xi in x))
 
 
 def monomial_curve_affine_variant(n: int, field, budget: int = DEFAULT_BUDGET) -> PointSet:
     """The variant {(1, 1/(x_1 ... x_{n-1}), x_1, ..., x_{n-1})}, same size."""
-    if n < 2:
-        raise ParameterError(f"need n >= 2, got n={n}")
-    q = field.order
-    if (q - 1) ** (n - 1) > budget:
-        raise BudgetExceeded(f"(q-1)^(n-1) = {(q - 1) ** (n - 1)} exceeds budget {budget}")
-    pts = []
-    for x in itertools.product(range(1, q), repeat=n - 1):
-        f0 = 1
-        for xi in x:
-            f0 = field.mul(f0, xi)
-        pts.append((1, field.inv(f0)) + x)
-    return PointSet.from_vectors(field, n, pts)
+    return _monomial_points(n, field, budget, lambda x, f0: (1, field.inv(f0)) + x)
 
 
 def rational_normal_curve(c: int, field) -> PointSet:

@@ -14,7 +14,6 @@ as a canonical form.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -43,36 +42,33 @@ def normalize(field, vec) -> ProjPoint:
 
 
 def all_points(n: int, field, budget: int = DEFAULT_BUDGET):
-    """Yield every point of PG(n, field) in ascending lexicographic order.
+    """Every point of PG(n, field) as an iterator, in ascending lexicographic order.
 
     Points are generated already normalized: for each position i of the
     leading 1, all tails over the field are enumerated in encoding order.
     Later leading positions sort first, so the overall stream is sorted.
+    The budget is checked at the call, before any point is produced.
     """
     q = field.order
-    total = (q ** (n + 1) - 1) // (q - 1)
+    total = count_points(n, q)
     if total > budget:
         raise BudgetExceeded(f"PG({n},{q}) has {total} points, budget is {budget}")
-    for i in range(n, -1, -1):
-        head = (0,) * i + (1,)
-        for tail in itertools.product(range(q), repeat=n - i):
-            yield head + tail
+    return ((0,) * i + (1,) + tail
+            for i in range(n, -1, -1)
+            for tail in itertools.product(range(q), repeat=n - i))
 
 
 def count_points(n: int, q: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _points_array(field, n: int) -> np.ndarray:
-    pts = np.fromiter(
-        itertools.chain.from_iterable(all_points(n, field)),
+def _points_array(field, n: int, budget: int) -> np.ndarray:
+    """PG(n, field) as an (N, n+1) int64 array, rows in all_points order."""
+    return np.fromiter(
+        itertools.chain.from_iterable(all_points(n, field, budget)),
         dtype=np.int64,
         count=count_points(n, field.order) * (n + 1),
-    )
-    pts = pts.reshape(-1, n + 1)
-    pts.setflags(write=False)
-    return pts
+    ).reshape(-1, n + 1)
 
 
 def rank(field, vectors) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .jsonio import require_flat_field
-from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank
+from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, all_points, rank
 from .verifier import is_rs_set
 
 log = logging.getLogger(__name__)
@@ -145,17 +145,20 @@ class HomogeneousForm:
             raise ParameterError(f"malformed form data: {exc!r}") from exc
 
 
-def hypersurface_points(form: HomogeneousForm, budget: int = DEFAULT_BUDGET) -> PointSet:
-    """All points of PG(n, q) where the form vanishes."""
-    from .projgeom import count_points
+def hypersurface_points(*forms: HomogeneousForm, budget: int = DEFAULT_BUDGET) -> PointSet:
+    """The common zeros in PG(n, q) of one or more forms over one field and n.
 
-    if count_points(form.n, form.field.order) > budget:
-        raise ParameterError(f"PG({form.n}, {form.field.order}) exceeds budget {budget}")
-    pts = _points_array(form.field, form.n)
-    zeros = pts[form.evaluate(pts) == 0]
-    return PointSet.from_normalized(
-        form.field, form.n, tuple(map(tuple, zeros.tolist()))
-    )
+    Every point of PG(n, q) is evaluated, so BudgetExceeded is raised before
+    anything is allocated when PG(n, q) has more than budget points.
+    """
+    if not forms:
+        raise ParameterError("need at least one form")
+    field, n = forms[0].field, forms[0].n
+    if any(f.field != field or f.n != n for f in forms):
+        raise ParameterError("the forms must share one field and one n")
+    pts = _points_array(field, n, budget)
+    zero = np.logical_and.reduce([f.evaluate(pts) == 0 for f in forms])
+    return PointSet.from_normalized(field, n, tuple(map(tuple, pts[zero].tolist())))
 
 
 def _random_form(n: int, degree: int, field, rng: Prng) -> HomogeneousForm:
@@ -204,7 +207,9 @@ def cleanup(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> Poi
 
     Each round finds the first violation in lexicographic order and removes
     every point of X inside its span, so the result is deterministic and
-    each round strictly shrinks X.
+    each round strictly shrinks X.  The returned set is exactly the one on
+    which is_rs_set(X, r, s, budget=budget) last held, so it is certified
+    and needs no second scan.
     """
     while True:
         ok, witness = is_rs_set(X, r, s, budget=budget)
@@ -240,8 +245,7 @@ def gv_construction(n: int, field, r: int, s: int, rng: Prng, *,
             r, s,
         )
     p = gv_keep_probability(n, field.order, r, s)
-    pts = _points_array(field, n)
-    keep = [tuple(row) for row in pts.tolist() if rng.real53() < p]
+    keep = [pt for pt in all_points(n, field, budget) if rng.real53() < p]
     X = PointSet.from_normalized(field, n, tuple(keep))
     return cleanup(X, r, s, budget=budget)
 
@@ -257,20 +261,13 @@ def quadric_42_construction(m: int, field, rng: Prng, *,
         raise ParameterError(f"need m >= 2, got m={m}")
     n = 2 * m - 1
     forms = [random_irreducible_quadric(n, field, rng) for _ in range(m)]
-    pts = _points_array(field, n)
-    mask = np.ones(len(pts), dtype=bool)
-    for form in forms:
-        mask &= form.evaluate(pts) == 0
-    X = PointSet.from_normalized(
-        field, n, tuple(map(tuple, pts[mask].tolist()))
-    )
-    return cleanup(X, 4, 2, budget=budget)
+    return cleanup(hypersurface_points(*forms, budget=budget), 4, 2, budget=budget)
 
 
-def _vanishes_on_some_hyperplane(form: HomogeneousForm) -> bool:
+def _vanishes_on_some_hyperplane(form: HomogeneousForm, budget: int = DEFAULT_BUDGET) -> bool:
     # hyperplanes are indexed by dual points; incidence is a zero dot product
     t = form.field.tables()
-    pts = _points_array(form.field, form.n)
+    pts = _points_array(form.field, form.n, budget)
     zero_at = form.evaluate(pts) == 0
     for dual in pts:
         dot = np.zeros(len(pts), dtype=np.int64)
@@ -296,12 +293,7 @@ def cubic_92_construction(field, rng: Prng, *, reject_hyperplane_factors: bool =
     cubics = []
     while len(cubics) < 2:
         form = _random_form(n, 3, field, rng)
-        if reject_hyperplane_factors and _vanishes_on_some_hyperplane(form):
+        if reject_hyperplane_factors and _vanishes_on_some_hyperplane(form, budget):
             continue
         cubics.append(form)
-    pts = _points_array(field, n)
-    mask = (cubics[0].evaluate(pts) == 0) & (cubics[1].evaluate(pts) == 0)
-    X = PointSet.from_normalized(
-        field, n, tuple(map(tuple, pts[mask].tolist()))
-    )
-    return cleanup(X, 9, 2, budget=budget)
+    return cleanup(hypersurface_points(*cubics, budget=budget), 9, 2, budget=budget)

@@ -2,8 +2,12 @@
 
 import json
 
+import pytest
+
+from evasive import cli
 from evasive.cli import main
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
+from evasive.verifier import is_rs_set
 
 
 def run(capsys, *argv):
@@ -130,6 +134,55 @@ def test_verify_budget_exhaustion_is_exit_3(tmp_path, capsys):
     assert code == 3
     assert "budget" in stderr
 
+
+def test_construct_budget_below_space_is_exit_3(tmp_path, capsys):
+    # gv draws from every point of PG(3, 7), which has 400
+    out = tmp_path / "g.json"
+    code, stdout, stderr = run(capsys, "construct", "gv", "--n", "3", "--q", "7",
+                               "--r", "3", "--s", "2", "--seed", "1",
+                               "--budget", "300", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "PG(3,7) has 400 points" in stderr
+    assert not out.exists()
+
+
+RANDOMIZED_ARGS = {
+    "cubics": ["--q", "3", "--seed", "1"],
+    "quadrics": ["--m", "2", "--q", "5", "--seed", "7"],
+    "gv": ["--n", "3", "--q", "2", "--r", "3", "--s", "2", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOMIZED_ARGS))
+def test_randomized_construct_is_scanned_once(kind, tmp_path, capsys, monkeypatch):
+    # cleanup certifies the set it returns, so construct must not scan it again
+    def second_scan(*args, **kwargs):
+        raise AssertionError(f"construct {kind} scanned its set a second time")
+
+    monkeypatch.setattr(cli, "is_rs_set", second_scan)
+    out = tmp_path / "x.json"
+    code, stdout, _ = run(capsys, "construct", kind, *RANDOMIZED_ARGS[kind],
+                          "--out", str(out))
+    assert code == 0 and stdout.split()[-1] == "yes"
+    X, r, s = pointset_from_json_bytes(out.read_bytes())
+    assert is_rs_set(X, r, s)[0]
+    code, stdout, _ = run(capsys, "construct", kind, *RANDOMIZED_ARGS[kind],
+                          "--out", str(out), "--no-verify")
+    assert code == 0 and stdout.split()[-1] == "skipped"
+
+
+def test_deterministic_construct_is_verified(tmp_path, capsys, monkeypatch):
+    scans = []
+
+    def counting_scan(X, r, s, **kwargs):
+        scans.append((len(X), r, s))
+        return is_rs_set(X, r, s, **kwargs)
+
+    monkeypatch.setattr(cli, "is_rs_set", counting_scan)
+    code, stdout, _ = run(capsys, "construct", "ovoid", "--q", "3",
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 0 and stdout.split()[-1] == "yes"
+    assert scans == [(10, 2, 1)]
 
 def test_construct_rejects_non_prime_power(tmp_path, capsys):
     code, _, stderr = run(capsys, "construct", "monomial", "--n", "3",

@@ -5,7 +5,7 @@ import logging
 import pytest
 
 from evasive.constructions import elliptic_ovoid
-from evasive.errors import ParameterError
+from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_extension, make_field
 from evasive.projgeom import PointSet, all_points, gaussian_binomial, rank
 from evasive.randomized import (
@@ -155,6 +155,36 @@ def test_hypersurface_matches_ovoid():
         (1, 1, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 1, 1): 1, (0, 0, 0, 2): 1})
     assert hypersurface_points(f) == elliptic_ovoid(F2)
 
+
+
+def test_hypersurface_points_budget():
+    # PG(3, 7) has 400 points; the budget is checked before enumerating
+    f = HomogeneousForm(make_field(7, 1), 3, 2, {(2, 0, 0, 0): 1})
+    assert len(hypersurface_points(f, budget=400)) == 57
+    with pytest.raises(BudgetExceeded, match="400 points"):
+        hypersurface_points(f, budget=399)
+
+
+def test_hypersurface_points_of_several_forms():
+    F5 = make_field(5, 1)
+    rng = Prng(11)
+    f = random_irreducible_quadric(3, F5, rng)
+    g = random_irreducible_quadric(3, F5, rng)
+    both = hypersurface_points(f, g)
+    assert set(both.points) == set(hypersurface_points(f).points) & set(
+        hypersurface_points(g).points)
+    assert 0 < len(both) < len(hypersurface_points(f))
+
+
+def test_hypersurface_points_needs_one_field_and_n():
+    F5 = make_field(5, 1)
+    f = HomogeneousForm(F5, 2, 2, {(2, 0, 0): 1})
+    with pytest.raises(ParameterError):
+        hypersurface_points()
+    with pytest.raises(ParameterError):
+        hypersurface_points(f, HomogeneousForm(make_field(7, 1), 2, 2, {(2, 0, 0): 1}))
+    with pytest.raises(ParameterError):
+        hypersurface_points(f, HomogeneousForm(F5, 3, 2, {(2, 0, 0, 0): 1}))
 
 @pytest.mark.parametrize("n,q", [(2, 5), (2, 7), (3, 5), (3, 7)])
 def test_random_quadric_point_counts(n, q):
