@@ -71,7 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--y-c", type=int, help="product: degree of the rnc second factor")
     c.add_argument("--y-trunc", type=int, help="product: keep only the first so-many points of Y")
     c.add_argument("--out", help="output file (default: a name derived from the parameters)")
-    c.add_argument("--no-verify", action="store_true", help="skip the final verification pass")
+    c.add_argument("--no-verify", action="store_true",
+                   help="skip the final verification pass of a deterministic kind; "
+                        "gv, quadrics and cubics are still certified by cleanup's "
+                        "scan, so for them only the printed word changes to 'skipped'")
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     v = sub.add_parser("verify", help="check a point-set file against (r, s)")
@@ -106,19 +109,19 @@ def _construct_product(args):
     _need(args, ["q", "r", "s"], "product")
     base = field_of_order(args.q)
     if args.x_kind == "ovoid":
-        X = elliptic_ovoid(base)
+        X = elliptic_ovoid(base, budget=args.budget)
     elif args.x_kind == "rnc":
         _need(args, ["x_c"], "product --x-kind rnc")
-        X = rational_normal_curve(args.x_c, base)
+        X = rational_normal_curve(args.x_c, base, budget=args.budget)
     else:
         _need(args, ["x_n"], "product --x-kind monomial")
         X = monomial_curve(args.x_n, base, budget=args.budget)
     ext = make_extension(base, X.n + 1)
     if args.y_kind == "rnc":
         _need(args, ["y_c"], "product --y-kind rnc")
-        Y = rational_normal_curve(args.y_c, ext)
+        Y = rational_normal_curve(args.y_c, ext, budget=args.budget)
     else:
-        Y = elliptic_ovoid(ext)
+        Y = elliptic_ovoid(ext, budget=args.budget)
     if args.y_trunc is not None:
         Y = Y.truncated(args.y_trunc)
     return product_construction(X, args.r, Y, args.s, budget=args.budget)
@@ -144,11 +147,11 @@ def cmd_construct(args) -> int:
         r, s = args.n, 1
     elif kind == "rnc":
         _need(args, ["c", "q"], kind)
-        X = rational_normal_curve(args.c, field_of_order(args.q))
+        X = rational_normal_curve(args.c, field_of_order(args.q), budget=args.budget)
         r, s = args.c, args.c - 1
     elif kind == "ovoid":
         _need(args, ["q"], kind)
-        X = elliptic_ovoid(field_of_order(args.q))
+        X = elliptic_ovoid(field_of_order(args.q), budget=args.budget)
         r, s = 2, 1
     elif kind == "graph32":
         _need(args, ["q0"], kind)

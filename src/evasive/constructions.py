@@ -2,6 +2,12 @@
 
 Everything here is deterministic: point sets come out normalized, deduped,
 and sorted, so repeated runs produce identical objects and files.
+
+The curve, ovoid and graph families are computed as whole numpy arrays of
+encodings: products and powers go through the field's discrete logs
+(``gf.array_mul``), sums through ``gf.array_add``, and the rows go to
+``PointSet.from_rows``.  No q x q table is built, so these work above
+``TABLE_LIMIT``; each family checks its budget before it allocates.
 """
 
 from __future__ import annotations
@@ -10,8 +16,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceeded, ParameterError
-from .gf import make_field, _is_prime
+from .gf import array_add, array_mul, make_field, _is_prime
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
@@ -48,20 +56,20 @@ def field_of_order(q: int):
     return make_field(p, k)
 
 
-def _monomial_points(n: int, field, budget: int, point) -> PointSet:
-    # point(x, F_0(x)) for every x in (GF(q)^*)^(n-1), F_0 the product of x
+def _monomial_points(n: int, field, budget: int, columns) -> PointSet:
+    # x_i = g^e_i for every exponent vector e in [0, q-1)^(n-1), g the
+    # generator of field.logs(), so F_0(x) = g^S with S the sum of the e_i;
+    # columns(e, S) gives the exponents of coordinates 1..n, coordinate 0 is 1
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
     q = field.order
     if (q - 1) ** (n - 1) > budget:
         raise BudgetExceeded(f"(q-1)^(n-1) = {(q - 1) ** (n - 1)} exceeds budget {budget}")
-    pts = []
-    for x in itertools.product(range(1, q), repeat=n - 1):
-        f0 = 1
-        for xi in x:
-            f0 = field.mul(f0, xi)
-        pts.append(point(x, f0))
-    return PointSet.from_vectors(field, n, pts)
+    exp, _ = field.logs()
+    e = np.indices((q - 1,) * (n - 1), dtype=np.int64).reshape(n - 1, -1).T
+    rows = np.ones((len(e), n + 1), dtype=np.int64)
+    rows[:, 1:] = exp[columns(e, e.sum(axis=1, keepdims=True)) % (q - 1)]
+    return PointSet.from_rows(field, n, rows)
 
 
 def monomial_curve(n: int, field, budget: int = DEFAULT_BUDGET) -> PointSet:
@@ -71,57 +79,68 @@ def monomial_curve(n: int, field, budget: int = DEFAULT_BUDGET) -> PointSet:
     range over the nonzero field elements, so the set has (q-1)^(n-1) points
     and no line meets it in more than n points.
     """
-    return _monomial_points(
-        n, field, budget, lambda x, f0: (1, f0) + tuple(field.mul(xi, f0) for xi in x))
+    return _monomial_points(n, field, budget, lambda e, S: np.hstack([S, e + S]))
 
 
 def monomial_curve_affine_variant(n: int, field, budget: int = DEFAULT_BUDGET) -> PointSet:
     """The variant {(1, 1/(x_1 ... x_{n-1}), x_1, ..., x_{n-1})}, same size."""
-    return _monomial_points(n, field, budget, lambda x, f0: (1, field.inv(f0)) + x)
+    return _monomial_points(n, field, budget, lambda e, S: np.hstack([-S, e]))
 
 
-def rational_normal_curve(c: int, field) -> PointSet:
+def rational_normal_curve(c: int, field, budget: int = DEFAULT_BUDGET) -> PointSet:
     """{(1, t, t^2, ..., t^c) : t in F_q} plus (0, ..., 0, 1), in PG(c, q).
 
     For q >= c this is the classical arc: any c+1 of its q+1 points have
     full rank.  The set is still well defined for smaller q (powers of t
-    then repeat by Frobenius), just without the arc guarantee.
+    then repeat by Frobenius), just without the arc guarantee.  Raises
+    BudgetExceeded when q + 1 exceeds the budget.
     """
     if c < 2:
         raise ParameterError(f"need c >= 2, got c={c}")
-    pts = [tuple(field.pow(t, e) for e in range(c + 1)) for t in range(field.order)]
-    pts.append((0,) * c + (1,))
-    return PointSet.from_vectors(field, c, pts)
+    q = field.order
+    if q + 1 > budget:
+        raise BudgetExceeded(f"q + 1 = {q + 1} points exceed budget {budget}")
+    rows = np.zeros((q + 1, c + 1), dtype=np.int64)
+    rows[:q] = array_mul(field, 1, np.arange(q)[:, None], np.arange(c + 1))
+    rows[q, c] = 1
+    return PointSet.from_rows(field, c, rows)
 
 
 def _smallest_irreducible_binary_quadratic(field) -> tuple[int, int]:
-    # lexicographically smallest (b, c) with X^2 + bX + c having no root
+    # lexicographically smallest (b, c) with X^2 + bX + c having no root:
+    # c qualifies iff -c is none of the values x^2 + bx, i.e. iff c is none
+    # of the values -(x^2 + bx); the encoding p - 1 is -1 in every field
     q = field.order
+    x = np.arange(q)
+    squares = array_mul(field, x, x)
     for b in range(q):
-        for c in range(q):
-            if all(field.add(field.add(field.mul(x, x), field.mul(b, x)), c) != 0
-                   for x in range(q)):
-                return b, c
+        hit = np.zeros(q, dtype=bool)
+        hit[array_mul(field, field.p - 1, array_add(field, squares, array_mul(field, b, x)))] = True
+        free = np.flatnonzero(~hit)
+        if len(free):
+            return b, int(free[0])
     raise RuntimeError("no irreducible quadratic found")  # unreachable for q >= 2
 
 
-def elliptic_ovoid(field) -> PointSet:
+def elliptic_ovoid(field, budget: int = DEFAULT_BUDGET) -> PointSet:
     """The q^2 + 1 points of the elliptic quadric x0 x1 = f(x2, x3) in PG(3, q).
 
     f(u, v) = u^2 + b u v + c v^2 with (b, c) the lexicographically smallest
     pair making f irreducible.  No three of the points are collinear.
+    Raises BudgetExceeded when q^2 + 1 exceeds the budget.
     """
     q = field.order
+    if q * q + 1 > budget:
+        raise BudgetExceeded(f"q^2 + 1 = {q * q + 1} points exceed budget {budget}")
     b, c = _smallest_irreducible_binary_quadratic(field)
-    pts = [(0, 1, 0, 0)]
-    for s in range(q):
-        for t in range(q):
-            f = field.add(
-                field.add(field.mul(s, s), field.mul(field.mul(b, s), t)),
-                field.mul(c, field.mul(t, t)),
-            )
-            pts.append((1, f, s, t))
-    out = PointSet.from_vectors(field, 3, pts)
+    s, t = np.divmod(np.arange(q * q), q)
+    # f(s, t) = s*s + (b s + c t)*t
+    bs_ct = array_add(field, array_mul(field, b, s), array_mul(field, c, t))
+    f = array_add(field, array_mul(field, s, s), array_mul(field, bs_ct, t))
+    rows = np.empty((q * q + 1, 4), dtype=np.int64)
+    rows[0] = (0, 1, 0, 0)
+    rows[1:] = np.stack([np.ones_like(s), f, s, t], axis=1)
+    out = PointSet.from_rows(field, 3, rows)
     assert len(out) == q * q + 1
     return out
 
@@ -211,12 +230,14 @@ def graph_curve_32(graph: BipartiteGraph, field, require_c4_free: bool = False,
         raise ParameterError("graph contains a C4")
     if len(graph.edges) > budget:
         raise BudgetExceeded(f"{len(graph.edges)} edges exceed budget {budget}")
-    pts = []
-    for x, y in graph.edges:
-        x2 = field.mul(x, x)
-        y2 = field.mul(y, y)
-        pts.append((1, x, x2, field.mul(x2, x), y, y2, field.mul(y2, y)))
-    return PointSet.from_vectors(field, 6, pts)
+    # the powers come from field.logs(), which costs O(q)
+    if field.order > budget:
+        raise BudgetExceeded(f"field order {field.order} exceeds budget {budget}")
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2, 1)
+    # (x, x^2, x^3, y, y^2, y^3) per edge, after a leading 1
+    powers = array_mul(field, 1, edges, np.arange(1, 4)).reshape(-1, 6)
+    rows = np.hstack([np.ones((len(powers), 1), dtype=np.int64), powers])
+    return PointSet.from_rows(field, 6, rows)
 
 
 def graph_curve_for_prime_power(q0: int, budget: int = DEFAULT_BUDGET) -> PointSet:

@@ -32,7 +32,10 @@ Lookup tables
 -------------
 ``tables()`` materializes dense numpy operation tables so that bulk code can
 run field arithmetic through fancy indexing.  Tables are built lazily, cached
-on the spec, and only for orders up to ``TABLE_LIMIT``.
+on the spec, and only for orders up to ``TABLE_LIMIT``.  ``logs()`` holds the
+O(q) discrete-log arrays behind the mul table and behind ``array_mul`` and
+``array_add``, which do elementwise arithmetic on arrays of encodings at any
+order; it has no limit of its own, so callers bound q first.
 """
 
 from __future__ import annotations
@@ -184,8 +187,10 @@ def _is_irreducible(F, f) -> bool:
 
 def _lex_smallest_irreducible(F, L: int) -> tuple[int, ...]:
     # itertools.product yields coefficient vectors (constant term first) in
-    # lexicographic order, which is exactly the canonical ordering
-    for lower in itertools.product(range(F.order), repeat=L):
+    # lexicographic order, which is exactly the canonical ordering; for L >= 2
+    # X divides every candidate with a zero constant term, so those are skipped
+    constant = range(F.order) if L == 1 else range(1, F.order)
+    for lower in itertools.product(constant, *[range(F.order)] * (L - 1)):
         f = lower + (1,)
         if _is_irreducible(F, f):
             return f
@@ -202,17 +207,7 @@ def _build_tables(F) -> FieldTables:
             f"field order {q} exceeds TABLE_LIMIT={TABLE_LIMIT}; "
             "bulk operations are not available for fields this large"
         )
-    # multiplication through discrete logs over the cyclic unit group; exp
-    # runs over two periods, so a sum of two logs needs no reduction
-    g = _find_generator(F)
-    exp = np.empty(2 * (q - 1), dtype=np.int64)
-    x = 1
-    for i in range(q - 1):
-        exp[i] = x
-        x = F.mul(x, g)
-    exp[q - 1:] = exp[:q - 1]
-    log = np.zeros(q, dtype=np.int64)
-    log[exp[:q - 1]] = np.arange(q - 1)
+    exp, log = F.logs()
     mul = np.zeros((q, q), dtype=np.int64)
     mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
     # addition is digit-wise mod p, so the add table of the encodings below
@@ -224,15 +219,11 @@ def _build_tables(F) -> FieldTables:
     for i in range(F.k):
         m = p**i
         add = (add[None, :, None, :] + m * digit_add[:, None, :, None]).reshape(m * p, m * p)
-    neg = np.argmax(add == 0, axis=1)
+    a = np.arange(q)
+    neg = array_mul(F, p - 1, a)  # the encoding p - 1 is -1 in every field
     sub = add[:, neg]
-    inv = np.argmax(mul == 1, axis=1)
-    inv[0] = 0
-    powt = np.empty((q, POW_TABLE_MAX + 1), dtype=np.int64)
-    powt[:, 0] = 1
-    powt[:, 1] = np.arange(q)
-    for e in range(2, POW_TABLE_MAX + 1):
-        powt[:, e] = mul[powt[:, e - 1], np.arange(q)]
+    inv = array_mul(F, 1, a, -1)
+    powt = array_mul(F, 1, a[:, None], np.arange(POW_TABLE_MAX + 1))
     return FieldTables(add=add, sub=sub, mul=mul, neg=neg, inv=inv, pow=powt)
 
 
@@ -248,12 +239,68 @@ def _find_generator(F) -> int:
 
 class _TableMixin:
     _tables: FieldTables | None
+    _logs: tuple[np.ndarray, np.ndarray] | None
 
     def tables(self) -> FieldTables:
         """Dense numpy operation tables (built lazily, cached, immutable)."""
         if self._tables is None:
             self._tables = _build_tables(self)
         return self._tables
+
+    def logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) of the cyclic unit group, as read-only int64 arrays.
+
+        exp[i] = g^i for a fixed generator g and 0 <= i < 2(q-1): two periods,
+        so a sum of two logs needs no reduction.  log[x] is the discrete log
+        of x != 0; log[0] = 0 is a placeholder that callers mask.  Built in
+        O(q) scalar multiplications with no TABLE_LIMIT, so callers bound q.
+        """
+        if self._logs is None:
+            q = self.order
+            g = _find_generator(self)
+            exp = np.empty(2 * (q - 1), dtype=np.int64)
+            x = 1
+            for i in range(q - 1):
+                exp[i] = x
+                x = self.mul(x, g)
+            exp[q - 1:] = exp[:q - 1]
+            log = np.zeros(q, dtype=np.int64)
+            log[exp[:q - 1]] = np.arange(q - 1)
+            exp.setflags(write=False)
+            log.setflags(write=False)
+            self._logs = (exp, log)
+        return self._logs
+
+
+# ---------------------------------------------------------------------------
+# Elementwise arithmetic on arrays of encodings, with no q x q tables.
+
+def array_mul(F, a, b=1, e=1) -> np.ndarray:
+    """a * b^e elementwise, through F.logs(); arguments broadcast.
+
+    b^e is ``array_mul(F, 1, b, e)`` and b^-1 is ``array_mul(F, 1, b, -1)``.
+    A zero factor gives 0, b^0 = 1 for every b (0 included) and, as in the
+    inv table, 0^-1 gives 0.
+    """
+    exp, log = F.logs()
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    e = np.asarray(e, dtype=np.int64)
+    out = exp[log[a] + log[b] * (e % (F.order - 1)) % (F.order - 1)]
+    return np.where((a == 0) | ((b == 0) & (e != 0)), 0, out)
+
+
+def array_add(F, a, b) -> np.ndarray:
+    """a + b elementwise: digit-wise mod p over the k base-p digits."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    p = F.p
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    w = 1
+    for _ in range(F.k):
+        out += (a // w % p + b // w % p) % p * w
+        w *= p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +324,7 @@ class FieldSpec(_TableMixin):
         self.order = self.p**self.k
         self._q = self.p if base is None else base.order
         self._tables = None
+        self._logs = None
         self._key = (self.p, base, N, modulus)
         self._hash = hash(self._key)
         # beta is the power-basis generator (the class of X); degenerate for N=1

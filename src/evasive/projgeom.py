@@ -160,6 +160,28 @@ class PointSet:
         return cls(field, n, tuple(pts))
 
     @classmethod
+    def from_rows(cls, field, n: int, rows) -> "PointSet":
+        """Point set of an (m, n+1) integer array of normalized rows, in any order.
+
+        Duplicate rows are dropped; the sorted array is kept as ``array``.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != n + 1:
+            raise ParameterError("vector length does not match ambient dimension")
+        nonzero = rows != 0
+        lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
+        if not (nonzero.any(axis=1) & (lead == 1)).all():
+            raise ParameterError("every row must be nonzero with first nonzero entry 1")
+        rows = rows[np.lexsort(rows.T[::-1])]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[keep]
+        rows.setflags(write=False)
+        X = cls(field, n, tuple(map(tuple, rows.tolist())))
+        X._array = rows
+        return X
+
+    @classmethod
     def from_normalized(cls, field, n: int, points) -> "PointSet":
         """Trusted constructor for points already normalized, deduped, sorted."""
         return cls(field, n, tuple(points))

@@ -146,6 +146,20 @@ def test_construct_budget_below_space_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["ovoid", "--q", "101", "--budget", "1000"],
+    ["rnc", "--c", "3", "--q", "1009", "--budget", "100"],
+], ids=["ovoid", "rnc"])
+@pytest.mark.parametrize("no_verify", [[], ["--no-verify"]], ids=["verify", "no-verify"])
+def test_construct_budget_bounds_the_family(args, no_verify, tmp_path, capsys):
+    # the construction refuses before it allocates, not the verifier after
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run(capsys, "construct", *args, *no_verify, "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "points exceed budget" in stderr
+    assert not out.exists()
+
+
 RANDOMIZED_ARGS = {
     "cubics": ["--q", "3", "--seed", "1"],
     "quadrics": ["--m", "2", "--q", "5", "--seed", "7"],

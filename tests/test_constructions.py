@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from evasive.constructions import (
@@ -19,8 +20,9 @@ from evasive.constructions import (
     rational_normal_curve,
     trimmed_incidence_graph,
 )
+from evasive.constructions import _smallest_irreducible_binary_quadratic
 from evasive.errors import ParameterError
-from evasive.gf import make_extension, make_field
+from evasive.gf import FieldSpec, make_extension, make_field
 from evasive.projgeom import PointSet, rank
 from evasive.verifier import is_proper, is_rs_set, max_in_s_space
 
@@ -254,3 +256,122 @@ def test_product_recipes_frozen():
         product_recipe("rnc", 2, c=2)
     with pytest.raises(ParameterError):
         product_recipe("nope", 2)
+
+
+# ---------------------------------------------------------------------------
+# The families against plain per-point scalar formulas.
+
+def scalar_monomial(n, F, affine=False):
+    pts = []
+    for x in itertools.product(range(1, F.order), repeat=n - 1):
+        f0 = 1
+        for xi in x:
+            f0 = F.mul(f0, xi)
+        if affine:
+            pts.append((1, F.inv(f0)) + x)
+        else:
+            pts.append((1, f0) + tuple(F.mul(xi, f0) for xi in x))
+    return PointSet.from_vectors(F, n, pts)
+
+
+def scalar_rnc(c, F):
+    pts = [tuple(F.pow(t, e) for e in range(c + 1)) for t in F.elements()]
+    pts.append((0,) * c + (1,))
+    return PointSet.from_vectors(F, c, pts)
+
+
+def scalar_quadratic(F):
+    for b in F.elements():
+        for c in F.elements():
+            if all(F.add(F.add(F.mul(x, x), F.mul(b, x)), c) != 0 for x in F.elements()):
+                return b, c
+    raise AssertionError("no irreducible quadratic")
+
+
+def scalar_ovoid(F):
+    b, c = scalar_quadratic(F)
+    pts = [(0, 1, 0, 0)]
+    for s in F.elements():
+        for t in F.elements():
+            f = F.add(F.add(F.mul(s, s), F.mul(F.mul(b, s), t)), F.mul(c, F.mul(t, t)))
+            pts.append((1, f, s, t))
+    return PointSet.from_vectors(F, 3, pts)
+
+
+def scalar_graph32(graph, F):
+    return PointSet.from_vectors(F, 6, [
+        (1, x, F.mul(x, x), F.pow(x, 3), y, F.mul(y, y), F.pow(y, 3))
+        for x, y in graph.edges])
+
+
+REFERENCE_FIELDS = [
+    make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1),
+    make_field(3, 2), make_field(2, 4), make_field(5, 2), make_field(3, 3),
+    make_extension(make_field(2, 2), 2), make_extension(make_field(3, 2), 2),
+]
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_quadratic_search_matches_scalar_reference(field):
+    # odd characteristic is where -c and c differ
+    assert _smallest_irreducible_binary_quadratic(field) == scalar_quadratic(field)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_ovoid_matches_scalar_reference(field):
+    assert elliptic_ovoid(field) == scalar_ovoid(field)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_monomial_matches_scalar_reference(field):
+    for n in (n for n in (2, 3, 4) if (field.order - 1) ** (n - 1) <= 4000):
+        assert monomial_curve(n, field) == scalar_monomial(n, field)
+        assert monomial_curve_affine_variant(n, field) == scalar_monomial(n, field, affine=True)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_rnc_matches_scalar_reference(field):
+    for c in (2, 3, 4):
+        assert rational_normal_curve(c, field) == scalar_rnc(c, field)
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=repr)
+def test_graph32_matches_scalar_reference(field):
+    graphs = [BipartiteGraph.complete(min(field.order, 5))]
+    graphs += [trimmed_incidence_graph(q0) for q0 in (2, 3, 4) if q0 * q0 <= field.order]
+    for graph in graphs:
+        assert graph_curve_32(graph, field) == scalar_graph32(graph, field)
+
+
+def test_from_rows_sorts_dedupes_and_checks_rows():
+    F3 = make_field(3, 1)
+    X = PointSet.from_rows(F3, 2, [(1, 2, 0), (0, 0, 1), (1, 2, 0), (0, 1, 2)])
+    assert X.points == ((0, 0, 1), (0, 1, 2), (1, 2, 0))
+    assert X.array.tolist() == [list(pt) for pt in X.points]
+    assert not X.array.flags.writeable
+    assert len(PointSet.from_rows(F3, 6, np.zeros((0, 7), dtype=np.int64))) == 0
+    with pytest.raises(ParameterError):
+        PointSet.from_rows(F3, 2, [(1, 2, 0), (2, 1, 0)])  # leading 2
+    with pytest.raises(ParameterError):
+        PointSet.from_rows(F3, 2, [(0, 0, 0)])
+    with pytest.raises(ParameterError):
+        PointSet.from_rows(F3, 2, [(1, 2, 0, 0)])  # width 4 in PG(2, 3)
+
+
+def test_families_make_no_per_point_scalar_calls(monkeypatch):
+    # a fresh GF(128), equal to make_field(2, 7), so that building its
+    # discrete logs (q - 1 products) falls inside the count
+    field = FieldSpec(make_field(2, 1), 7, make_field(2, 7).modulus)
+    assert field == make_field(2, 7)
+    calls = 0
+    scalar_mul = FieldSpec.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return scalar_mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "mul", counting_mul)
+    assert len(elliptic_ovoid(field)) == 128 * 128 + 1
+    assert len(monomial_curve(3, field)) == 127 * 127
+    assert calls <= 4 * field.order

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from evasive.errors import ParameterError
-from evasive.gf import TABLE_LIMIT, FieldSpec, make_extension, make_field
+from evasive.gf import (
+    POW_TABLE_MAX,
+    TABLE_LIMIT,
+    FieldSpec,
+    _is_irreducible,
+    array_add,
+    array_mul,
+    make_extension,
+    make_field,
+)
 
 
 def naive_smallest_irreducible(F, degree):
@@ -264,3 +273,41 @@ def test_extension_spec_identity():
     flat = make_field(2, 4)
     assert e1 == flat and hash(e1) == hash(flat)
     assert all(np.array_equal(a, b) for a, b in zip(e1.tables(), flat.tables()))
+
+
+def _prime_powers_up_to(limit):
+    return [(p, k) for p in range(2, limit + 1) if all(p % d for d in range(2, p))
+            for k in range(1, 9) if p**k <= limit]
+
+
+@pytest.mark.parametrize("field", [make_field(p, k) for p, k in _prime_powers_up_to(256)]
+                         + [make_field(2, 11), make_extension(make_field(2, 2), 2),
+                            make_extension(make_field(2, 2), 3),
+                            make_extension(make_field(3, 2), 2),
+                            make_extension(make_field(2, 1), 1),
+                            make_extension(make_field(3, 2), 1)], ids=repr)
+def test_modulus_is_first_irreducible_in_product_order(field):
+    # for degree >= 2 the search skips candidates with a zero constant term;
+    # the reference walks every candidate in itertools.product order, and a
+    # degree-1 quotient keeps the modulus X
+    base = field.base or field
+    L = field.N if field.base is not None else 1
+    reference = next(lower + (1,) for lower in itertools.product(range(base.order), repeat=L)
+                     if _is_irreducible(base, lower + (1,)))
+    assert field.modulus == reference
+
+
+@pytest.mark.parametrize("field", AXIOM_FIELDS, ids=repr)
+def test_logs_and_array_ops_agree_with_tables(field):
+    q = field.order
+    t = field.tables()
+    exp, log = field.logs()
+    a = np.arange(q)
+    assert exp.shape == (2 * (q - 1),) and np.array_equal(exp[:q - 1], exp[q - 1:])
+    assert sorted(exp[:q - 1]) == list(range(1, q))
+    assert np.array_equal(exp[log[1:]], a[1:])
+    assert np.array_equal(array_mul(field, a[:, None], a[None, :]), t.mul)
+    assert np.array_equal(array_add(field, a[:, None], a[None, :]), t.add)
+    assert np.array_equal(array_mul(field, 1, a[:, None], np.arange(POW_TABLE_MAX + 1)), t.pow)
+    assert np.array_equal(array_mul(field, 1, a, -1), t.inv)
+    assert np.array_equal(array_mul(field, field.p - 1, a), t.neg)
