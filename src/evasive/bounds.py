@@ -8,8 +8,11 @@ The lower bound is the random-deletion estimate ((r!-1)/r!) q^(n-s-s(n-s)/r).
 
 Real-valued bounds are computed with mpmath at 30 decimal digits (q-powers
 as exact rationals, e-th roots by mpmath.root), comfortably above the
-12-significant-digit contract.  Out-of-hypothesis requests yield entries
-marked inapplicable with a reason instead of extrapolated numbers.
+12-significant-digit contract.  mpmath is imported by the functions that
+compute a real value, so it loads on the first real-valued bound; the
+exponent table (exact fractions) and the other modules never load it.
+Out-of-hypothesis requests yield entries marked inapplicable with a
+reason instead of extrapolated numbers.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .errors import ParameterError
 from .projgeom import count_points, gaussian_binomial
 
@@ -29,6 +30,7 @@ _DPS = 30
 
 
 def _as_mpf(value):
+    import mpmath
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / value.denominator
     return mpmath.mpf(value)
@@ -36,6 +38,7 @@ def _as_mpf(value):
 
 def _qpow(q: int, exponent: Fraction):
     """q**exponent with an exact integer power under the e-th root."""
+    import mpmath
     base = mpmath.mpf(q ** exponent.numerator)
     return mpmath.root(base, exponent.denominator)
 
@@ -105,6 +108,7 @@ def rao_decomposition(r: int, s: int):
 
 def rao_constant(d: int, e: int, q: int):
     """C_{d,e} = (e!(d-1)(1+2/q) / (1-2e/q))^(1/e), defined for q > 2e."""
+    import mpmath
     if q <= 2 * e:
         raise ParameterError(f"need q > 2e, got q={q}, e={e}")
     radicand = Fraction(math.factorial(e) * (d - 1) * (q + 2), q - 2 * e)
@@ -122,6 +126,7 @@ def rao_bound(n: int, q: int, r: int, s: int) -> BoundEntry:
     if q <= 2 * e:
         return BoundEntry("rao", None, "moment bound", params={"d": d, "e": e},
                           applicable=False, reason=f"hypothesis q > 2e fails (q={q}, e={e})")
+    import mpmath
     with mpmath.workdps(_DPS):
         value = rao_constant(d, e, q) * _qpow(q, Fraction(n - e + 1, e)) + e
     return BoundEntry("rao", value, "moment bound",
@@ -176,6 +181,7 @@ def gv_lower_size(n: int, q: int, r: int, s: int) -> BoundEntry:
     if not (s + 1 >= r >= 3):
         return BoundEntry("gv", None, "random deletion", applicable=False,
                           reason=f"hypothesis s+1 >= r >= 3 fails (r={r}, s={s})")
+    import mpmath
     with mpmath.workdps(_DPS):
         value = _as_mpf(gv_constant(r)) * _qpow(q, gv_exponent(n, r, s))
     return BoundEntry("gv", value, "random deletion",

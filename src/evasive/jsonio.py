@@ -5,15 +5,33 @@ identified by (p, k) plus the canonical modulus; coordinates are canonical
 integer encodings; points are sorted ascending lexicographically; r and s
 are null when the file does not advertise parameters.  No floats anywhere,
 so byte-identical round-trips are guaranteed.
+
+A file is parsed in this order.  The header scalars come first, one by
+one: p and k (the field must exist), the canonical modulus, n (below
+MAX_N, as n+1 becomes an array dimension), r and s.  The points list is
+then checked in one pass over all its coordinates: every entry is a list
+of n+1 plain integers (no bool, no float) in [0, q).  Encodings become
+one int64 (N, n+1) array, so each must also fit in 64 bits; only fields
+of order above 2^63 can hold one that does not, and such a file is
+refused.  The array goes to PointSet.from_rows, which refuses zero and
+unnormalized rows and keeps the array, read-only, as the set's
+``array``.  from_rows sorts and dedupes, so the file is accepted only if
+it gives back exactly the file's rows in the file's order: that is the
+strictly ascending rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+
+import numpy as np
 
 from .errors import ParameterError
 from .gf import make_field
-from .projgeom import PointSet, normalize
+from .projgeom import PointSet
+
+MAX_N = 2**31  # far above any n whose points fit in a file
 
 
 def require_flat_field(field) -> None:
@@ -47,6 +65,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _points_array(pts, width: int, order: int) -> np.ndarray:
+    """The points list as an int64 (N, width) array of encodings in [0, order)."""
+    _require(isinstance(pts, list), "points must be a list")
+    _require(set(map(type, pts)) <= {list} and set(map(len, pts)) <= {width},
+             f"each point needs {width} coordinates")
+    flat = list(itertools.chain.from_iterable(pts))
+    # type(c) is int rules out bool (JSON true and false) and float alike
+    in_range = f"coordinates must be encodings in [0, {order})"
+    _require(set(map(type, flat)) <= {int}, in_range)
+    lo, hi = (min(flat), max(flat)) if flat else (0, 0)
+    _require(lo >= 0 and hi < order, in_range)
+    _require(hi < 2**63, f"encoding {hi} of GF({order}) does not fit in 64 bits")
+    return np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(len(pts), width)
+
+
 def pointset_from_json_bytes(data: bytes):
     """Parse and fully validate a point-set file.
 
@@ -71,22 +104,11 @@ def pointset_from_json_bytes(data: bytes):
     _require(list(field.modulus) == modulus,
              f"modulus {doc['modulus']} is not the canonical modulus "
              f"{list(field.modulus)} for GF({p}^{k})")
-    _require(_is_int(n) and n >= 1, "n must be an integer >= 1")
+    _require(_is_int(n) and 1 <= n < MAX_N, f"n must be an integer in [1, {MAX_N})")
     for name in ("r", "s"):
         _require(doc[name] is None or (_is_int(doc[name]) and doc[name] >= 0),
                  f"{name} must be null or a nonnegative integer")
-    pts = doc["points"]
-    _require(isinstance(pts, list), "points must be a list")
-    seen = []
-    for pt in pts:
-        _require(isinstance(pt, list) and len(pt) == n + 1,
-                 f"each point needs {n + 1} coordinates")
-        _require(all(_is_int(c) and 0 <= c < field.order for c in pt),
-                 f"coordinates must be encodings in [0, {field.order})")
-        tpt = tuple(pt)
-        _require(any(pt), "the zero vector is not a projective point")
-        _require(normalize(field, tpt) == tpt, f"point {tpt} is not normalized")
-        seen.append(tpt)
-    _require(seen == sorted(set(seen)), "points must be strictly ascending")
-    X = PointSet.from_normalized(field, n, tuple(seen))
+    rows = _points_array(doc["points"], n + 1, field.order)
+    X = PointSet.from_rows(field, n, rows)
+    _require(np.array_equal(X.array, rows), "points must be strictly ascending")
     return X, doc["r"], doc["s"]

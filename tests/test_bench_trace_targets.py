@@ -7,11 +7,16 @@ target lists are read; its ``install`` is never called.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "trace_cli.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "trace_cli.py"
 
 
 def _tracer():
@@ -40,3 +45,16 @@ def test_field_class_inherits_traced_tables():
     from evasive.gf import FieldSpec, _TableMixin
 
     assert FieldSpec.tables is _TableMixin.tables
+
+
+def test_cli_import_loads_every_target_module():
+    # install() looks targets up in sys.modules right after `import evasive.cli`,
+    # so a module imported lazily later would read as a missing target
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = "import json, sys, evasive.cli; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    wanted = {m for m, _, _, _ in TRACE.FUNCTIONS} | {m for m, _, _, _ in TRACE.METHODS}
+    assert wanted - loaded == set()

@@ -1,9 +1,15 @@
 """Command line driver: summaries, exit codes, files, and reruns."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import evasive
 from evasive import cli
 from evasive.cli import main
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
@@ -124,6 +130,17 @@ def test_verify_rejects_corrupt_file(tmp_path, capsys):
     code, _, stderr = run(capsys, "verify", str(bad))
     assert code == 2
     assert "error:" in stderr
+
+
+def test_verify_refuses_encodings_past_64_bits(tmp_path, capsys):
+    # GF(p) for a prime above 2^63 holds encodings no int64 array can
+    p = 9223372036854775837
+    big = tmp_path / "big.json"
+    big.write_bytes(b'{"p":%d,"k":1,"modulus":[0,1],"n":1,"r":1,"s":0,'
+                    b'"points":[[0,1],[1,%d]]}\n' % (p, p - 1))
+    code, _, stderr = run(capsys, "verify", str(big))
+    assert code == 2
+    assert "error:" in stderr and str(p) in stderr
 
 
 def test_verify_budget_exhaustion_is_exit_3(tmp_path, capsys):
@@ -277,3 +294,26 @@ def test_table_validation_error(capsys):
     code, _, stderr = run(capsys, "table", "--n", "10", "--smax", "6",
                           "--gapmax", "6")
     assert code == 2 and "error:" in stderr
+
+
+def test_only_bounds_imports_mpmath(tmp_path):
+    # a fresh interpreter, since this one may have loaded mpmath already
+    script = textwrap.dedent("""
+        import sys
+        from evasive import cli
+        for argv in (["construct", "ovoid", "--q", "4", "--out", "o.json"],
+                     ["verify", "o.json"],
+                     ["table", "--n", "4", "--smax", "1", "--gapmax", "1"],
+                     ["bounds", "--n", "4", "--q", "7", "--r", "9", "--s", "2"]):
+            code = cli.main(argv)
+            print("LOADED", argv[0], code, "mpmath" in sys.modules)
+    """)
+    env = dict(os.environ)
+    src = str(Path(evasive.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = [line.split()[1:] for line in done.stdout.splitlines()
+              if line.startswith("LOADED")]
+    assert loaded == [["construct", "0", "False"], ["verify", "0", "False"],
+                      ["table", "0", "False"], ["bounds", "0", "True"]]

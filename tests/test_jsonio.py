@@ -2,12 +2,68 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from evasive.constructions import elliptic_ovoid, monomial_curve
+from evasive.constructions import elliptic_ovoid, monomial_curve, rational_normal_curve
 from evasive.errors import ParameterError
 from evasive.gf import make_extension, make_field
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
+from evasive.projgeom import PointSet, normalize
+
+
+def _require(cond, message):
+    if not cond:
+        raise ParameterError(message)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def reference_parse(data: bytes):
+    """The file contract checked point by point in plain scalar code.
+
+    An independent statement of what the parser accepts: header scalars,
+    then each point's width, range, nonzero and normalized form, then the
+    strictly ascending order of the whole list.  Only the parser bounds n
+    (by jsonio.MAX_N), so callers compare the two at small n.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise ParameterError(f"not a point-set file: {exc}") from exc
+    _require(isinstance(doc, dict), "top level must be a JSON object")
+    for key in ("p", "k", "modulus", "n", "r", "s", "points"):
+        _require(key in doc, f"missing key {key!r}")
+    p, k, n = doc["p"], doc["k"], doc["n"]
+    _require(_is_int(p) and _is_int(k), "p and k must be integers")
+    field = make_field(p, k)
+    modulus = doc["modulus"]
+    _require(isinstance(modulus, list) and all(_is_int(c) for c in modulus),
+             "modulus must be a list of integers")
+    _require(list(field.modulus) == modulus, "modulus is not canonical")
+    _require(_is_int(n) and n >= 1, "n must be an integer >= 1")
+    for name in ("r", "s"):
+        _require(doc[name] is None or (_is_int(doc[name]) and doc[name] >= 0),
+                 f"{name} must be null or a nonnegative integer")
+    pts = doc["points"]
+    _require(isinstance(pts, list), "points must be a list")
+    seen = []
+    for pt in pts:
+        _require(isinstance(pt, list) and len(pt) == n + 1, "wrong width")
+        _require(all(_is_int(c) and 0 <= c < field.order for c in pt), "out of range")
+        tpt = tuple(pt)
+        _require(any(pt), "the zero vector")
+        _require(normalize(field, tpt) == tpt, "not normalized")
+        seen.append(tpt)
+    _require(seen == sorted(set(seen)), "points must be strictly ascending")
+    return PointSet.from_normalized(field, n, tuple(seen)), doc["r"], doc["s"]
+
+
+def assert_parsed_array(X):
+    assert np.array_equal(X.array, np.asarray(X.points, dtype=np.int64).reshape(len(X), X.n + 1))
+    assert X.array.dtype == np.int64 and not X.array.flags.writeable
 
 
 FROZEN = (b'{"p":3,"k":1,"modulus":[0,1],"n":3,"r":3,"s":1,'
@@ -28,10 +84,14 @@ def test_round_trip_identity():
         (monomial_curve(3, make_field(3, 1)), 3, 1),
         (elliptic_ovoid(make_field(2, 2)), 2, 1),
         (elliptic_ovoid(make_field(5, 1)), None, None),
+        (elliptic_ovoid(make_field(2, 5)), 2, 1),
+        (rational_normal_curve(3, make_field(3, 2)), 3, 2),
     ]:
         blob = pointset_to_json_bytes(X, r, s)
         Y, r2, s2 = pointset_from_json_bytes(blob)
         assert Y == X and (r2, s2) == (r, s)
+        assert (Y, r2, s2) == reference_parse(blob)
+        assert_parsed_array(Y)
         assert pointset_to_json_bytes(Y, r2, s2) == blob
 
 
@@ -76,6 +136,16 @@ def corrupt(key, value):
     # k >= 64 is refused before p**k is computed
     b'{"p":2,"k":100000000,"modulus":[],"n":1,"r":null,"s":null,"points":[]}\n',
     corrupt("p", 2**64 + 13),
+    corrupt("points", [[1, 1, 1, -1]]),
+    corrupt("points", [[1, 1, 1, 2**70]]),  # past 64 bits as well as the field
+    corrupt("points", [[1, 1, 1, 1.0]]),
+    corrupt("points", [[[1], 1, 1, 1]]),   # a nested coordinate
+    corrupt("points", [[[1, 1, 1, 1]]]),   # a nested point
+    corrupt("points", [[1, 1, 1]]),        # too narrow
+    corrupt("points", {"0": [1, 1, 1, 1]}),
+    # n + 1 is an array dimension, so n is bounded even with no points
+    b'{"p":2,"k":1,"modulus":[0,1],"n":2147483648,"r":null,"s":null,"points":[]}\n',
+    b'{"p":2,"k":1,"modulus":[0,1],"n":1180591620717411303424,"r":null,"s":null,"points":[]}\n',
     pytest.param(b'{"p":' + b"9" * 5000 + b"}\n", id="int-past-digit-limit"),
     pytest.param(b"[" * 100_000, id="nesting-past-recursion-limit"),
 ])
