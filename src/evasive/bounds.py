@@ -24,9 +24,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParameterError
+from .gf import factor_prime_power
 from .projgeom import count_points, gaussian_binomial
 
 _DPS = 30
+
+# exponent_table walks gap_max * s_max(s_max+1)/2 diagonal steps (1.2 million
+# at s_max = 900, gap_max = 3: about 2 s on a 2-core Xeon); larger tables
+# would take minutes or hold millions of cells.
+TABLE_GAP_LIMIT = 1000
+TABLE_STEP_LIMIT = 3 * 10**6
 
 
 def _as_mpf(value):
@@ -66,6 +73,10 @@ class BoundsReport:
 
     def best(self) -> BoundEntry:
         """The smallest applicable entry; ties break toward the earliest label."""
+        return self._best
+
+    @functools.cached_property  # read once per projection level above this report
+    def _best(self) -> BoundEntry:
         live = [e for e in self.entries if e.applicable]
         return min(live, key=lambda e: (_as_mpf(e.value), e.label))
 
@@ -133,6 +144,14 @@ def rao_bound(n: int, q: int, r: int, s: int) -> BoundEntry:
                       params={"d": d, "e": e, "exponent": Fraction(n - e + 1, e)})
 
 
+def _check_space(n: int, q: int) -> None:
+    """Refuse a q that is not a prime power, and a PG(n, q) with more points
+    (the trivial bound) than a float, the form reports are written in, holds."""
+    factor_prime_power(q)
+    if (n + 1) * math.log2(q) >= 1023:
+        raise ParameterError(f"PG({n},{q}) has more points than a float can hold")
+
+
 def pigeonhole_bound(n: int, q: int, r: int, s: int) -> int:
     """r ([n-s+1 choose 1]_q + 1): distribute X over the lines through a point
     of an (n-s)-space meeting X maximally."""
@@ -151,6 +170,11 @@ def best_upper_bound(n: int, q: int, r: int, s: int) -> BoundsReport:
     """
     if not (n > s >= 1 and r > s):
         raise ParameterError(f"need n > s >= 1 and r > s, got n={n}, r={r}, s={s}")
+    _check_space(n, q)
+    # fill the cache from the deepest projection up, so the loop below
+    # finds every projected report cached and no call nests deeper
+    for k in range(s - 1, 0, -1):
+        best_upper_bound(n - k, q, r - k, s - k)
     entries = [
         BoundEntry("pigeonhole", pigeonhole_bound(n, q, r, s), "line pigeonhole"),
         rao_bound(n, q, r, s),
@@ -178,6 +202,7 @@ def gv_lower_size(n: int, q: int, r: int, s: int) -> BoundEntry:
     """Asymptotic leading term of the random-deletion lower bound."""
     if not (n > s >= 1):
         raise ParameterError(f"need n > s >= 1, got n={n}, s={s}")
+    _check_space(n, q)
     if not (s + 1 >= r >= 3):
         return BoundEntry("gv", None, "random deletion", applicable=False,
                           reason=f"hypothesis s+1 >= r >= 3 fails (r={r}, s={s})")
@@ -190,15 +215,15 @@ def gv_lower_size(n: int, q: int, r: int, s: int) -> BoundEntry:
                       reason="asymptotic leading term")
 
 
-@functools.lru_cache(maxsize=None)
 def _best_exponent(n: int, r: int, s: int) -> Fraction:
-    # q-free version of best_upper_bound: the growth exponent of the minimum
-    best = Fraction(n - s)  # pigeonhole grows like q^(n-s)
-    dec = rao_decomposition(r, s)
-    if dec is not None:
-        best = min(best, Fraction(n - dec[1] + 1, dec[1]))
-    for m in range(1, s):
-        best = min(best, _best_exponent(n - m, r - m, s - m))
+    # q-free version of best_upper_bound: projection adds nothing to the
+    # exponent, so take the direct bounds along the diagonal (n-k, r-k, s-k),
+    # where pigeonhole's q^(n-s) never changes
+    best = Fraction(n - s)
+    for k in range(s):
+        dec = rao_decomposition(r - k, s - k)
+        if dec is not None:
+            best = min(best, Fraction(n - k - dec[1] + 1, dec[1]))
     return best
 
 
@@ -211,6 +236,9 @@ def exponent_table(n: int, s_max: int, gap_max: int) -> dict:
         raise ParameterError(f"need s_max, gap_max >= 1, got {s_max}, {gap_max}")
     if n < 2 * s_max:
         raise ParameterError(f"need n >= 2*s_max for positive entries, got n={n}")
+    if gap_max > TABLE_GAP_LIMIT or gap_max * s_max * (s_max + 1) // 2 > TABLE_STEP_LIMIT:
+        raise ParameterError(f"tables stop at gap_max = {TABLE_GAP_LIMIT} and "
+                             f"{TABLE_STEP_LIMIT} diagonal steps")
     return {
         (s, gap): _best_exponent(n, s + gap, s)
         for s in range(1, s_max + 1)

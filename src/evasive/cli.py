@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -214,6 +215,13 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     report = best_upper_bound(args.n, args.q, args.r, args.s)
     lower = gv_lower_size(args.n, args.q, args.r, args.s)
+    try:  # float() of a large int or Fraction raises, of a large mpf gives inf
+        printable = all(math.isfinite(e.value_float())
+                        for e in (*report.entries, lower) if e.applicable)
+    except OverflowError:
+        printable = False
+    if not printable:
+        raise ParameterError("a bound exceeds the float range it is printed in")
     if args.format == "json":
         import json
 

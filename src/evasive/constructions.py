@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import array_add, array_mul, make_field, _is_prime
+from .gf import array_add, array_mul, factor_prime_power, make_field
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
@@ -28,27 +28,6 @@ from .projgeom import (
     embed_copy,
 )
 from .verifier import is_proper, is_rs_set
-
-
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p^k, or ParameterError when q is not a prime power."""
-    if q < 2:
-        raise ParameterError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1 or not _is_prime(p):
-        raise ParameterError(f"{q} is not a prime power")
-    return p, k
 
 
 def field_of_order(q: int):
@@ -281,11 +260,8 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
     M = Y.n + 1
     if len(X) * len(Y) * N * M > budget:
         raise BudgetExceeded(f"product would hold {len(X) * len(Y)} points of PG({N * M - 1}, q)")
-    out = []
-    for y in Y.points:
-        spread_elt = field_reduction_spread(y, ext)
-        out.extend(embed_copy(X, spread_elt).points)
-    Z = PointSet.from_normalized(X.field, N * M - 1, tuple(sorted(set(out))))
+    copies = [embed_copy(X, field_reduction_spread(y, ext)).array for y in Y]
+    Z = PointSet.from_rows(X.field, N * M - 1, np.reshape(copies, (-1, N * M)))
     if len(Z) != len(X) * len(Y):
         raise RuntimeError("product size is not multiplicative; spread embedding collapsed")
     return Z

@@ -102,6 +102,30 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _iroot(x: int, k: int) -> int:
+    """Floor of the k-th root of x >= 0, by Newton's method from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k, or ParameterError when q is not a prime power.
+
+    Exact k-th roots for k up to log2(q): the cost grows with q's digits.
+    """
+    for k in range(1, max(q, 2).bit_length()):
+        p = _iroot(q, k)
+        if p ** k == q and _is_prime(p):
+            return p, k
+    raise ParameterError(f"{q} is not a prime power")
+
+
 # ---------------------------------------------------------------------------
 # Polynomial helpers over an arbitrary field spec F (scalar encodings).
 

@@ -50,7 +50,7 @@ def pointset_to_json_bytes(X: PointSet, r=None, s=None) -> bytes:
         "n": X.n,
         "r": r,
         "s": s,
-        "points": [list(pt) for pt in X.points],
+        "points": X.array.tolist(),
     }
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
 

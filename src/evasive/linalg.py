@@ -55,11 +55,6 @@ def batch_rref(field, mats: np.ndarray):
     return row, pivot_cols
 
 
-def batch_rank(field, mats: np.ndarray) -> np.ndarray:
-    ranks, _ = batch_rref(field, mats.copy())
-    return ranks
-
-
 def batch_residues(field, rref_mats, pivot_cols, points):
     """Residue of each point modulo each row space of an RREF batch.
 

@@ -1,10 +1,14 @@
 """Projective geometry over finite fields: points, subspaces, field reduction.
 
 A projective point of PG(n, q) is a normalized homogeneous coordinate tuple
-of length n+1: the first nonzero coordinate equals 1.  Point sets keep their
-points deduplicated and sorted in ascending lexicographic order of encoding
-tuples, which makes every downstream enumeration (and every file the CLI
-writes) deterministic.
+of length n+1: the first nonzero coordinate equals 1.  A PointSet stores its
+points as one read-only (N, n+1) int64 array of encodings, deduplicated and
+sorted in ascending lexicographic order, which makes every downstream
+enumeration (and every file the CLI writes) deterministic.  It has two
+constructors: PointSet.from_rows checks that rows are normalized and of the
+right width, then sorts and dedupes; PointSet(field, n, array) trusts an
+array that is already all of that.  Tuples of points are built only on
+request (``points``, iteration and ``in``).
 
 Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
@@ -14,14 +18,13 @@ as a canonical form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import FieldSpec
+from .gf import FieldSpec, array_add, array_mul
 from . import linalg
 
 DEFAULT_BUDGET = 10**8
@@ -42,20 +45,8 @@ def normalize(field, vec) -> ProjPoint:
 
 
 def all_points(n: int, field, budget: int = DEFAULT_BUDGET):
-    """Every point of PG(n, field) as an iterator, in ascending lexicographic order.
-
-    Points are generated already normalized: for each position i of the
-    leading 1, all tails over the field are enumerated in encoding order.
-    Later leading positions sort first, so the overall stream is sorted.
-    The budget is checked at the call, before any point is produced.
-    """
-    q = field.order
-    total = count_points(n, q)
-    if total > budget:
-        raise BudgetExceeded(f"PG({n},{q}) has {total} points, budget is {budget}")
-    return ((0,) * i + (1,) + tail
-            for i in range(n, -1, -1)
-            for tail in itertools.product(range(q), repeat=n - i))
+    """Every point of PG(n, field) as tuples, in ascending lexicographic order."""
+    return map(tuple, _points_array(field, n, budget).tolist())
 
 
 def count_points(n: int, q: int) -> int:
@@ -63,12 +54,26 @@ def count_points(n: int, q: int) -> int:
 
 
 def _points_array(field, n: int, budget: int) -> np.ndarray:
-    """PG(n, field) as an (N, n+1) int64 array, rows in all_points order."""
-    return np.fromiter(
-        itertools.chain.from_iterable(all_points(n, field, budget)),
-        dtype=np.int64,
-        count=count_points(n, field.order) * (n + 1),
-    ).reshape(-1, n + 1)
+    """PG(n, field) as an (N, n+1) int64 array, in ascending lexicographic order.
+
+    Rows come out normalized: for each position of the leading 1, all tails
+    over the field follow as base-q digits in encoding order, and later
+    leading positions sort first.  The budget is checked before allocating.
+    """
+    q = field.order
+    total = count_points(n, q)
+    if total > budget:
+        raise BudgetExceeded(f"PG({n},{q}) has {total} points, budget is {budget}")
+    out = np.zeros((total, n + 1), dtype=np.int64)
+    start = 0
+    for t in range(n + 1):  # the leading 1 at n - t, then t free coordinates
+        block = out[start:start + q**t]
+        block[:, n - t] = 1
+        k = np.arange(q**t)
+        for i in range(t):  # coordinate n - i is base-q digit i of the row's rank
+            block[:, n - i] = k // q**i % q
+        start += q**t
+    return out
 
 
 def rank(field, vectors) -> int:
@@ -140,30 +145,25 @@ class SubspaceBasis:
 
 
 class PointSet:
-    """A deduplicated, lexicographically sorted set of points of PG(n, field)."""
+    """The rows of ``array``: deduplicated, sorted points of PG(n, field)."""
 
-    __slots__ = ("field", "n", "points", "_array", "_index")
+    __slots__ = ("field", "n", "array", "_points", "_index")
 
-    def __init__(self, field, n: int, points: tuple[ProjPoint, ...]):
+    def __init__(self, field, n: int, array: np.ndarray):
+        array.setflags(write=False)
         self.field = field
         self.n = n
-        self.points = points
-        self._array = None
+        self.array = array
+        self._points = None
         self._index = None
-
-    @classmethod
-    def from_vectors(cls, field, n: int, vectors) -> "PointSet":
-        pts = sorted({normalize(field, v) for v in vectors})
-        for p in pts:
-            if len(p) != n + 1:
-                raise ParameterError("vector length does not match ambient dimension")
-        return cls(field, n, tuple(pts))
 
     @classmethod
     def from_rows(cls, field, n: int, rows) -> "PointSet":
         """Point set of an (m, n+1) integer array of normalized rows, in any order.
 
-        Duplicate rows are dropped; the sorted array is kept as ``array``.
+        Refuses a zero or unnormalized row and the wrong width; duplicate
+        rows are dropped.  No field arithmetic is done, so it works at any
+        field order.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != n + 1:
@@ -175,31 +175,22 @@ class PointSet:
         rows = rows[np.lexsort(rows.T[::-1])]
         keep = np.ones(len(rows), dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        rows = rows[keep]
-        rows.setflags(write=False)
-        X = cls(field, n, tuple(map(tuple, rows.tolist())))
-        X._array = rows
-        return X
-
-    @classmethod
-    def from_normalized(cls, field, n: int, points) -> "PointSet":
-        """Trusted constructor for points already normalized, deduped, sorted."""
-        return cls(field, n, tuple(points))
+        return cls(field, n, rows[keep])
 
     @property
-    def array(self) -> np.ndarray:
-        if self._array is None:
-            a = np.asarray(self.points, dtype=np.int64).reshape(len(self.points), self.n + 1)
-            a.setflags(write=False)
-            self._array = a
-        return self._array
+    def points(self) -> tuple[ProjPoint, ...]:
+        if self._points is None:
+            self._points = tuple(map(tuple, self.array.tolist()))
+        return self._points
 
     def truncated(self, size: int) -> "PointSet":
         """The first `size` points in lexicographic order."""
-        return PointSet(self.field, self.n, self.points[:size])
+        if size < 0:
+            raise ParameterError(f"cannot keep a negative number of points, got {size}")
+        return PointSet(self.field, self.n, self.array[:size])
 
     def __len__(self):
-        return len(self.points)
+        return len(self.array)
 
     def __iter__(self):
         return iter(self.points)
@@ -212,11 +203,24 @@ class PointSet:
     def __eq__(self, other):
         return (
             isinstance(other, PointSet)
-            and (self.field, self.n, self.points) == (other.field, other.n, other.points)
+            and (self.field, self.n) == (other.field, other.n)
+            and np.array_equal(self.array, other.array)
         )
 
     def __repr__(self):
-        return f"PointSet(PG({self.n}, {self.field.order}), {len(self.points)} points)"
+        return f"PointSet(PG({self.n}, {self.field.order}), {len(self)} points)"
+
+
+def span_mask(basis_points, X: PointSet) -> np.ndarray:
+    """Boolean mask over the rows of X.array: which lie in the span of basis_points."""
+    rows, pivots = rref(X.field, basis_points)
+    if not rows:
+        raise ParameterError("span of an empty or zero set")
+    if len(X) == 0:
+        return np.zeros(0, dtype=bool)
+    mats = np.asarray(rows, dtype=np.int64)[None, :, :]
+    pcols = np.asarray(pivots, dtype=np.int64)[None, :]
+    return linalg.batch_span_members(X.field, mats, pcols, X.array)[0]
 
 
 def span_count(basis_points, X: PointSet):
@@ -225,17 +229,8 @@ def span_count(basis_points, X: PointSet):
     Returns (count, members) with members the tuple of contained points in
     lexicographic order.
     """
-    field = X.field
-    rows, pivots = rref(field, basis_points)
-    if not rows:
-        raise ParameterError("span of an empty or zero set")
-    if len(X) == 0:
-        return 0, ()
-    mats = np.asarray(rows, dtype=np.int64)[None, :, :]
-    pcols = np.asarray(pivots, dtype=np.int64)[None, :]
-    members = linalg.batch_span_members(field, mats, pcols, X.array)[0]
-    idx = np.nonzero(members)[0]
-    return int(members.sum()), tuple(X.points[i] for i in idx)
+    members = X.array[span_mask(basis_points, X)]
+    return len(members), tuple(map(tuple, members.tolist()))
 
 
 def gaussian_binomial(a: int, b: int, q: int) -> int:
@@ -274,23 +269,22 @@ def field_reduction_spread(point, ext: FieldSpec) -> SubspaceBasis:
 
 
 def embed_copy(X: PointSet, spread_element: SubspaceBasis) -> PointSet:
-    """Copy X into a spread element via the basis-row linear injection."""
-    rows = spread_element.rows
+    """Copy X into a spread element via the basis-row linear injection.
+
+    c maps to c · rows; as the rows are in RREF, c's leading 1 lands on a
+    pivot column with zeros before it, so every image is normalized.
+    """
+    rows = np.asarray(spread_element.rows, dtype=np.int64)
     if X.n + 1 != len(rows):
         raise ParameterError(
             f"need a point set of PG({len(rows) - 1}, q) to embed into a "
             f"{len(rows) - 1}-row spread element, got PG({X.n}, q)"
         )
     field = spread_element.field
-    w = len(rows[0])
-    out = []
-    for pt in X.points:
-        vec = [0] * w
-        for c, row in zip(pt, rows):
-            if c != 0:
-                vec = [field.add(v, field.mul(c, r)) for v, r in zip(vec, row)]
-        out.append(normalize(field, vec))
-    result = PointSet.from_vectors(field, spread_element.n, out)
+    images = np.zeros((len(X), rows.shape[1]), dtype=np.int64)
+    for coords, row in zip(X.array.T, rows):
+        images = array_add(field, images, array_mul(field, coords[:, None], row))
+    result = PointSet.from_rows(field, spread_element.n, images)
     if len(result) != len(X):
         raise RuntimeError("embedding collapsed points; basis rows not independent")
     return result

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .jsonio import require_flat_field
-from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, all_points, rank
+from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, span_mask
 from .verifier import is_rs_set
 
 log = logging.getLogger(__name__)
@@ -114,9 +114,6 @@ class HomogeneousForm:
             acc = t.add[acc, term]
         return acc
 
-    def evaluate_point(self, point) -> int:
-        return int(self.evaluate(np.array([point], dtype=np.int64))[0])
-
     def to_json_dict(self) -> dict:
         require_flat_field(self.field)
         return {
@@ -158,7 +155,7 @@ def hypersurface_points(*forms: HomogeneousForm, budget: int = DEFAULT_BUDGET) -
         raise ParameterError("the forms must share one field and one n")
     pts = _points_array(field, n, budget)
     zero = np.logical_and.reduce([f.evaluate(pts) == 0 for f in forms])
-    return PointSet.from_normalized(field, n, tuple(map(tuple, pts[zero].tolist())))
+    return PointSet(field, n, pts[zero])  # PG(n, q) comes out sorted
 
 
 def _random_form(n: int, degree: int, field, rng: Prng) -> HomogeneousForm:
@@ -215,10 +212,7 @@ def cleanup(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> Poi
         ok, witness = is_rs_set(X, r, s, budget=budget)
         if ok:
             return X
-        doomed = set(witness.intersection)
-        X = PointSet.from_normalized(
-            X.field, X.n, tuple(p for p in X.points if p not in doomed)
-        )
+        X = PointSet(X.field, X.n, X.array[~span_mask(witness.generating_points, X)])
 
 
 def gv_keep_probability(n: int, q: int, r: int, s: int) -> float:
@@ -245,9 +239,10 @@ def gv_construction(n: int, field, r: int, s: int, rng: Prng, *,
             r, s,
         )
     p = gv_keep_probability(n, field.order, r, s)
-    keep = [pt for pt in all_points(n, field, budget) if rng.real53() < p]
-    X = PointSet.from_normalized(field, n, tuple(keep))
-    return cleanup(X, r, s, budget=budget)
+    pts = _points_array(field, n, budget)
+    # one draw per point of PG(n, q), in its sorted order
+    keep = np.fromiter((rng.real53() < p for _ in range(len(pts))), dtype=bool, count=len(pts))
+    return cleanup(PointSet(field, n, pts[keep]), r, s, budget=budget)
 
 
 def quadric_42_construction(m: int, field, rng: Prng, *,
@@ -264,36 +259,12 @@ def quadric_42_construction(m: int, field, rng: Prng, *,
     return cleanup(hypersurface_points(*forms, budget=budget), 4, 2, budget=budget)
 
 
-def _vanishes_on_some_hyperplane(form: HomogeneousForm, budget: int = DEFAULT_BUDGET) -> bool:
-    # hyperplanes are indexed by dual points; incidence is a zero dot product
-    t = form.field.tables()
-    pts = _points_array(form.field, form.n, budget)
-    zero_at = form.evaluate(pts) == 0
-    for dual in pts:
-        dot = np.zeros(len(pts), dtype=np.int64)
-        for i, h in enumerate(dual):
-            if h:
-                dot = t.add[dot, t.mul[h, pts[:, i]]]
-        if np.all(zero_at[dot == 0]):
-            return True
-    return False
-
-
-def cubic_92_construction(field, rng: Prng, *, reject_hyperplane_factors: bool = False,
-                          budget: int = DEFAULT_BUDGET) -> PointSet:
+def cubic_92_construction(field, rng: Prng, *, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Intersect two random cubics in PG(4, q), then clean up to a (9, 2)-set.
 
     Cubics are sampled uniformly; cleanup removes any plane meeting the
     intersection in 10 or more points, which covers everything a degenerate
-    (reducible) cubic could contribute.  reject_hyperplane_factors=True
-    additionally resamples any cubic vanishing on a full hyperplane, which
-    for q > 3 certifies a linear factor.
+    (reducible) cubic could contribute.
     """
-    n = 4
-    cubics = []
-    while len(cubics) < 2:
-        form = _random_form(n, 3, field, rng)
-        if reject_hyperplane_factors and _vanishes_on_some_hyperplane(form, budget):
-            continue
-        cubics.append(form)
+    cubics = [_random_form(4, 3, field, rng) for _ in range(2)]
     return cleanup(hypersurface_points(*cubics, budget=budget), 9, 2, budget=budget)

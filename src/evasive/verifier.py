@@ -138,7 +138,7 @@ def _span_counts(X: PointSet, m: int, budget: int):
 
 
 def _make_witness(X: PointSet, idx) -> ViolationWitness:
-    pts = tuple(X.points[int(i)] for i in idx)
+    pts = tuple(map(tuple, X.array[list(idx)].tolist()))
     rows, _ = rref(X.field, pts)
     _, members = span_count(pts, X)
     return ViolationWitness(generating_points=pts, span_dim=len(rows) - 1, intersection=members)

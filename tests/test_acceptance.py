@@ -33,7 +33,7 @@ from evasive.constructions import (
 )
 from evasive.gf import make_extension, make_field
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
-from evasive.linalg import batch_rank, combination_batches
+from evasive.linalg import batch_rref, combination_batches
 from evasive.projgeom import PointSet, all_points
 from evasive.randomized import (
     Prng,
@@ -128,7 +128,7 @@ def test_criterion_03_quadrangle_freeness_characterizes_coplanarity():
     arr = np.asarray(vectors, dtype=np.int64)
     checked = 0
     for idx in combination_batches(25, 4, 2048):
-        ranks = batch_rank(field, arr[idx])
+        ranks = batch_rref(field, arr[idx])[0]  # arr[idx] is a copy
         for row, rk in zip(idx, ranks):
             xs = {labels[i][0] for i in row}
             ys = {labels[i][1] for i in row}
@@ -175,9 +175,8 @@ def test_criterion_07_products_multiply_sizes_and_stay_valid(product_sets):
     Z85, Z40 = product_sets
     assert len(Z85) == 85 and Z85.n == 11 and Z85.field.order == 2
     # cap check, exhaustively: every 3 of the 85 points span a plane
-    arr = np.asarray(Z85.points, dtype=np.int64)
     for idx in combination_batches(85, 3, 4096):
-        assert np.all(batch_rank(Z85.field, arr[idx]) == 3)
+        assert np.all(batch_rref(Z85.field, Z85.array[idx])[0] == 3)
     assert is_rs_set(Z85, 2, 1)[0]
 
     assert len(Z40) == 40 and Z40.n == 24 and Z40.field.order == 3
@@ -237,7 +236,7 @@ def test_criterion_09_scan_agrees_with_subspace_enumeration_oracle():
         chosen = set()
         while len(chosen) < size:
             chosen.add(universe[rng.below(len(universe))])
-        X = PointSet.from_normalized(field, n, tuple(sorted(chosen)))
+        X = PointSet.from_rows(field, n, sorted(chosen))
         for s in (1, 2):
             assert max_in_s_space(X, s)[0] == oracle_max_in_s_space(X, s)
 

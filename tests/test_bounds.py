@@ -1,5 +1,7 @@
 """Upper and lower size bounds, and the asymptotic exponent table."""
 
+import inspect
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +19,7 @@ from evasive.bounds import (
     rao_bound,
     rao_constant,
     rao_decomposition,
+    _best_exponent,
 )
 from evasive.errors import ParameterError
 from evasive.projgeom import count_points
@@ -182,11 +185,60 @@ def test_exponent_table_symbolic_rows():
         assert t[(6, 6)] == N - 6
 
 
+def test_best_upper_bound_nests_at_most_one_level():
+    # nesting one call per projection step would need about s frames; with
+    # the cache filled from the deepest projection up, s = 120 fits in 60
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        report = best_upper_bound(125, 2, 123, 120)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(report.entries) == 120 + 2
+    sub = best_upper_bound(124, 2, 122, 119).best()
+    assert report.entries[2].provenance == f"projection to (122,119) in PG(124,2) via {sub.label}"
+
+
+def test_bounds_refuse_spaces_that_do_not_exist_or_fit():
+    for q in (-3, 0, 1, 6):
+        with pytest.raises(ParameterError, match="not a prime power"):
+            best_upper_bound(4, q, 9, 2)
+        with pytest.raises(ParameterError, match="not a prime power"):
+            gv_lower_size(4, q, 3, 2)
+    # 2^1022 points still fit in a float; 7^1001 do not
+    assert best_upper_bound(1021, 2, 3, 2).best().applicable
+    for bound, r in ((best_upper_bound, 950), (gv_lower_size, 3)):
+        with pytest.raises(ParameterError, match="float"):
+            bound(1000, 7, r, 2)
+
+
+def _recursive_best_exponent(n, r, s):
+    # the definition: the direct exponents at (n, r, s), then every projection
+    best = Fraction(n - s)
+    dec = rao_decomposition(r, s)
+    if dec is not None:
+        best = min(best, Fraction(n - dec[1] + 1, dec[1]))
+    for m in range(1, s):
+        best = min(best, _recursive_best_exponent(n - m, r - m, s - m))
+    return best
+
+
+def test_best_exponent_matches_recursive_definition():
+    for n in range(2, 15):
+        for s in range(1, n):
+            for r in range(s + 1, s + 10):
+                assert _best_exponent(n, r, s) == _recursive_best_exponent(n, r, s)
+
+
 def test_exponent_table_validation():
     with pytest.raises(ParameterError):
         exponent_table(11, 6, 6)  # n must be at least 2 * s_max
     with pytest.raises(ParameterError):
         exponent_table(20, 0, 3)
+    with pytest.raises(ParameterError, match="diagonal steps"):
+        exponent_table(2000, 1000, 6)  # 3,003,000 steps
+    with pytest.raises(ParameterError, match="diagonal steps"):
+        exponent_table(20, 1, 1001)
 
 
 def test_exponent_table_monotone_in_gap():

@@ -1,5 +1,6 @@
 """Command line driver: summaries, exit codes, files, and reruns."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,44 @@ def test_construct_product(tmp_path, capsys):
     assert len(X) == 85 and (r, s) == (2, 1)
 
 
+def test_construct_product_refuses_negative_y_trunc(tmp_path, capsys):
+    # a negative size would slice Y from the end and silently drop its last point
+    code, _, stderr = run(
+        capsys, "construct", "product", "--q", "2", "--r", "2", "--s", "1",
+        "--x-kind", "ovoid", "--y-kind", "rnc", "--y-c", "2", "--y-trunc", "-1",
+        "--out", str(tmp_path / "p.json"))
+    assert code == 2 and "error:" in stderr
+    assert not (tmp_path / "p.json").exists()
+
+
+# sha256 of the files the tuple-based PointSet wrote, an independent reference;
+# no benchmark call covers cleanup deletions, gv or products
+PINNED_FILES = [
+    pytest.param(["quadrics", "--m", "3", "--q", "5", "--seed", "3"],
+                 "177887d14a5681031d0fc6e3fa7228b4911b2a6b33b48c1027362143b110f42c",
+                 id="quadrics-cleanup-deletes-7-of-41"),
+    pytest.param(["gv", "--n", "3", "--q", "5", "--r", "2", "--s", "1", "--seed", "2"],
+                 "5eee5b619dbaabbd6ea27a626be2e967660e2127e97c0f30d8d55eb2ce4175a2",
+                 id="gv-cleanup-6-to-3"),
+    pytest.param(["product", "--q", "3", "--r", "2", "--s", "1", "--x-kind", "ovoid",
+                  "--y-kind", "rnc", "--y-c", "2"],
+                 "75295edbccc26f95bf66a4b4743c387f635dd7ab47343a3d87222ca09710b70a",
+                 id="product-820"),
+    pytest.param(["product", "--q", "2", "--r", "3", "--s", "2", "--x-kind", "rnc",
+                  "--x-c", "3", "--y-kind", "rnc", "--y-c", "3"],
+                 "0249ec348ed9044d3c02157fa024659a4870f318b79609cdbb96af0549c51178",
+                 id="product-51"),
+]
+
+
+@pytest.mark.parametrize("args,sha256", PINNED_FILES)
+def test_construct_writes_pinned_bytes(args, sha256, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, _, _ = run(capsys, "construct", *args, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_bounds_text_output(capsys):
     code, stdout, _ = run(capsys, "bounds", "--n", "4", "--q", "3",
                           "--r", "9", "--s", "2")
@@ -294,6 +333,30 @@ def test_table_validation_error(capsys):
     code, _, stderr = run(capsys, "table", "--n", "10", "--smax", "6",
                           "--gapmax", "6")
     assert code == 2 and "error:" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "4", "--q", "1", "--r", "9", "--s", "2"],  # q - 1 = 0 divides
+    ["bounds", "--n", "4", "--q", "0", "--r", "9", "--s", "2"],
+    ["bounds", "--n", "4", "--q", "-3", "--r", "9", "--s", "2"],
+    ["bounds", "--n", "4", "--q", "6", "--r", "9", "--s", "2"],
+    ["bounds", "--n", "1000", "--q", "7", "--r", "950", "--s", "900"],  # 900 projections deep
+    ["bounds", "--n", "400", "--q", "7", "--r", "3", "--s", "2"],  # 7^401 points
+    ["bounds", "--n", "4", "--q", "3", "--r", "1" + "0" * 400, "--s", "2"],
+    ["table", "--n", "2000", "--smax", "1000", "--gapmax", "6"],
+    ["table", "--n", "20", "--smax", "1", "--gapmax", "1001"],
+])
+def test_hostile_bounds_and_table_sizes_exit_2(argv, capsys):
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ")
+
+
+def test_deep_table_runs_without_recursion(capsys):
+    # 900 projection levels: deeper than the interpreter's recursion limit
+    code, stdout, _ = run(capsys, "table", "--n", "1800", "--smax", "900", "--gapmax", "3")
+    assert code == 0
+    assert stdout.splitlines()[-1].split() == ["s=900", "1350/451", "1500/301", "1575/226"]
 
 
 def test_only_bounds_imports_mpmath(tmp_path):

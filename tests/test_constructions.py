@@ -31,7 +31,11 @@ def test_factor_prime_power():
     assert factor_prime_power(2) == (2, 1)
     assert factor_prime_power(27) == (3, 3)
     assert factor_prime_power(49) == (7, 2)
-    for bad in (0, 1, 6, 12, 100):
+    # large orders take exact integer roots, not trial division up to sqrt(q)
+    assert factor_prime_power(2**61 - 1) == (2**61 - 1, 1)
+    assert factor_prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert factor_prime_power(3**40) == (3, 40)
+    for bad in (-3, 0, 1, 6, 12, 100, (2**61 - 1) * (2**31 - 1)):
         with pytest.raises(ParameterError):
             factor_prime_power(bad)
     assert field_of_order(9).order == 9
@@ -197,7 +201,7 @@ def test_product_accepts_flat_field_for_prime_base():
 def test_product_validates_left_factor():
     base = make_field(2, 1)
     # a full line inside the plane: fails the line ceiling 1 + 2 - 1 = 2
-    bad = PointSet.from_vectors(base, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
+    bad = PointSet.from_rows(base, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
     ext = make_extension(base, 3)
     Y = rational_normal_curve(2, ext)
     with pytest.raises(ParameterError, match="not a proper"):
@@ -209,7 +213,7 @@ def test_product_validates_right_factor():
     X = elliptic_ovoid(base)
     ext = make_extension(base, 4)
     line = [(1, t) for t in range(4)]
-    bad = PointSet.from_vectors(ext, 2, [(1, t, 0) for t in range(4)])
+    bad = PointSet.from_rows(ext, 2, [(1, t, 0) for t in range(4)])
     with pytest.raises(ParameterError):
         product_construction(X, 2, bad, 1)
 
@@ -230,7 +234,7 @@ def test_product_validates_fields():
 
 def test_product_validate_false_skips_checks():
     base = make_field(2, 1)
-    bad = PointSet.from_vectors(base, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
+    bad = PointSet.from_rows(base, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
     ext = make_extension(base, 3)
     Y = rational_normal_curve(2, ext)
     Z = product_construction(bad, 2, Y, 1, validate=False)
@@ -271,13 +275,13 @@ def scalar_monomial(n, F, affine=False):
             pts.append((1, F.inv(f0)) + x)
         else:
             pts.append((1, f0) + tuple(F.mul(xi, f0) for xi in x))
-    return PointSet.from_vectors(F, n, pts)
+    return PointSet.from_rows(F, n, pts)
 
 
 def scalar_rnc(c, F):
     pts = [tuple(F.pow(t, e) for e in range(c + 1)) for t in F.elements()]
     pts.append((0,) * c + (1,))
-    return PointSet.from_vectors(F, c, pts)
+    return PointSet.from_rows(F, c, pts)
 
 
 def scalar_quadratic(F):
@@ -295,11 +299,11 @@ def scalar_ovoid(F):
         for t in F.elements():
             f = F.add(F.add(F.mul(s, s), F.mul(F.mul(b, s), t)), F.mul(c, F.mul(t, t)))
             pts.append((1, f, s, t))
-    return PointSet.from_vectors(F, 3, pts)
+    return PointSet.from_rows(F, 3, pts)
 
 
 def scalar_graph32(graph, F):
-    return PointSet.from_vectors(F, 6, [
+    return PointSet.from_rows(F, 6, [
         (1, x, F.mul(x, x), F.pow(x, 3), y, F.mul(y, y), F.pow(y, 3))
         for x, y in graph.edges])
 

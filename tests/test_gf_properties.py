@@ -13,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from evasive.gf import POW_TABLE_MAX, make_extension, make_field  # noqa: E402
 from evasive.jsonio import pointset_to_json_bytes  # noqa: E402
-from evasive.projgeom import PointSet  # noqa: E402
+from evasive.projgeom import PointSet, normalize  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ORDER_MAX = 256
@@ -71,6 +71,7 @@ def test_extension_of_prime_field_is_flat_field(p, data):
     vectors = data.draw(st.lists(
         st.tuples(st.integers(1, p**N - 1), st.integers(0, p**N - 1)),
         min_size=1, max_size=6))
-    blobs = {pointset_to_json_bytes(PointSet.from_vectors(F, 1, vectors), 2, 0)
+    blobs = {pointset_to_json_bytes(
+                 PointSet.from_rows(F, 1, [normalize(F, v) for v in vectors]), 2, 0)
              for F in (ext, flat)}
     assert len(blobs) == 1

@@ -10,6 +10,7 @@ from evasive.errors import ParameterError
 from evasive.gf import make_extension, make_field
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
 from evasive.projgeom import PointSet, normalize
+from evasive.verifier import is_rs_set
 
 
 def _require(cond, message):
@@ -58,7 +59,8 @@ def reference_parse(data: bytes):
         _require(normalize(field, tpt) == tpt, "not normalized")
         seen.append(tpt)
     _require(seen == sorted(set(seen)), "points must be strictly ascending")
-    return PointSet.from_normalized(field, n, tuple(seen)), doc["r"], doc["s"]
+    rows = np.array(seen, dtype=np.int64).reshape(len(seen), n + 1)
+    return PointSet(field, n, rows), doc["r"], doc["s"]
 
 
 def assert_parsed_array(X):
@@ -164,9 +166,18 @@ def test_noncanonical_modulus_rejected_with_both_cited():
     assert "[1, 0, 1]" in str(exc.value) and "[1, 1, 1]" in str(exc.value)
 
 
+def test_verifying_a_parsed_file_builds_no_point_tuples():
+    F2 = make_field(2, 1)
+    three_on_a_line = PointSet.from_rows(F2, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)])
+    X, r, s = pointset_from_json_bytes(pointset_to_json_bytes(three_on_a_line, 2, 1))
+    ok, witness = is_rs_set(X, r, s)
+    assert not ok and witness.intersection == ((0, 0, 1), (0, 1, 0), (0, 1, 1))
+    assert X._points is None and X._index is None
+
+
 def test_empty_point_list_round_trips():
     from evasive.projgeom import PointSet
-    X = PointSet.from_normalized(make_field(2, 1), 2, ())
+    X = PointSet(make_field(2, 1), 2, np.empty((0, 3), dtype=np.int64))
     blob = pointset_to_json_bytes(X)
     Y, r, s = pointset_from_json_bytes(blob)
     assert Y == X and r is None and s is None
@@ -175,6 +186,6 @@ def test_empty_point_list_round_trips():
 def test_only_flat_fields_serialize():
     from evasive.projgeom import PointSet
     for field in (make_extension(make_field(2, 2), 2), make_extension(make_field(2, 1), 1)):
-        X = PointSet.from_vectors(field, 1, [(1, 1)])
+        X = PointSet.from_rows(field, 1, [(1, 1)])
         with pytest.raises(ParameterError):
             pointset_to_json_bytes(X)

@@ -6,6 +6,7 @@ format tests in test_jsonio.py never depend on it.
 
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -17,7 +18,7 @@ from test_jsonio import assert_parsed_array, reference_parse  # noqa: E402
 from evasive.errors import ParameterError  # noqa: E402
 from evasive.gf import make_field  # noqa: E402
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes  # noqa: E402
-from evasive.projgeom import PointSet  # noqa: E402
+from evasive.projgeom import PointSet, normalize  # noqa: E402
 
 FUZZ_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1),
                make_field(3, 2)]
@@ -31,7 +32,8 @@ def point_sets(draw):
     n = draw(st.integers(1, 3))
     vectors = draw(st.lists(st.lists(st.integers(0, field.order - 1), min_size=n + 1,
                                      max_size=n + 1).filter(any), max_size=8))
-    return PointSet.from_vectors(field, n, vectors)
+    rows = [normalize(field, v) for v in vectors]
+    return PointSet.from_rows(field, n, np.array(rows, dtype=np.int64).reshape(-1, n + 1))
 
 
 @st.composite

@@ -154,7 +154,7 @@ def test_subspace_basis_contains_and_dim():
 
 def test_span_count_examples():
     F3 = make_field(3, 1)
-    line = PointSet.from_vectors(F3, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)])
+    line = PointSet.from_rows(F3, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)])
     count, members = span_count([(0, 0, 1), (0, 1, 0)], line)
     assert count == 4
     assert set(members) == set(line.points)
@@ -169,12 +169,16 @@ def test_span_count_examples():
 
 def test_pointset_construction_and_queries():
     field = make_field(3, 1)
-    X = PointSet.from_vectors(field, 2, [(2, 2, 0), (1, 1, 0), (0, 0, 2), (0, 0, 1)])
-    assert X.points == ((0, 0, 1), (1, 1, 0))  # normalized, deduped, sorted
+    X = PointSet.from_rows(field, 2, [(1, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, 1)])
+    assert X.points == ((0, 0, 1), (1, 1, 0))  # deduped, sorted
     assert len(X) == 2
     assert (1, 1, 0) in X and (1, 0, 0) not in X
     assert X.truncated(1).points == ((0, 0, 1),)
-    assert X == PointSet.from_normalized(field, 2, ((0, 0, 1), (1, 1, 0)))
+    assert len(X.truncated(5)) == 2 and len(X.truncated(0)) == 0
+    with pytest.raises(ParameterError):
+        X.truncated(-1)
+    assert X == PointSet(field, 2, np.array([[0, 0, 1], [1, 1, 0]], dtype=np.int64))
+    assert X != PointSet(field, 2, np.array([[0, 0, 1]], dtype=np.int64))
 
 
 @pytest.mark.parametrize("p,k,N", [(2, 1, 2), (3, 1, 2)])
@@ -218,6 +222,6 @@ def test_embed_copy_shapes_and_membership():
     for pt in copy.points:
         assert spread_el.contains(pt)
     # the first unit vector lands on the first basis row
-    e0 = PointSet.from_vectors(base, 3, [(1, 0, 0, 0)])
+    e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
     img = embed_copy(e0, spread_el)
     assert img.points == (spread_el.rows[0],)

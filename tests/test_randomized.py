@@ -2,6 +2,7 @@
 
 import logging
 
+import numpy as np
 import pytest
 
 from evasive.constructions import elliptic_ovoid
@@ -83,7 +84,6 @@ def test_form_evaluate_matches_pointwise():
     F4 = make_field(2, 2)
     rng = Prng(3)
     f = HomogeneousForm(F4, 2, 3, {(3, 0, 0): 2, (1, 1, 1): 1, (0, 2, 1): 3})
-    import numpy as np
     vecs = np.array([[rng.below(4) for _ in range(3)] for _ in range(20)],
                     dtype=np.int64)
     batch = f.evaluate(vecs)
@@ -96,7 +96,7 @@ def test_form_evaluate_matches_pointwise():
                 for _ in range(e):
                     term = F4.mul(term, var)
             manual = F4.add(manual, term)
-        assert manual == f.evaluate_point(v) == int(batch[i])
+        assert manual == int(f.evaluate(np.array([v]))[0]) == int(batch[i])
 
 
 def test_form_homogeneity():
@@ -112,8 +112,8 @@ def test_form_homogeneity():
             v = tuple(rng.below(5) for _ in range(4))
             lam = 1 + rng.below(4)
             scaled = tuple(F5.mul(lam, x) for x in v)
-            assert f.evaluate_point(scaled) == F5.mul(
-                F5.pow(lam, degree), f.evaluate_point(v))
+            values = f.evaluate(np.array([scaled, v]))
+            assert int(values[0]) == F5.mul(F5.pow(lam, degree), int(values[1]))
 
 
 def test_form_json_round_trip():
@@ -233,7 +233,7 @@ def test_random_quadric_requires_odd_order():
 
 def test_cleanup_frozen_example():
     F3 = make_field(3, 1)
-    X = PointSet.from_vectors(
+    X = PointSet.from_rows(
         F3, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0)])
     out = cleanup(X, 2, 1)
     assert out.points == ((1, 0, 0),)  # the full line is deleted in one step
@@ -243,7 +243,7 @@ def test_cleanup_identity_and_monotone():
     F2 = make_field(2, 1)
     ovoid = elliptic_ovoid(F2)
     assert cleanup(ovoid, 2, 1) is ovoid  # already valid, untouched
-    full = PointSet.from_vectors(F2, 3, all_points(3, F2))
+    full = PointSet.from_rows(F2, 3, list(all_points(3, F2)))
     out = cleanup(full, 2, 1)
     assert set(out.points) <= set(full.points)
     assert is_rs_set(out, 2, 1)[0]
@@ -346,21 +346,3 @@ def test_plane_cubics_meet_in_few_points():
             assert proportional or share_line, \
                 f"seed {seed}: {len(common)} common points"
     assert hits >= 1  # the scan is not vacuous
-
-
-def test_hyperplane_factor_detection():
-    F5 = make_field(5, 1)
-    from evasive.randomized import _vanishes_on_some_hyperplane
-    # x0^3 vanishes identically on the hyperplane x0 = 0
-    cube = HomogeneousForm(F5, 3, 3, {(3, 0, 0, 0): 1})
-    assert _vanishes_on_some_hyperplane(cube)
-    # the Fermat cubic is irreducible, hence contains no plane
-    fermat = HomogeneousForm(F5, 3, 3, {
-        (3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1, (0, 0, 0, 3): 1})
-    assert not _vanishes_on_some_hyperplane(fermat)
-
-
-def test_cubic_hyperplane_factor_filter():
-    F5 = make_field(5, 1)
-    out = cubic_92_construction(F5, Prng(8), reject_hyperplane_factors=True)
-    assert is_rs_set(out, 9, 2)[0]

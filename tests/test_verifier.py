@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from evasive.constructions import (
@@ -12,7 +13,7 @@ from evasive.constructions import (
 )
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_field
-from evasive.projgeom import PointSet, SubspaceBasis, all_points
+from evasive.projgeom import PointSet, SubspaceBasis, all_points, normalize
 from evasive.randomized import Prng
 from evasive.verifier import (
     find_violation,
@@ -27,9 +28,9 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 
-LINE_IN_PLANE = PointSet.from_vectors(
+LINE_IN_PLANE = PointSet.from_rows(
     F3, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)])
-THREE_COLLINEAR = PointSet.from_vectors(F3, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
+THREE_COLLINEAR = PointSet.from_rows(F3, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
 
 
 def test_max_frozen_examples():
@@ -38,9 +39,9 @@ def test_max_frozen_examples():
     assert set(w.intersection) == set(LINE_IN_PLANE.points)
     assert max_in_s_space(rational_normal_curve(4, F5), 2)[0] == 3
     assert max_in_s_space(monomial_curve(3, F3), 1)[0] <= 3
-    full_plane = PointSet.from_vectors(F2, 2, all_points(2, F2))
+    full_plane = PointSet.from_rows(F2, 2, list(all_points(2, F2)))
     assert max_in_s_space(full_plane, 1)[0] == 3
-    one = PointSet.from_vectors(F2, 2, [(1, 0, 1)])
+    one = PointSet.from_rows(F2, 2, [(1, 0, 1)])
     count, w = max_in_s_space(one, 1)
     assert count == 1 and w.intersection == ((1, 0, 1),)
 
@@ -58,7 +59,7 @@ def test_is_rs_set_frozen_examples():
 
 
 def test_small_sets_trivially_valid():
-    X = PointSet.from_vectors(F3, 2, [(0, 0, 1), (0, 1, 0)])
+    X = PointSet.from_rows(F3, 2, [(0, 0, 1), (0, 1, 0)])
     assert is_rs_set(X, 2, 1) == (True, None)
     assert find_violation(X, 1, 2) is None
 
@@ -79,7 +80,7 @@ def test_witness_structure_and_recheck():
 def test_witness_is_lex_first():
     # scanning the full Fano-like plane over GF(2) for (r,s) = (2,1):
     # the first pair in lex order already spans a full line
-    full_plane = PointSet.from_vectors(F2, 2, all_points(2, F2))
+    full_plane = PointSet.from_rows(F2, 2, list(all_points(2, F2)))
     w = find_violation(full_plane, 1, 2)
     assert w.generating_points == ((0, 0, 1), (0, 1, 0))
     assert w.intersection == ((0, 0, 1), (0, 1, 0), (0, 1, 1))
@@ -105,13 +106,13 @@ def test_parameter_validation():
         max_in_s_space(LINE_IN_PLANE, 2)  # s must stay below n
     with pytest.raises(ParameterError):
         is_rs_set(LINE_IN_PLANE, 0, 1)
-    empty = PointSet.from_normalized(F3, 2, ())
+    empty = PointSet.from_rows(F3, 2, np.empty((0, 3), dtype=np.int64))
     with pytest.raises(ParameterError):
         max_in_s_space(empty, 1)
 
 
 def test_budget_guard():
-    big = PointSet.from_vectors(F5, 2, all_points(2, F5))
+    big = PointSet.from_rows(F5, 2, list(all_points(2, F5)))
     with pytest.raises(BudgetExceeded):
         max_in_s_space(big, 1, budget=10)
 
@@ -124,16 +125,16 @@ def test_oracle_agreement_random_sets(seed, s):
     chosen = set()
     while len(chosen) < 8:
         chosen.add(pts[rng.below(len(pts))])
-    X = PointSet.from_normalized(F2, 3, tuple(sorted(chosen)))
+    X = PointSet.from_rows(F2, 3, sorted(chosen))
     count, w = max_in_s_space(X, s)
     assert count == oracle_max_in_s_space(X, s)
     w.recheck(X)
 
 
 def test_oracle_agreement_structured_sets():
-    full_plane = PointSet.from_vectors(F2, 2, all_points(2, F2))
+    full_plane = PointSet.from_rows(F2, 2, list(all_points(2, F2)))
     assert oracle_max_in_s_space(full_plane, 1) == 3
-    one = PointSet.from_vectors(F2, 2, [(1, 1, 1)])
+    one = PointSet.from_rows(F2, 2, [(1, 1, 1)])
     assert oracle_max_in_s_space(one, 1) == 1
     curve = rational_normal_curve(3, F3)  # small enough for full enumeration
     assert oracle_max_in_s_space(curve, 2) == max_in_s_space(curve, 2)[0] == 3
@@ -149,7 +150,7 @@ def test_max_monotone_under_adding_points():
         if pt in chosen:
             continue
         chosen.append(pt)
-        X = PointSet.from_normalized(F3, 3, tuple(sorted(chosen)))
+        X = PointSet.from_rows(F3, 3, sorted(chosen))
         cur = max_in_s_space(X, 2)[0]
         assert cur >= prev
         prev = cur
@@ -195,11 +196,11 @@ def test_kernel_points_as_0_spaces():
 
 
 def test_kernel_fewer_points_than_subset_size():
-    X = PointSet.from_vectors(F3, 3, [(0, 0, 1, 2), (1, 2, 0, 0)])
+    X = PointSet.from_rows(F3, 3, [(0, 0, 1, 2), (1, 2, 0, 0)])
     count, w = max_in_s_space(X, 2)
     assert count == 2 and w.generating_points == w.intersection == X.points
     assert_matches_brute_force(X, 2, 1)
-    one = PointSet.from_vectors(F3, 3, [(1, 1, 1, 1)])
+    one = PointSet.from_rows(F3, 3, [(1, 1, 1, 1)])
     assert max_in_s_space(one, 2)[0] == 1 and find_violation(one, 2, 0).count == 1
 
 
@@ -207,12 +208,12 @@ def test_kernel_degenerate_subsets():
     # s = 2: the collinear triple is a 3-subset whose last point lies on the
     # line its first two span, so it spans only that line
     line = [(0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0)]
-    X = PointSet.from_vectors(F3, 3, line + [(1, 0, 0, 0), (1, 1, 1, 1)])
+    X = PointSet.from_rows(F3, 3, line + [(1, 0, 0, 0), (1, 1, 1, 1)])
     for limit in range(1, 5):
         assert_matches_brute_force(X, 2, limit)
     assert max_in_s_space(X, 2)[0] == brute_max(X, 2) == 4
     # s = 3: the prefix itself is three collinear points of rank 2
-    Y = PointSet.from_vectors(F2, 4, [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 0, 1, 1),
+    Y = PointSet.from_rows(F2, 4, [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 0, 1, 1),
                                       (0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (1, 1, 1, 1, 1)])
     for limit in range(1, 6):
         assert_matches_brute_force(Y, 3, limit)
@@ -227,7 +228,7 @@ def test_kernel_in_pg_8_256():
     combos = [tuple(field.add(a, field.mul(c, b)) for a, b in zip(base[0], base[1]))
               for c in (3, 200)]
     combos.append(tuple(field.add(a, field.mul(7, b)) for a, b in zip(base[2], base[3])))
-    X = PointSet.from_vectors(field, 8, base + combos)
+    X = PointSet.from_rows(field, 8, [normalize(field, v) for v in base + combos])
     for s in (0, 1, 2):
         assert max_in_s_space(X, s)[0] == brute_max(X, s)
         for limit in range(1, 5):

@@ -29,7 +29,7 @@ def small_instances(draw):
     s = draw(st.integers(0, n - 1))
     pts = list(all_points(n, field))
     idx = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=10, unique=True))
-    return PointSet.from_vectors(field, n, [pts[i] for i in idx]), s
+    return PointSet.from_rows(field, n, [pts[i] for i in idx]), s
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
