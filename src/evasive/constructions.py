@@ -242,6 +242,10 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
     With validate=True (the default) both preconditions are checked by the
     verifier and reported with witnesses; validate=False trusts the caller.
     """
+    if r < 2:
+        raise ParameterError(
+            f"X must be a proper ({r}, {r - 1})-set, which needs r >= 2, got r={r}"
+        )
     ext = Y.field
     N = X.n + 1
     if ext.base != X.field or ext.N != N:

@@ -32,7 +32,10 @@ Lookup tables
 -------------
 ``tables()`` materializes dense numpy operation tables so that bulk code can
 run field arithmetic through fancy indexing.  Tables are built lazily, cached
-on the spec, and only for orders up to ``TABLE_LIMIT``.  ``logs()`` holds the
+on the spec, read-only, and only for orders up to ``TABLE_LIMIT``.  Their
+dtype is the smallest unsigned one that holds every encoding, chosen from
+the order alone: uint8 for q <= 256, uint16 above.  Subtraction has no
+table: x - f*y is add[x, mul[neg[f], y]].  ``logs()`` holds the
 O(q) discrete-log arrays behind the mul table and behind ``array_mul`` and
 ``array_add``, which do elementwise arithmetic on arrays of encodings at any
 order; it has no limit of its own, so callers bound q first.
@@ -51,11 +54,13 @@ from .errors import ParameterError
 ORDER_LIMIT = 2**64  # field orders must fit in 64 bits
 TABLE_LIMIT = 4096   # largest order we materialize lookup tables for
 POW_TABLE_MAX = 3    # largest exponent kept in the pow table
+_MUL_BLOCK_CELLS = 2**16  # cells of the mul table filled per step
 
 
 class FieldTables(NamedTuple):
+    """Read-only tables, all uint8 for q <= 256 and uint16 above."""
+
     add: np.ndarray   # (q, q)  add[a, b] = a + b
-    sub: np.ndarray   # (q, q)  sub[a, b] = a - b
     mul: np.ndarray   # (q, q)  mul[a, b] = a * b
     neg: np.ndarray   # (q,)    neg[a] = -a
     inv: np.ndarray   # (q,)    inv[a] = a**-1, with inv[0] = 0 as a sentinel
@@ -231,24 +236,35 @@ def _build_tables(F) -> FieldTables:
             f"field order {q} exceeds TABLE_LIMIT={TABLE_LIMIT}; "
             "bulk operations are not available for fields this large"
         )
-    exp, log = F.logs()
-    mul = np.zeros((q, q), dtype=np.int64)
-    mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
+    dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
     # addition is digit-wise mod p, so the add table of the encodings below
     # p^(i+1) is p x p blocks of the table below p^i, each block shifted by
-    # p^i times the sum mod p of the two new top digits
-    r = np.arange(p, dtype=np.int64)
-    digit_add = (r[:, None] + r[None, :]) % p
-    add = np.zeros((1, 1), dtype=np.int64)
-    for i in range(F.k):
+    # p^i times the sum mod p of the two new top digits; 2(p-1) fits uint16
+    r = np.arange(p, dtype=np.uint16)
+    digit_add = r[:, None] + r[None, :]
+    np.remainder(digit_add, np.uint16(p), out=digit_add)
+    digit_add = digit_add.astype(dtype, copy=False)
+    add = digit_add
+    for i in range(1, F.k):
         m = p**i
-        add = (add[None, :, None, :] + m * digit_add[:, None, :, None]).reshape(m * p, m * p)
+        shift = digit_add * dtype.type(m)
+        add = (add[None, :, None, :] + shift[:, None, :, None]).reshape(m * p, m * p)
+    # mul from the logs, a block of rows at a time, so no int64 array of
+    # q^2 cells exists
+    exp, log = F.logs()
+    exp = exp.astype(dtype)
+    mul = np.zeros((q, q), dtype=dtype)
+    rows = max(1, _MUL_BLOCK_CELLS // q)
+    for lo in range(1, q, rows):
+        mul[lo:lo + rows, 1:] = exp[log[lo:lo + rows, None] + log[None, 1:]]
     a = np.arange(q)
-    neg = array_mul(F, p - 1, a)  # the encoding p - 1 is -1 in every field
-    sub = add[:, neg]
-    inv = array_mul(F, 1, a, -1)
-    powt = array_mul(F, 1, a[:, None], np.arange(POW_TABLE_MAX + 1))
-    return FieldTables(add=add, sub=sub, mul=mul, neg=neg, inv=inv, pow=powt)
+    neg = array_mul(F, p - 1, a).astype(dtype)  # the encoding p - 1 is -1 in every field
+    inv = array_mul(F, 1, a, -1).astype(dtype)
+    powt = array_mul(F, 1, a[:, None], np.arange(POW_TABLE_MAX + 1)).astype(dtype)
+    out = FieldTables(add=add, mul=mul, neg=neg, inv=inv, pow=powt)
+    for table in out:
+        table.setflags(write=False)
+    return out
 
 
 def _find_generator(F) -> int:

@@ -1,10 +1,12 @@
 """Batched exact Gaussian elimination over small finite fields.
 
-Matrices are numpy int64 arrays of field-element encodings and every
-arithmetic step goes through the field's lookup tables, so the same code
-path serves prime fields, prime-power fields, and towers.  Batches are
-eliminated in lock step: one pass over the columns, with per-matrix pivot
-bookkeeping carried in index arrays.
+Matrices are numpy arrays of field-element encodings in any integer dtype,
+and every arithmetic step goes through the field's lookup tables, so the
+same code path serves prime fields, prime-power fields, and towers.
+Lookups, residues included, come out in the tables' dtype (see gf).
+x - f*y is computed as x + (-f)*y, negating the small factor array through
+the neg table.  Batches are eliminated in lock step: one pass over the
+columns, with per-matrix pivot bookkeeping carried in index arrays.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ def batch_rref(field, mats: np.ndarray):
         mats[sel, rsel] = t.mul[mats[sel, rsel], t.inv[pv][:, None]]
         factors = mats[sel, :, col]
         factors[np.arange(len(sel)), rsel] = 0  # leave the pivot row itself alone
-        delta = t.mul[factors[:, :, None], mats[sel, rsel][:, None, :]]
-        mats[sel] = t.sub[mats[sel], delta]
+        delta = t.mul[t.neg[factors][:, :, None], mats[sel, rsel][:, None, :]]
+        mats[sel] = t.add[mats[sel], delta]
         pivot_cols[sel, rsel] = col
         row[has] += 1
         if (row == m).all():
@@ -59,16 +61,17 @@ def batch_residues(field, rref_mats, pivot_cols, points):
     """Residue of each point modulo each row space of an RREF batch.
 
     rref_mats (B, m, w) must be output of batch_rref; points (N, w).
-    Returns a (B, N, w) array holding each point minus its combination of
-    the RREF rows that clears the pivot columns.  The residue is zero
-    exactly when the point lies in the row space, and two points have
-    proportional residues exactly when they span the same space together
-    with the rows.
+    Returns a (B, N, w) array, in the tables' dtype, holding each point
+    minus its combination of the RREF rows that clears the pivot columns.
+    The residue is zero exactly when the point lies in the row space, and
+    two points have proportional residues exactly when they span the same
+    space together with the rows.
     """
     t = field.tables()
     B, m, w = rref_mats.shape
     N = points.shape[0]
-    V = np.broadcast_to(points, (B, N, w)).copy()
+    V = np.empty((B, N, w), dtype=t.add.dtype)
+    V[...] = points
     for step in range(m):
         cols = pivot_cols[:, step]
         live = cols >= 0
@@ -77,7 +80,7 @@ def batch_residues(field, rref_mats, pivot_cols, points):
         c = np.where(live, cols, 0)
         f = np.take_along_axis(V, c[:, None, None], axis=2)[:, :, 0]
         rrow = np.where(live[:, None], rref_mats[:, step, :], 0)
-        V = t.sub[V, t.mul[f[:, :, None], rrow[:, None, :]]]
+        V = t.add[V, t.mul[t.neg[f][:, :, None], rrow[:, None, :]]]
     return V
 
 

@@ -103,11 +103,11 @@ class HomogeneousForm:
         object.__setattr__(self, "coefficients", cleaned)
 
     def evaluate(self, vectors: np.ndarray) -> np.ndarray:
-        """Values at each row of an integer-encoded (m, n+1) array."""
+        """Values at each row of an integer-encoded (m, n+1) array, in the tables' dtype."""
         t = self.field.tables()
-        acc = np.zeros(len(vectors), dtype=np.int64)
+        acc = np.zeros(len(vectors), dtype=t.add.dtype)
         for exps, c in sorted(self.coefficients.items()):
-            term = np.full(len(vectors), c, dtype=np.int64)
+            term = np.full(len(vectors), c, dtype=t.add.dtype)
             for i, e in enumerate(exps):
                 if e:
                     term = t.mul[term, t.pow[vectors[:, i], e]]

@@ -122,7 +122,7 @@ def _span_counts(X: PointSet, m: int, budget: int):
             f"subset scan needs C({N}, {m}) = {total} spans, budget is {budget}"
         )
     field = X.field
-    arr = X.array
+    arr = X.array.astype(field.tables().add.dtype)
     cols = np.arange(N)
     bs = linalg.span_batch_size(N, X.n + 1)
     # a prefix holding the last point has no j > max(P) to extend it

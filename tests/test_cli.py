@@ -251,6 +251,17 @@ def test_construct_product_refuses_negative_y_trunc(tmp_path, capsys):
     assert not (tmp_path / "p.json").exists()
 
 
+def test_construct_product_refuses_r_below_2(tmp_path, capsys):
+    # X must be a proper (r, r-1)-set; the error names that, not the s=0 of r-1
+    code, _, stderr = run(
+        capsys, "construct", "product", "--q", "2", "--r", "1", "--s", "1",
+        "--x-kind", "rnc", "--x-c", "2", "--y-kind", "rnc", "--y-c", "2",
+        "--out", str(tmp_path / "p.json"))
+    assert code == 2
+    assert "proper (1, 0)-set" in stderr and "r >= 2" in stderr and "s=0" not in stderr
+    assert not (tmp_path / "p.json").exists()
+
+
 # sha256 of the files the tuple-based PointSet wrote, an independent reference;
 # no benchmark call covers cleanup deletions, gv or products
 PINNED_FILES = [

@@ -1,6 +1,7 @@
 """Field arithmetic: canonical moduli, encodings, axioms, towers."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_field_axioms_exhaustive(field):
     assert np.array_equal(t.mul[a[:, None, None], t.add[a[None, :, None], a[None, None, :]]],
                           t.add[t.mul[a[:, None, None], a[None, :, None]],
                                 t.mul[a[:, None, None], a[None, None, :]]])
-    assert np.array_equal(t.sub[t.add[a[:, None], a[None, :]], a[None, :]],
+    assert np.array_equal(t.add[t.add[a[:, None], a[None, :]], t.neg[a][None, :]],
                           np.broadcast_to(a[:, None], (q, q)))
 
 
@@ -153,7 +154,7 @@ def test_scalar_ops_agree_with_tables(field):
         assert field.neg(a) == t.neg[a]
         for b in elems:
             assert field.add(a, b) == t.add[a, b]
-            assert field.sub(a, b) == t.sub[a, b]
+            assert field.sub(a, b) == t.add[a, t.neg[b]]
             assert field.mul(a, b) == t.mul[a, b]
     for a in range(1, q):
         assert field.inv(a) == t.inv[a]
@@ -297,17 +298,59 @@ def test_modulus_is_first_irreducible_in_product_order(field):
     assert field.modulus == reference
 
 
-@pytest.mark.parametrize("field", AXIOM_FIELDS, ids=repr)
+# GF(2^8) and GF(257) sit on either side of the uint8/uint16 boundary, and
+# GF(2^12) has order TABLE_LIMIT, the largest with tables
+DTYPE_BOUNDARY_FIELDS = [make_field(2, 8), make_field(257, 1), make_field(2, 12)]
+
+
+@pytest.mark.parametrize("field", AXIOM_FIELDS + DTYPE_BOUNDARY_FIELDS, ids=repr)
 def test_logs_and_array_ops_agree_with_tables(field):
     q = field.order
     t = field.tables()
     exp, log = field.logs()
     a = np.arange(q)
+    assert {table.dtype for table in t} == {np.dtype(np.uint8 if q <= 256 else np.uint16)}
     assert exp.shape == (2 * (q - 1),) and np.array_equal(exp[:q - 1], exp[q - 1:])
     assert sorted(exp[:q - 1]) == list(range(1, q))
     assert np.array_equal(exp[log[1:]], a[1:])
-    assert np.array_equal(array_mul(field, a[:, None], a[None, :]), t.mul)
-    assert np.array_equal(array_add(field, a[:, None], a[None, :]), t.add)
+    # array_add takes seconds at q = 4096, so above 256 every 15th row is
+    # checked, counting back from the last; blocks keep the int64 references small
+    checked = a if q <= 256 else a[::-15]
+    for rows in np.array_split(checked, -(-len(checked) // 256)):
+        assert np.array_equal(array_mul(field, rows[:, None], a[None, :]), t.mul[rows])
+        assert np.array_equal(array_add(field, rows[:, None], a[None, :]), t.add[rows])
     assert np.array_equal(array_mul(field, 1, a[:, None], np.arange(POW_TABLE_MAX + 1)), t.pow)
     assert np.array_equal(array_mul(field, 1, a, -1), t.inv)
     assert np.array_equal(array_mul(field, field.p - 1, a), t.neg)
+
+
+def test_tables_are_read_only():
+    field = make_field(3, 2)
+    t = field.tables()
+    assert not any(table.flags.writeable for table in t)
+    with pytest.raises(ValueError):
+        t.mul[1, 1] = 0
+    with pytest.raises(ValueError):
+        t.neg[...] = 0
+    assert field.tables() is t
+    assert t.mul[1, 1] == 1 and t.neg[1] == field.neg(1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 11), (4093, 1)])
+def test_table_build_peak_is_near_final_size(p, k):
+    # tracemalloc sees numpy's buffers; a fresh spec equal to the cached
+    # field has no tables yet, so tables() really builds them
+    cached = make_field(p, k)
+    field = FieldSpec(cached.base, cached.N, cached.modulus, None if cached.base else p)
+    assert field == cached
+    field.logs()
+    tracemalloc.start()
+    try:
+        t = field.tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = sum(table.nbytes for table in t)
+    q = field.order
+    assert final == 2 * (2 * q * q + (POW_TABLE_MAX + 3) * q)  # uint16 add, mul, neg, inv, pow
+    assert peak <= 1.5 * final + 2**20

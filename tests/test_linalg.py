@@ -7,12 +7,13 @@ import pytest
 
 from evasive.gf import make_extension, make_field
 from evasive.linalg import (
+    batch_residues,
     batch_rref,
     batch_span_members,
     combination_batches,
     span_batch_size,
 )
-from evasive.projgeom import rank, rref
+from evasive.projgeom import rank, reduce_vector, rref
 from evasive.randomized import Prng
 
 FIELDS = [
@@ -81,6 +82,39 @@ def test_batch_span_members_matches_scalar_membership(field):
         for j in range(12):
             expect = rank(field, basis_rows + [tuple(pts[j].tolist())]) == base_rank
             assert members[i, j] == expect, (i, j)
+
+
+@pytest.mark.parametrize("field", [make_field(2, 8), make_field(257, 1)], ids=repr)
+def test_kernels_agree_across_input_dtypes(field):
+    # uint8 tables at q = 256, uint16 at 257; encoding 255 would wrap under
+    # uint8 arithmetic, so it fills pivots, whole rows and points
+    dtype = field.tables().add.dtype
+    assert dtype == (np.uint8 if field.order == 256 else np.uint16)
+    mats = random_batch(field, 40, 3, 5, seed=field.order)
+    mats[::4, 0, 0] = 255
+    mats[1::4, 1] = 255
+    mats[2::4, 2] = mats[2::4, 0]  # rank-deficient
+    mats[3::8] = 0
+    pts = random_batch(field, 1, 30, 5, seed=3)[0]
+    pts[:3] = 255
+    pts[3] = mats[0, 1]  # inside the first row space
+    wide, narrow = mats.copy(), mats.astype(dtype)
+    ranks, pivots = batch_rref(field, wide)
+    narrow_ranks, narrow_pivots = batch_rref(field, narrow)
+    assert narrow.dtype == dtype
+    assert np.array_equal(ranks, narrow_ranks) and np.array_equal(pivots, narrow_pivots)
+    assert np.array_equal(wide, narrow)
+    residues = batch_residues(field, wide, pivots, pts)
+    narrow_residues = batch_residues(field, narrow, narrow_pivots, pts.astype(dtype))
+    assert residues.dtype == narrow_residues.dtype == dtype
+    assert np.array_equal(residues, narrow_residues)
+    assert not residues[0, 3].any()
+    for i in range(len(mats)):
+        rows, piv = rref(field, [tuple(r) for r in mats[i].tolist()])
+        assert [tuple(r) for r in wide[i, :ranks[i]].tolist()] == list(rows)
+        assert pivots[i, :ranks[i]].tolist() == list(piv)
+        for j, point in enumerate(pts.tolist()):
+            assert tuple(residues[i, j].tolist()) == reduce_vector(field, rows, piv, point)
 
 
 def test_batch_rref_empty_and_zero_matrices():
