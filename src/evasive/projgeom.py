@@ -5,15 +5,18 @@ of length n+1: the first nonzero coordinate equals 1.  A PointSet stores its
 points as one read-only (N, n+1) int64 array of encodings, deduplicated and
 sorted in ascending lexicographic order, which makes every downstream
 enumeration (and every file the CLI writes) deterministic.  It has two
-constructors: PointSet.from_rows checks that rows are normalized and of the
-right width, then sorts and dedupes; PointSet(field, n, array) trusts an
-array that is already all of that.  Tuples of points are built only on
-request (``points``, iteration and ``in``).
+constructors: PointSet.from_rows checks that rows are normalized encodings
+of the right width, then sorts and dedupes; PointSet(field, n, array)
+trusts an array that is already all of that.  Tuples of points are built
+only on request (``points``, iteration and ``in``).
 
 Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
 Two subspaces are equal iff their RREF rows are equal, so the basis doubles
-as a canonical form.
+as a canonical form.  Every rank, RREF and span test here runs
+linalg.batch_rref on a batch of one matrix, so it needs the field's tables
+(orders up to gf.TABLE_LIMIT); input vectors are checked for shape and
+encoding range before they are eliminated.
 """
 
 from __future__ import annotations
@@ -76,6 +79,25 @@ def _points_array(field, n: int, budget: int) -> np.ndarray:
     return out
 
 
+def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
+    """vectors as a fresh (m, w) int64 array, checked before any use.
+
+    Refuses ragged rows, a width other than ``width`` (when given) and
+    encodings outside [0, q); no rows at all give an (0, width) array.
+    """
+    try:
+        mat = np.array(vectors, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError("vectors must be integer rows of one length") from None
+    if mat.shape == (0,):
+        mat = mat.reshape(0, width or 0)
+    if mat.ndim != 2 or (width is not None and mat.shape[1] != width):
+        raise ParameterError("vector length does not match ambient dimension")
+    if mat.size and (mat.min() < 0 or int(mat.max()) >= field.order):
+        raise ParameterError(f"coordinates must be encodings in [0, {field.order})")
+    return mat
+
+
 def rank(field, vectors) -> int:
     """Rank of a list of coordinate vectors."""
     return len(rref(field, vectors)[0])
@@ -83,38 +105,12 @@ def rank(field, vectors) -> int:
 
 def rref(field, vectors):
     """Reduced row echelon form: (rows, pivot_cols), zero rows dropped."""
-    rows = [list(v) for v in vectors]
-    pivots = []
-    if not rows:
+    mat = _matrix(field, vectors)
+    if not mat.size:
         return (), ()
-    w = len(rows[0])
-    r = 0
-    for col in range(w):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        li = field.inv(rows[r][col])
-        rows[r] = [field.mul(li, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
-
-
-def reduce_vector(field, rows, pivots, vec):
-    """Residual of vec after elimination against RREF rows; 0s iff in span."""
-    v = list(vec)
-    for row, col in zip(rows, pivots):
-        f = v[col]
-        if f != 0:
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-    return tuple(v)
+    ranks, pivots = linalg.batch_rref(field, mat[None])
+    r = int(ranks[0])
+    return tuple(map(tuple, mat[:r].tolist())), tuple(pivots[0, :r].tolist())
 
 
 @dataclass(frozen=True)
@@ -128,20 +124,15 @@ class SubspaceBasis:
 
     @classmethod
     def from_vectors(cls, field, n: int, vectors) -> "SubspaceBasis":
-        rows, pivots = rref(field, vectors)
+        rows, pivots = rref(field, _matrix(field, vectors, n + 1))
         if not rows:
             raise ParameterError("subspace needs at least one nonzero vector")
-        if len(rows[0]) != n + 1:
-            raise ParameterError("vector length does not match ambient dimension")
         return cls(field=field, n=n, rows=rows, pivots=pivots)
 
     @property
     def dim(self) -> int:
         """Projective dimension (rank - 1)."""
         return len(self.rows) - 1
-
-    def contains(self, point) -> bool:
-        return all(c == 0 for c in reduce_vector(self.field, self.rows, self.pivots, point))
 
 
 class PointSet:
@@ -161,13 +152,11 @@ class PointSet:
     def from_rows(cls, field, n: int, rows) -> "PointSet":
         """Point set of an (m, n+1) integer array of normalized rows, in any order.
 
-        Refuses a zero or unnormalized row and the wrong width; duplicate
-        rows are dropped.  No field arithmetic is done, so it works at any
-        field order.
+        Refuses ragged rows, a zero or unnormalized row, the wrong width
+        and encodings outside [0, q); duplicate rows are dropped.  No
+        field arithmetic is done, so it works at any field order.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != n + 1:
-            raise ParameterError("vector length does not match ambient dimension")
+        rows = _matrix(field, rows, n + 1)
         nonzero = rows != 0
         lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
         if not (nonzero.any(axis=1) & (lead == 1)).all():
@@ -211,16 +200,18 @@ class PointSet:
         return f"PointSet(PG({self.n}, {self.field.order}), {len(self)} points)"
 
 
+def _span(basis_points, X: PointSet):
+    """(rank, mask): the rank of basis_points, and which rows of X.array lie in their span."""
+    mats = _matrix(X.field, basis_points, X.n + 1)[None]
+    ranks, pivots = linalg.batch_rref(X.field, mats)
+    if not ranks[0]:
+        raise ParameterError("span of an empty or zero set")
+    return int(ranks[0]), linalg.batch_span_members(X.field, mats, pivots, X.array)[0]
+
+
 def span_mask(basis_points, X: PointSet) -> np.ndarray:
     """Boolean mask over the rows of X.array: which lie in the span of basis_points."""
-    rows, pivots = rref(X.field, basis_points)
-    if not rows:
-        raise ParameterError("span of an empty or zero set")
-    if len(X) == 0:
-        return np.zeros(0, dtype=bool)
-    mats = np.asarray(rows, dtype=np.int64)[None, :, :]
-    pcols = np.asarray(pivots, dtype=np.int64)[None, :]
-    return linalg.batch_span_members(X.field, mats, pcols, X.array)[0]
+    return _span(basis_points, X)[1]
 
 
 def span_count(basis_points, X: PointSet):

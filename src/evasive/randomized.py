@@ -194,7 +194,7 @@ def random_irreducible_quadric(n: int, field, rng: Prng) -> HomogeneousForm:
             else:
                 i, j = nz
                 sym[i][j] = sym[j][i] = field.mul(c, half)
-        if rank(field, [tuple(row) for row in sym]) >= 3:
+        if rank(field, sym) >= 3:
             return form
     raise RuntimeError(f"no irreducible quadric in {QUADRIC_REJECTION_CAP} draws")
 

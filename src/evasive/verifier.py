@@ -31,8 +31,8 @@ prefixes P in lex order, and for each P the j > max(P) in increasing order.
 Sorted tuples compare on their first m-1 entries before their last, so this
 (P, j) order is the lex order of the m-subsets, and reported witnesses are
 deterministic: the first qualifying subset wins.  An independent oracle
-enumerates every s-space of the ambient explicitly (deliberately plain
-scalar code) for cross-checking on tiny instances.
+enumerates every s-space of the ambient explicitly (plain scalar code that
+shares nothing with linalg) for cross-checking on tiny instances.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ from .errors import BudgetExceeded, ParameterError
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
-    SubspaceBasis,
+    _span,
     all_points,
+    count_points,
     gaussian_binomial,
-    rref,
-    span_count,
 )
 
 ORACLE_SPACE_CAP = 100_000
@@ -78,13 +77,12 @@ class ViolationWitness:
         return len(self.intersection)
 
     def recheck(self, X: PointSet) -> None:
-        """Assert internal consistency against X (used by tests)."""
-        from .projgeom import rank
-
+        """Assert consistency against X with the oracle's scalar elimination (tests)."""
+        rows, _ = _scalar_rref(X.field, self.generating_points)
         assert all(p in X for p in self.generating_points)
-        assert rank(X.field, self.generating_points) == self.span_dim + 1
-        cnt, members = span_count(self.generating_points, X)
-        assert cnt == len(self.intersection)
+        assert len(rows) == self.span_dim + 1
+        members = tuple(p for p in X.points
+                        if len(_scalar_rref(X.field, (*rows, p))[0]) == len(rows))
         assert members == self.intersection
         assert set(self.generating_points) <= set(self.intersection)
 
@@ -138,10 +136,11 @@ def _span_counts(X: PointSet, m: int, budget: int):
 
 
 def _make_witness(X: PointSet, idx) -> ViolationWitness:
-    pts = tuple(map(tuple, X.array[list(idx)].tolist()))
-    rows, _ = rref(X.field, pts)
-    _, members = span_count(pts, X)
-    return ViolationWitness(generating_points=pts, span_dim=len(rows) - 1, intersection=members)
+    pts = X.array[list(idx)]
+    rank, inside = _span(pts, X)
+    return ViolationWitness(generating_points=tuple(map(tuple, pts.tolist())),
+                            span_dim=rank - 1,
+                            intersection=tuple(map(tuple, X.array[inside].tolist())))
 
 
 def _check_dims(X: PointSet, s: int) -> None:
@@ -220,10 +219,37 @@ def is_proper(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> b
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: enumerate every s-space of the ambient space.
+# Independent oracle: enumerate every s-space of the ambient space.  Its
+# Gauss-Jordan is the package's only scalar elimination, kept apart from
+# linalg on purpose; the tests' references share it.
+
+def _scalar_rref(field, vectors):
+    """Gauss-Jordan by per-element field calls: (rows, pivot_cols), zero rows dropped."""
+    rows = [list(v) for v in vectors]
+    pivots = []
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        li = field.inv(rows[r][col])
+        rows[r] = [field.mul(li, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
 
 @functools.lru_cache(maxsize=32)
 def _all_s_spaces(field, n: int, s: int, cap: int):
+    """Every s-space as a frozenset of points: the union of its spanning
+    (s+1)-subsets, grouped by RREF, since each of its points lies in one."""
     q = field.order
     nspaces = gaussian_binomial(n + 1, s + 1, q)
     if nspaces > cap:
@@ -231,16 +257,14 @@ def _all_s_spaces(field, n: int, s: int, cap: int):
     pts = list(all_points(n, field))
     if comb(len(pts), s + 1) > ORACLE_SUBSET_CAP:
         raise BudgetExceeded("oracle subset enumeration too large")
-    seen = {}
+    spaces = {}
     for subset in itertools.combinations(pts, s + 1):
-        rows, pivots = rref(field, subset)
+        rows, _ = _scalar_rref(field, subset)
         if len(rows) == s + 1:
-            seen.setdefault(rows, pivots)
-    assert len(seen) == nspaces
-    return tuple(
-        SubspaceBasis(field=field, n=n, rows=rows, pivots=piv)
-        for rows, piv in sorted(seen.items())
-    )
+            spaces.setdefault(rows, set()).update(subset)
+    assert len(spaces) == nspaces
+    assert all(len(members) == count_points(s, q) for members in spaces.values())
+    return tuple(frozenset(members) for members in spaces.values())
 
 
 def oracle_max_in_s_space(X: PointSet, s: int, *, cap: int = ORACLE_SPACE_CAP) -> int:
@@ -248,9 +272,5 @@ def oracle_max_in_s_space(X: PointSet, s: int, *, cap: int = ORACLE_SPACE_CAP) -
     _check_dims(X, s)
     if len(X) == 0:
         raise ParameterError("point set is empty")
-    best = 0
-    for space in _all_s_spaces(X.field, X.n, s, cap):
-        c = sum(1 for p in X.points if space.contains(p))
-        if c > best:
-            best = c
-    return best
+    points = set(X.points)
+    return max(len(points & space) for space in _all_s_spaces(X.field, X.n, s, cap))

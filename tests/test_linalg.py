@@ -1,4 +1,10 @@
-"""Batched elimination cross-checked against the scalar implementation."""
+"""Batched elimination cross-checked against the oracle's scalar Gauss-Jordan.
+
+verifier._scalar_rref is the package's one elimination by per-element
+field calls and shares no code with linalg, so these references never
+check the kernels against themselves (projgeom's rank and rref run
+batch_rref).
+"""
 
 import itertools
 
@@ -13,8 +19,8 @@ from evasive.linalg import (
     combination_batches,
     span_batch_size,
 )
-from evasive.projgeom import rank, reduce_vector, rref
 from evasive.randomized import Prng
+from evasive.verifier import _scalar_rref
 
 FIELDS = [
     make_field(2, 1),
@@ -24,6 +30,10 @@ FIELDS = [
     make_field(3, 2),
     pytest.param(make_extension(make_field(2, 1), 4), id="GF(2)^4"),  # equals GF(2^4)
 ]
+
+
+def scalar_rank(field, vectors):
+    return len(_scalar_rref(field, vectors)[0])
 
 
 def random_batch(field, B, m, w, seed):
@@ -42,7 +52,7 @@ def test_batch_rank_matches_scalar(field, shape):
     mats = random_batch(field, B, m, w, seed=B * m * w)
     ranks = batch_rref(field, mats.copy())[0]
     for i in range(B):
-        assert ranks[i] == rank(field, [tuple(r) for r in mats[i].tolist()])
+        assert ranks[i] == scalar_rank(field, mats[i].tolist())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -51,7 +61,7 @@ def test_batch_rref_matches_scalar_rref(field):
     work = mats.copy()
     ranks, pivot_cols = batch_rref(field, work)
     for i in range(60):
-        rows, pivots = rref(field, [tuple(r) for r in mats[i].tolist()])
+        rows, pivots = _scalar_rref(field, mats[i].tolist())
         assert ranks[i] == len(rows)
         got = [tuple(r) for r in work[i, : ranks[i]].tolist()]
         assert got == list(rows)
@@ -78,9 +88,9 @@ def test_batch_span_members_matches_scalar_membership(field):
     assert members.shape == (30, 12)
     for i in range(30):
         basis_rows = [tuple(r) for r in bases[i].tolist()]
-        base_rank = rank(field, basis_rows)
+        base_rank = scalar_rank(field, basis_rows)
         for j in range(12):
-            expect = rank(field, basis_rows + [tuple(pts[j].tolist())]) == base_rank
+            expect = scalar_rank(field, basis_rows + [tuple(pts[j].tolist())]) == base_rank
             assert members[i, j] == expect, (i, j)
 
 
@@ -110,11 +120,16 @@ def test_kernels_agree_across_input_dtypes(field):
     assert np.array_equal(residues, narrow_residues)
     assert not residues[0, 3].any()
     for i in range(len(mats)):
-        rows, piv = rref(field, [tuple(r) for r in mats[i].tolist()])
+        rows, piv = _scalar_rref(field, mats[i].tolist())
         assert [tuple(r) for r in wide[i, :ranks[i]].tolist()] == list(rows)
         assert pivots[i, :ranks[i]].tolist() == list(piv)
         for j, point in enumerate(pts.tolist()):
-            assert tuple(residues[i, j].tolist()) == reduce_vector(field, rows, piv, point)
+            # the residue is the one vector congruent to the point modulo
+            # the row space that vanishes on every pivot column
+            residue = residues[i, j].tolist()
+            assert all(residue[c] == 0 for c in piv)
+            diff = tuple(field.sub(a, b) for a, b in zip(point, residue))
+            assert scalar_rank(field, rows + (diff,)) == len(rows)
 
 
 def test_batch_rref_empty_and_zero_matrices():

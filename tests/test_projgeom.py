@@ -19,9 +19,12 @@ from evasive.projgeom import (
     gaussian_binomial,
     normalize,
     rank,
+    rref,
     span_count,
+    span_mask,
 )
 from evasive.randomized import Prng
+from evasive.verifier import _scalar_rref
 
 
 def test_normalize_frozen_examples():
@@ -145,8 +148,8 @@ def test_subspace_basis_contains_and_dim():
     field = make_field(3, 1)
     basis = SubspaceBasis.from_vectors(field, 2, [(1, 0, 1), (0, 1, 1)])
     assert basis.dim == 1
-    assert basis.contains((1, 1, 2))
-    assert not basis.contains((1, 0, 0))
+    X = PointSet.from_rows(field, 2, [(1, 0, 0), (1, 1, 2)])
+    assert span_mask(basis.rows, X).tolist() == [False, True]
     # canonical form ignores generator order and scaling
     same = SubspaceBasis.from_vectors(field, 2, [(0, 2, 2), (1, 1, 2)])
     assert basis == same
@@ -190,9 +193,11 @@ def test_spread_partitions_space(p, k, N):
     q = base.order
     assert len(elements) == q**2 + 1
     seen = set()
+    space = PointSet.from_rows(base, 2 * N - 1, list(all_points(2 * N - 1, base)))
     for el in elements:
         assert el.dim == N - 1
-        pts = [pt for pt in all_points(2 * N - 1, base) if el.contains(pt)]
+        pts = space.array[span_mask(el.rows, space)]
+        pts = list(map(tuple, pts.tolist()))
         assert len(pts) == q + 1
         assert not seen & set(pts)
         seen.update(pts)
@@ -208,7 +213,7 @@ def test_spread_degenerate_shapes():
     # N = 1: points map to themselves
     ident = make_extension(base, 1)
     el = field_reduction_spread((1, 0, 1), ident)
-    assert el.dim == 0 and el.contains((1, 0, 1))
+    assert el.dim == 0 and el.rows == ((1, 0, 1),)
 
 
 def test_embed_copy_shapes_and_membership():
@@ -219,9 +224,75 @@ def test_embed_copy_shapes_and_membership():
     copy = embed_copy(ovoid, spread_el)
     assert len(copy) == len(ovoid)
     assert copy.n == 7
-    for pt in copy.points:
-        assert spread_el.contains(pt)
+    assert span_mask(spread_el.rows, copy).all()
     # the first unit vector lands on the first basis row
     e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
     img = embed_copy(e0, spread_el)
     assert img.points == (spread_el.rows[0],)
+
+
+@pytest.mark.parametrize("field", [make_field(2, 8), make_field(257, 1)], ids=repr)
+def test_rref_rank_and_basis_match_scalar_reference(field):
+    # the kernel-backed paths against the oracle's scalar Gauss-Jordan;
+    # 255 fills pivots and whole rows, and would wrap under uint8 arithmetic
+    rng = Prng(field.order)
+    cases = [[], [(0, 0, 0, 0)], [(255, 255, 255, 255)], [(0, 255, 0, 1), (0, 0, 0, 0)]]
+    for m in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            rows = [tuple(rng.below(field.order) for _ in range(4)) for _ in range(m)]
+            rows[0] = (255,) + rows[0][1:]
+            cases.append(rows)
+            cases.append(rows + [rows[0]])  # rank-deficient
+    for rows in cases:
+        ref = _scalar_rref(field, rows)
+        assert rref(field, rows) == ref
+        assert rank(field, rows) == len(ref[0])
+        if ref[0]:
+            basis = SubspaceBasis.from_vectors(field, 3, rows)
+            assert (basis.rows, basis.pivots) == ref
+        else:
+            with pytest.raises(ParameterError):
+                SubspaceBasis.from_vectors(field, 3, rows)
+    assert rank(field, []) == 0 and rref(field, []) == ((), ())
+
+
+def test_elimination_refused_above_table_limit():
+    field = make_field(2, 13)  # 8192 > TABLE_LIMIT
+    rows = [(1, 0, 0), (0, 1, 8191)]
+    for call in (lambda: rref(field, rows), lambda: rank(field, rows),
+                 lambda: SubspaceBasis.from_vectors(field, 2, rows)):
+        with pytest.raises(ParameterError, match="TABLE_LIMIT"):
+            call()
+
+
+def test_malformed_vectors_refused_before_elimination():
+    F3 = make_field(3, 1)
+    bad = {
+        "ragged": [(1, 0, 0), (0, 1)],
+        "out of range": [(0, 5, 0)],
+        "negative": [(1, -1, 0)],
+    }
+    for rows in bad.values():
+        for call in (lambda: rref(F3, rows), lambda: rank(F3, rows),
+                     lambda: SubspaceBasis.from_vectors(F3, 2, rows)):
+            with pytest.raises(ParameterError):
+                call()
+    with pytest.raises(ParameterError):
+        SubspaceBasis.from_vectors(F3, 3, [(1, 0, 0)])  # wrong width
+    with pytest.raises(ParameterError):
+        PointSet.from_rows(F3, 2, bad["ragged"])
+    X = PointSet.from_rows(F3, 3, [(0, 0, 0, 1), (1, 0, 0, 0)])
+    for rows in [[(1, 0, 0)], [(1, 0, 0, 0), (0, 1, 0)], [(1, 0, 0, 3)], []]:
+        with pytest.raises(ParameterError):
+            span_mask(rows, X)
+    assert span_mask([(1, 0, 0, 0)], X).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("field,row", [
+    (make_field(2, 8), (1, -1, 0)),
+    (make_field(2, 8), (1, 256, 0)),
+    (make_field(3, 1), (1, 7, 0)),
+])
+def test_from_rows_refuses_out_of_range_encodings(field, row):
+    with pytest.raises(ParameterError, match="encodings in"):
+        PointSet.from_rows(field, 2, [(0, 0, 1), row])

@@ -13,9 +13,10 @@ from evasive.constructions import (
 )
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_field
-from evasive.projgeom import PointSet, SubspaceBasis, all_points, normalize
+from evasive.projgeom import PointSet, all_points, normalize
 from evasive.randomized import Prng
 from evasive.verifier import (
+    _scalar_rref,
     find_violation,
     is_proper,
     is_rs_set,
@@ -157,23 +158,27 @@ def test_max_monotone_under_adding_points():
 
 
 # ---------------------------------------------------------------------------
-# The projection kernel against scalar references.
+# The projection kernel against scalar references built on the oracle's
+# Gauss-Jordan, which shares no code with linalg.
+
+def scalar_span(X, sub):
+    """The points of X in the span of sub: those that leave the rank unchanged."""
+    rows, _ = _scalar_rref(X.field, sub)
+    return tuple(p for p in X.points if len(_scalar_rref(X.field, (*rows, p))[0]) == len(rows))
+
 
 def brute_first_violation(X, dim, limit):
     """First subset in lex order whose span holds > limit points, scalar code."""
     for sub in itertools.combinations(X.points, min(dim + 1, len(X))):
-        basis = SubspaceBasis.from_vectors(X.field, X.n, sub)
-        inside = tuple(p for p in X.points if basis.contains(p))
+        inside = scalar_span(X, sub)
         if len(inside) > limit:
             return sub, inside
     return None
 
 
 def brute_max(X, s):
-    return max(
-        sum(SubspaceBasis.from_vectors(X.field, X.n, sub).contains(p) for p in X.points)
-        for sub in itertools.combinations(X.points, min(s + 1, len(X)))
-    )
+    return max(len(scalar_span(X, sub))
+               for sub in itertools.combinations(X.points, min(s + 1, len(X))))
 
 
 def assert_matches_brute_force(X, s, limit):
