@@ -3,7 +3,8 @@
 Three upper bounds are combined: a Rao-type bound C_{d,e} q^((n-e+1)/e) + e
 available when (r, s) decomposes as r = de-1, s = d(e-1); a pigeonhole
 bound r ([n-s+1 choose 1]_q + 1); and a projection recursion that trades an
-(r, s)-set for an (r-m, s-m)-set in PG(n-m, q) at the cost of m points.
+(r, s)-set for an (r-m, s-m)-set in PG(n-m, q) at the cost of m points,
+evaluated in one bottom-up walk over the levels, with no cache.
 The lower bound is the random-deletion estimate ((r!-1)/r!) q^(n-s-s(n-s)/r).
 
 Real-valued bounds are computed with mpmath at 30 decimal digits (q-powers
@@ -17,7 +18,6 @@ reason instead of extrapolated numbers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -73,10 +73,6 @@ class BoundsReport:
 
     def best(self) -> BoundEntry:
         """The smallest applicable entry; ties break toward the earliest label."""
-        return self._best
-
-    @functools.cached_property  # read once per projection level above this report
-    def _best(self) -> BoundEntry:
         live = [e for e in self.entries if e.applicable]
         return min(live, key=lambda e: (_as_mpf(e.value), e.label))
 
@@ -160,34 +156,35 @@ def pigeonhole_bound(n: int, q: int, r: int, s: int) -> int:
     return r * (gaussian_binomial(n - s + 1, 1, q) + 1)
 
 
-@functools.lru_cache(maxsize=None)
 def best_upper_bound(n: int, q: int, r: int, s: int) -> BoundsReport:
     """Minimum of all applicable upper bounds, including projected ones.
 
     Projecting from a generic m-space turns an (r, s)-set into an
     (r-m, s-m)-set in PG(n-m, q) while losing at most m points, so every
-    bound for the smaller parameters lifts back up at a cost of +m.
+    bound for the smaller parameters lifts back up at a cost of +m.  One
+    walk up the levels (n-k, r-k, s-k), from k = s-1 to 0, keeps only each
+    level's best (value, label) pair; entries are built for the top level.
     """
     if not (n > s >= 1 and r > s):
         raise ParameterError(f"need n > s >= 1 and r > s, got n={n}, r={r}, s={s}")
     _check_space(n, q)
-    # fill the cache from the deepest projection up, so the loop below
-    # finds every projected report cached and no call nests deeper
-    for k in range(s - 1, 0, -1):
-        best_upper_bound(n - k, q, r - k, s - k)
-    entries = [
-        BoundEntry("pigeonhole", pigeonhole_bound(n, q, r, s), "line pigeonhole"),
-        rao_bound(n, q, r, s),
+    labels = [f"projection(m={m})" for m in range(s)]
+    best = [None] * s  # best[k]: the (value, label) pair that wins at level k
+    for k in range(s - 1, -1, -1):
+        nk, rk, sk = n - k, r - k, s - k
+        direct = (BoundEntry("pigeonhole", pigeonhole_bound(nk, q, rk, sk), "line pigeonhole"),
+                  rao_bound(nk, q, rk, sk),
+                  BoundEntry("trivial", count_points(nk, q), "all points of PG(n,q)"))
+        best[k] = min([(_as_mpf(e.value), e.label) for e in direct if e.applicable]
+                      + [(best[k + m][0] + m, labels[m]) for m in range(1, sk)])
+    projections = [  # the last pass (k = 0) left the top level's direct entries
+        BoundEntry(labels[m], best[m][0] + m,
+                   f"projection to ({r - m},{s - m}) in PG({n - m},{q}) via {best[m][1]}",
+                   params={"m": m})
+        for m in range(1, s)
     ]
-    for m in range(1, s):
-        sub = best_upper_bound(n - m, q, r - m, s - m).best()
-        entries.append(BoundEntry(
-            f"projection(m={m})", _as_mpf(sub.value) + m,
-            f"projection to ({r - m},{s - m}) in PG({n - m},{q}) via {sub.label}",
-            params={"m": m},
-        ))
-    entries.append(BoundEntry("trivial", count_points(n, q), "all points of PG(n,q)"))
-    return BoundsReport(n=n, q=q, r=r, s=s, entries=tuple(entries))
+    return BoundsReport(n=n, q=q, r=r, s=s,
+                        entries=(direct[0], direct[1], *projections, direct[2]))
 
 
 def gv_constant(r: int) -> Fraction:

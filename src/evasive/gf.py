@@ -119,11 +119,24 @@ def _iroot(x: int, k: int) -> int:
         r = nxt
 
 
+def is_int(value) -> bool:
+    """An int and not a bool (JSON true and false load as bool, a subclass
+    of int); floats and numpy scalars are refused even when whole."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_ints(**values) -> None:
+    for name, value in values.items():
+        if not is_int(value):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k, or ParameterError when q is not a prime power.
 
     Exact k-th roots for k up to log2(q): the cost grows with q's digits.
     """
+    _require_ints(q=q)
     for k in range(1, max(q, 2).bit_length()):
         p = _iroot(q, k)
         if p ** k == q and _is_prime(p):
@@ -496,9 +509,11 @@ def _quotient(base: FieldSpec, N: int) -> FieldSpec:
     return FieldSpec(base, N, _lex_smallest_irreducible(base, N))
 
 
-@functools.lru_cache(maxsize=None)
+# typed caches: 5.0 == 5 would otherwise find, or leave behind, GF(5)'s entry
+@functools.lru_cache(maxsize=None, typed=True)
 def make_field(p: int, k: int) -> FieldSpec:
     """GF(p^k): GF(p) for k = 1, else the degree-k quotient over GF(p)."""
+    _require_ints(p=p, k=k)
     if k != 1:
         return _quotient(make_field(p, 1), k)
     # bounding p first keeps the primality test small
@@ -509,7 +524,8 @@ def make_field(p: int, k: int) -> FieldSpec:
     return FieldSpec(None, 1, (0, 1), p)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def make_extension(base: FieldSpec, N: int) -> FieldSpec:
     """GF(q^N): the degree-N quotient over base (canonical modulus)."""
+    _require_ints(N=N)
     return _quotient(base, N)

@@ -28,7 +28,7 @@ import json
 import numpy as np
 
 from .errors import ParameterError
-from .gf import make_field
+from .gf import is_int, make_field
 from .projgeom import PointSet
 
 MAX_N = 2**31  # far above any n whose points fit in a file
@@ -58,11 +58,6 @@ def pointset_to_json_bytes(X: PointSet, r=None, s=None) -> bytes:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParameterError(message)
-
-
-def _is_int(value) -> bool:
-    # JSON true and false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _points_array(pts, width: int, order: int) -> np.ndarray:
@@ -96,17 +91,17 @@ def pointset_from_json_bytes(data: bytes):
     for key in ("p", "k", "modulus", "n", "r", "s", "points"):
         _require(key in doc, f"missing key {key!r}")
     p, k, n = doc["p"], doc["k"], doc["n"]
-    _require(_is_int(p) and _is_int(k), "p and k must be integers")
+    _require(is_int(p) and is_int(k), "p and k must be integers")
     field = make_field(p, k)
     modulus = doc["modulus"]
-    _require(isinstance(modulus, list) and all(_is_int(c) for c in modulus),
+    _require(isinstance(modulus, list) and all(is_int(c) for c in modulus),
              "modulus must be a list of integers")
     _require(list(field.modulus) == modulus,
              f"modulus {doc['modulus']} is not the canonical modulus "
              f"{list(field.modulus)} for GF({p}^{k})")
-    _require(_is_int(n) and 1 <= n < MAX_N, f"n must be an integer in [1, {MAX_N})")
+    _require(is_int(n) and 1 <= n < MAX_N, f"n must be an integer in [1, {MAX_N})")
     for name in ("r", "s"):
-        _require(doc[name] is None or (_is_int(doc[name]) and doc[name] >= 0),
+        _require(doc[name] is None or (is_int(doc[name]) and doc[name] >= 0),
                  f"{name} must be null or a nonnegative integer")
     rows = _points_array(doc["points"], n + 1, field.order)
     X = PointSet.from_rows(field, n, rows)

@@ -82,13 +82,17 @@ def _points_array(field, n: int, budget: int) -> np.ndarray:
 def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
     """vectors as a fresh (m, w) int64 array, checked before any use.
 
-    Refuses ragged rows, a width other than ``width`` (when given) and
-    encodings outside [0, q); no rows at all give an (0, width) array.
+    Refuses ragged rows, entries of a non-integer dtype (floats are not
+    truncated), a width other than ``width`` (when given) and encodings
+    outside [0, q); no rows at all give an (0, width) array.
     """
     try:
-        mat = np.array(vectors, dtype=np.int64)
+        mat = np.array(vectors)
     except (TypeError, ValueError, OverflowError):
-        raise ParameterError("vectors must be integer rows of one length") from None
+        mat = None
+    if mat is None or mat.size and mat.dtype.kind not in "iu":
+        raise ParameterError("vectors must be integer rows of one length")
+    mat = mat.astype(np.int64, copy=False)
     if mat.shape == (0,):
         mat = mat.reshape(0, width or 0)
     if mat.ndim != 2 or (width is not None and mat.shape[1] != width):

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
+from .gf import is_int, make_field
 from .jsonio import require_flat_field
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, span_mask
 from .verifier import is_rs_set
@@ -86,16 +87,19 @@ class HomogeneousForm:
     coefficients: dict
 
     def __post_init__(self):
+        if not (is_int(self.n) and is_int(self.degree)):
+            raise ParameterError(f"n and degree must be integers, got {self.n!r}, {self.degree!r}")
         if self.degree not in (2, 3):
             raise ParameterError(f"degree must be 2 or 3, got {self.degree}")
         cleaned = {}
         for exps, c in sorted(self.coefficients.items()):
             exps = tuple(exps)
-            if len(exps) != self.n + 1 or any(e < 0 for e in exps) \
+            if len(exps) != self.n + 1 or not all(is_int(e) and e >= 0 for e in exps) \
                     or sum(exps) != self.degree:
                 raise ParameterError(f"bad exponent vector {exps}")
-            if not 0 <= c < self.field.order:
-                raise ParameterError(f"coefficient {c} out of range")
+            if not (is_int(c) and 0 <= c < self.field.order):
+                raise ParameterError(f"coefficient {c!r} is not an encoding in "
+                                     f"[0, {self.field.order})")
             if c:
                 cleaned[exps] = c
         if not cleaned:
@@ -129,12 +133,10 @@ class HomogeneousForm:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HomogeneousForm":
-        from .gf import make_field
-
         try:
             field = make_field(data["p"], data["k"])
             coeffs = {
-                tuple(int(x) for x in key.split(",")): int(c)
+                tuple(int(x) for x in key.split(",")): c
                 for key, c in data["coefficients"].items()
             }
             return cls(field, data["n"], data["degree"], coeffs)

@@ -14,9 +14,11 @@ from evasive.gf import (
     _is_irreducible,
     array_add,
     array_mul,
+    factor_prime_power,
     make_extension,
     make_field,
 )
+from evasive.randomized import HomogeneousForm
 
 
 def naive_smallest_irreducible(F, degree):
@@ -254,6 +256,27 @@ def test_parameter_validation():
         make_field(7, 1).inv(0)
     with pytest.raises(ZeroDivisionError):
         make_extension(make_field(2, 1), 2).inv(0)
+
+
+def test_field_parameters_must_be_plain_ints():
+    # 5.0 == 5 and hashes alike, so an untyped cache would hand GF(5.0) to
+    # every later make_field(5, 1); refusing it keeps the cache clean
+    form = {"p": 5.0, "k": 1, "n": 2, "degree": 2, "coefficients": {"2,0,0": 1}}
+    with pytest.raises(ParameterError, match="integer"):
+        HomogeneousForm.from_json_dict(form)
+    F5 = make_field(5, 1)
+    assert type(F5.order) is int and F5.order == 5
+    assert F5.tables().add.shape == (5, 5)
+    for p, k in [(5.0, 1), (5, 1.0), (True, 1), (2, True), (np.int64(5), 1), ("5", 1)]:
+        with pytest.raises(ParameterError, match="integer"):
+            make_field(p, k)
+    for N in (3.0, True, np.int64(3)):
+        with pytest.raises(ParameterError, match="integer"):
+            make_extension(make_field(3, 1), N)
+    for q in (4.0, True, np.int64(4)):
+        with pytest.raises(ParameterError, match="integer"):
+            factor_prime_power(q)
+    assert factor_prime_power(4) == (2, 2)
 
 
 def test_tables_refused_above_limit():

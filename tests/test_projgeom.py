@@ -288,6 +288,20 @@ def test_malformed_vectors_refused_before_elimination():
     assert span_mask([(1, 0, 0, 0)], X).tolist() == [False, True]
 
 
+def test_non_integer_coordinates_refused_not_truncated():
+    # an int64 cast would read (1.5, 0, 0) as (1, 0, 0)
+    F3 = make_field(3, 1)
+    for rows in ([(1.5, 0, 0)], [(1.0, 0, 0)], np.array([[1.7, 2.2, 0]]),
+                 np.array([[True, False, False]]), [(1, 0, 2**70)]):
+        for call in (lambda: rank(F3, rows), lambda: rref(F3, rows),
+                     lambda: PointSet.from_rows(F3, 2, rows)):
+            with pytest.raises(ParameterError, match="integer rows"):
+                call()
+    # any integer dtype is taken, and an empty float array is just empty
+    assert rank(F3, np.array([[1, 2, 0]], dtype=np.uint8)) == 1
+    assert len(PointSet.from_rows(F3, 2, np.zeros((0, 3)))) == 0
+
+
 @pytest.mark.parametrize("field,row", [
     (make_field(2, 8), (1, -1, 0)),
     (make_field(2, 8), (1, 256, 0)),

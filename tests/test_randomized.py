@@ -125,6 +125,22 @@ def test_form_json_round_trip():
         HomogeneousForm.from_json_dict({"degree": 2})
 
 
+def test_form_refuses_non_integers():
+    # floats were truncated and bools counted as 1 before the field was ever used
+    F3 = make_field(3, 1)
+    good = HomogeneousForm(F3, 2, 2, {(2, 0, 0): 1}).to_json_dict()
+    for key, bad in [("2,0,0", 1.5), ("2,0,0", True), ("2,0,0", 1.0), ("2,0,0", "1")]:
+        with pytest.raises(ParameterError):
+            HomogeneousForm.from_json_dict({**good, "coefficients": {key: bad}})
+    for field_args in [(2.0, 2), (2, 2.0), (True, 2), (np.int64(2), 2)]:
+        with pytest.raises(ParameterError, match="integers"):
+            HomogeneousForm(F3, *field_args, {(2, 0, 0): 1})
+    with pytest.raises(ParameterError, match="exponent"):
+        HomogeneousForm(F3, 2, 2, {(2.0, 0, 0): 1})
+    with pytest.raises(ParameterError, match="coefficient"):
+        HomogeneousForm(F3, 2, 2, {(2, 0, 0): np.int64(1)})
+
+
 def test_form_json_refuses_tower_fields():
     # (p, k) would read back as the flat GF(2^4), a different field
     tower = make_extension(make_field(2, 2), 2)
