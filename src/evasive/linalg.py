@@ -3,7 +3,8 @@
 Matrices are numpy arrays of field-element encodings in any integer dtype,
 and every arithmetic step goes through the field's lookup tables, so the
 same code path serves prime fields, prime-power fields, and towers.
-Lookups, residues included, come out in the tables' dtype (see gf).
+Lookups go through gf.lookup and come out, residues included, in the
+tables' dtype.
 x - f*y is computed as x + (-f)*y, negating the small factor array through
 the neg table.  Batches are eliminated in lock step: one pass over the
 columns, with per-matrix pivot bookkeeping carried in index arrays.
@@ -11,9 +12,9 @@ columns, with per-matrix pivot bookkeeping carried in index arrays.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
+
+from .gf import lookup
 
 
 def batch_rref(field, mats: np.ndarray):
@@ -45,11 +46,11 @@ def batch_rref(field, mats: np.ndarray):
             mats[ssel, sr] = mats[ssel, sp]
             mats[ssel, sp] = tmp
         pv = mats[sel, rsel, col]
-        mats[sel, rsel] = t.mul[mats[sel, rsel], t.inv[pv][:, None]]
+        mats[sel, rsel] = lookup(t.mul, t.inv[pv][:, None], mats[sel, rsel])
         factors = mats[sel, :, col]
         factors[np.arange(len(sel)), rsel] = 0  # leave the pivot row itself alone
-        delta = t.mul[t.neg[factors][:, :, None], mats[sel, rsel][:, None, :]]
-        mats[sel] = t.add[mats[sel], delta]
+        delta = lookup(t.mul, t.neg[factors][:, :, None], mats[sel, rsel][:, None, :])
+        mats[sel] = lookup(t.add, mats[sel], delta)
         pivot_cols[sel, rsel] = col
         row[has] += 1
         if (row == m).all():
@@ -80,7 +81,7 @@ def batch_residues(field, rref_mats, pivot_cols, points):
         c = np.where(live, cols, 0)
         f = np.take_along_axis(V, c[:, None, None], axis=2)[:, :, 0]
         rrow = np.where(live[:, None], rref_mats[:, step, :], 0)
-        V = t.add[V, t.mul[t.neg[f][:, :, None], rrow[:, None, :]]]
+        V = lookup(t.add, V, lookup(t.mul, t.neg[f][:, :, None], rrow[:, None, :]))
     return V
 
 
@@ -91,24 +92,3 @@ def batch_span_members(field, rref_mats, pivot_cols, points):
     Returns a boolean (B, N) array.
     """
     return (batch_residues(field, rref_mats, pivot_cols, points) == 0).all(axis=2)
-
-
-def combination_batches(n: int, m: int, batch_size: int):
-    """Index arrays (B, m) covering C(n, m) in lexicographic order.
-
-    Batches grow 1, 2, 4, ... up to batch_size, so a scan that stops at
-    its first hit pays for little more work than it needed.
-    """
-    it = itertools.combinations(range(n), m)
-    size = 1
-    while True:
-        chunk = list(itertools.islice(it, size))
-        if not chunk:
-            return
-        yield np.asarray(chunk, dtype=np.int64)
-        size = min(2 * size, batch_size)
-
-
-def span_batch_size(num_points: int, width: int, cell_budget: int = 4_000_000) -> int:
-    """Batch size keeping the (B, N, w) residue workspace near cell_budget."""
-    return max(1, min(4096, cell_budget // max(1, num_points * width)))

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .gf import is_int, make_field
+from .gf import is_int, lookup, make_field
 from .jsonio import require_flat_field
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, span_mask
 from .verifier import is_rs_set
@@ -114,8 +114,8 @@ class HomogeneousForm:
             term = np.full(len(vectors), c, dtype=t.add.dtype)
             for i, e in enumerate(exps):
                 if e:
-                    term = t.mul[term, t.pow[vectors[:, i], e]]
-            acc = t.add[acc, term]
+                    term = lookup(t.mul, term, lookup(t.pow, vectors[:, i], e))
+            acc = lookup(t.add, acc, term)
         return acc
 
     def to_json_dict(self) -> dict:

@@ -7,32 +7,73 @@ m = min(s+1, |X|) therefore equals the maximum of |X ∩ S| over all
 s-spaces: a smaller subset's span count is dominated by any size-m
 superset drawn from X.
 
-The counts come from projections, not from one span test per subset.
-Write a subset as B = P ∪ {p_j}, with P its first m-1 points and
-j > max(P).  Projecting from <P> sends each point p to its residue modulo
-<P> (see linalg.batch_residues): zero when p ∈ <P>, and otherwise a vector
-r with <P, p> = <P, r>.  For p, p' outside <P>, <P, p> = <P, p'> exactly
-when their residues are proportional, so after scaling every residue to
-leading coordinate 1 the points of X in <P, p_j> are those in <P> plus
-those whose residue equals that of p_j:
+Subsets are enumerated in lexicographic order over the sorted point list,
+and reported witnesses are the first qualifying subset in that order.  An
+independent oracle enumerates every s-space of the ambient explicitly
+(plain scalar code that shares nothing with linalg) for cross-checking on
+tiny instances.
 
-    |X ∩ <P, p_j>| = |X ∩ <P>| + |class of j|    when p_j ∉ <P>,
-    |X ∩ <P, p_j>| = |X ∩ <P>|                   when p_j ∈ <P>.
+Levels
+------
+The scan is the paper's projection, applied point by point.  A prefix
+P = (b_1 < ... < b_d) of a subset sits at level d, and it carries the
+residues modulo <P> of the points after b_d: vectors of w - d coordinates,
+with w = n + 1.  Level 0 is the points themselves.  Extending P by a later
+point b is one elimination step on P's residues: scale b's residue r to 1
+at its first nonzero column c, subtract f·r from every later residue
+(f its entry at c) and drop column c.  A residue is zero exactly when its
+point lies in <P, b>, and two nonzero residues are proportional exactly
+when their points span the same space together with P.  No prefix is
+ever eliminated from scratch, and batch_rref is not used by the scan.
 
-A class holds points on both sides of P in the sorted order, since <P, p_j>
-contains earlier points as well as later ones; only the subset's own last
-point must come after max(P).  One reduction of all N points per P thus
-serves every subset extending P: about C(N, s)·N·w work, against
-C(N, s+1)·N·w for testing each subset's span on its own.  It is the
-projection from a subspace that bounds.best_upper_bound argues with.
+The greedy-basis argument
+-------------------------
+Let B = (b_1, ..., b_m) be the lex-first subset with |X ∩ <B>| > limit
+and T = X ∩ <B>.  Every point t of T with t < b_k lies in
+<b_1, ..., b_{k-1}>: otherwise swapping t for a suitable b_x, x >= k,
+spans <B> again (by exchange in <B>/<b_1..b_{k-1}>, or by dropping an
+element of B that the others span) and gives a lex-smaller subset with
+the same count.  So the points of T that <b_1..b_k> adds to
+<b_1..b_{k-1}> all come at or after b_k, and the walk counts only those:
 
-Subsets are enumerated in lexicographic order over the sorted point list:
-prefixes P in lex order, and for each P the j > max(P) in increasing order.
-Sorted tuples compare on their first m-1 entries before their last, so this
-(P, j) order is the lex order of the m-subsets, and reported witnesses are
-deterministic: the first qualifying subset wins.  An independent oracle
-enumerates every s-space of the ambient explicitly (plain scalar code that
-shares nothing with linalg) for cross-checking on tiny instances.
+    layer k = {t >= b_k : t in <b_1..b_k>, t not in <b_1..b_{k-1}>},
+
+which is b_k itself plus the later points whose nonzero residues the
+step from b_k turns to zero.  The last layer is the class of b_m among the residues after
+b_{m-1}.  The layers are disjoint subsets of X ∩ <B>, so the count of any
+subset is never too high, and the lex-first violating subset (with limit
+= max - 1, the lex-first maximal one) is counted exactly.  The maxima and
+the first violation are therefore those of the full count, and each
+level's residues need only the points after its prefix: about
+C(N, d+1)·(w-d) cells at level d, against C(N, s)·N·w for one reduction
+of every point per prefix.
+
+Rank-deficient prefixes
+-----------------------
+A point b whose residue is zero lies in <P> already (three collinear
+points, at s >= 3).  P ∪ {b} is then a prefix of the same span: its
+residues are P's, it adds no layer, and it is still walked, because the
+lex-first subset may contain it (the first four points of a plane, three
+of them collinear, at s = 3).  A batch holding such a prefix keeps its
+width: its other children zero their pivot columns instead of dropping
+them.
+
+Grouping
+--------
+The last level groups each prefix's residues, scaled to a leading 1, by
+one packed int64 key per residue: the prefix's batch index followed by
+the residue's base-q digits, sorted with argsort, when that number stays
+below 2^63.  Otherwise (PG(8, 256), say) a lexsort over the columns and
+the prefix index groups them.
+
+Workspace
+---------
+Children are built in batches of contiguous lex order.  A batch is sized
+by the bytes its residues take, intp index temporaries included, up to
+WORKSPACE_BYTES; the first batch of a scan is one prefix, and the size
+doubles from there, so a scan that stops at its first subset pays for
+little more than that subset.  Rows are gathered as one void item each,
+and every table lookup is a 1-D one (gf.lookup).
 """
 
 from __future__ import annotations
@@ -41,11 +82,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .errors import BudgetExceeded, ParameterError
+from .gf import lookup
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
@@ -57,6 +99,8 @@ from .projgeom import (
 
 ORACLE_SPACE_CAP = 100_000
 ORACLE_SUBSET_CAP = 10**7
+WORKSPACE_BYTES = 1 << 21  # residue batch of the scan, index temporaries included
+PACKED_KEY_LIMIT = 2**63   # grouping keys below this are packed into one int64
 
 
 @dataclass(frozen=True)
@@ -87,31 +131,167 @@ class ViolationWitness:
         assert set(self.generating_points) <= set(self.intersection)
 
 
-def _class_sizes(field, R):
-    """For residues R (B, N, w): how many rows of R[b] are proportional to R[b, j].
+class _Level(NamedTuple):
+    """A batch of prefixes at one level, each with the residues after it.
 
-    Entries for zero residues are meaningless; callers mask them.
+    Prefix k holds, as rows start[k]:start[k+1] of ``rows``, the residues
+    modulo <P_k> of the points after max(P_k); its last row is point N-1.
+    base[k] plus the number of zero rows of prefix k is what the walk
+    counts of X ∩ <P_k> (see the layers above).
+    """
+
+    prefix: np.ndarray  # (K, d) point indices, in lex order
+    base: np.ndarray    # (K,)
+    start: np.ndarray   # (K+1,)
+    rows: np.ndarray    # (T, width) in the tables' dtype
+
+
+def _subset(level: _Level, row: int, N: int) -> tuple:
+    """The subset a row of a last-level batch stands for: its prefix, then its point."""
+    k = int(np.searchsorted(level.start, row, side="right")) - 1
+    return (*level.prefix[k].tolist(), row + N - int(level.start[k + 1]))
+
+
+def _take_rows(R: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """R[idx] for a C-contiguous 2-D R, gathering each row as one item."""
+    items = R.view(np.dtype((np.void, R.shape[1] * R.itemsize)))
+    return np.take(items.ravel(), idx).view(R.dtype).reshape(len(idx), R.shape[1])
+
+
+def _leads(R: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of R, 0 for a zero row."""
+    lead = R[:, -1].copy()
+    for c in range(R.shape[1] - 2, -1, -1):
+        np.copyto(lead, R[:, c], where=R[:, c] != 0)
+    return lead
+
+
+def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
+    """One elimination step for each child: the residues of the L[i] rows
+    after row a[i] of R, modulo the residue at a[i].
+
+    Returns (start, rows, full): child i holds rows start[i]:start[i+1],
+    and full[i] is False when row a[i] is zero (the point lies in <P>
+    already), in which case its rows are R's unchanged.
     """
     t = field.tables()
-    B, N, _ = R.shape
-    lead = np.take_along_axis(R, (R != 0).argmax(axis=2)[:, :, None], axis=2)
-    R = t.mul[R, t.inv[lead]]
-    # sort each batch's rows lexicographically: equal residues become adjacent
-    order = np.lexsort(np.moveaxis(R, 2, 0))
-    sR = np.take_along_axis(R, order[:, :, None], axis=1)
-    new = np.ones((B, N), dtype=bool)
-    new[:, 1:] = (sR[:, 1:] != sR[:, :-1]).any(axis=2)
-    run = np.cumsum(new.ravel()) - 1
-    sizes = np.empty((B, N), dtype=np.int64)
-    np.put_along_axis(sizes, order, np.bincount(run)[run].reshape(B, N), axis=1)
+    width = R.shape[1]
+    piv = R[a]
+    col = (piv != 0).argmax(axis=1)
+    lead = piv[np.arange(len(a)), col]
+    full = lead != 0
+    unit = lookup(t.mul, t.inv[lead][:, None], piv)  # zero rows stay zero
+    start = np.zeros(len(a) + 1, dtype=np.intp)
+    np.cumsum(L, out=start[1:])
+    src = np.repeat(a + 1 - start[:-1], L)
+    src += np.arange(len(src))
+    S = _take_rows(R, src)
+    del src
+    cols = np.repeat(col, L)
+    at = np.arange(0, S.size, width)
+    at += cols
+    negf = t.neg[np.take(S.ravel(), at)]
+    del at
+    rows = lookup(t.add, S, lookup(t.mul, negf[:, None], np.repeat(unit, L, axis=0)))
+    del S, negf
+    if not full.all():
+        return start, rows, full
+    # drop each row's pivot column, which the step has zeroed
+    out = np.empty((len(rows), width - 1), dtype=rows.dtype)
+    for c in range(width - 1):
+        out[:, c] = rows[:, c + 1]
+        np.copyto(out[:, c], rows[:, c], where=cols > c)
+    return start, out, full
+
+
+def _children(field, level: _Level, m: int, N: int, limit: list):
+    """The level's children that can still reach m points, in lex order,
+    in batches of at most limit[0] workspace bytes (at least one child)."""
+    zero = ~level.rows.any(axis=1)
+    base = level.base + np.add.reduceat(zero, level.start[:-1], dtype=np.intp)
+    zeros_to = np.cumsum(zero)
+    del zero
+    need = m - level.prefix.shape[1] - 1
+    after = np.repeat(level.start[1:] - 1, np.diff(level.start))
+    after -= np.arange(len(after))
+    a = np.flatnonzero(after >= need)
+    cost = np.cumsum(after[a], dtype=np.int64)
+    del after
+    # workspace of one child row: 16 bytes a cell (values and intp
+    # indices) plus 96 for its index and key arrays
+    row_bytes = 16 * level.rows.shape[1] + 96
+    lo, done = 0, 0
+    while lo < len(a):
+        hi = int(np.searchsorted(cost, done + limit[0] // row_bytes, side="right"))
+        hi = max(hi, lo + 1)
+        sel = a[lo:hi]
+        start, rows, full = _extend(field, level.rows, sel, np.diff(cost[lo:hi], prepend=done))
+        node = np.searchsorted(level.start, sel, side="right") - 1
+        end = level.start[node + 1]
+        # the child's own zero rows are added when it is walked; those
+        # after row a that were zero here already are counted in base
+        yield _Level(prefix=np.column_stack((level.prefix[node], sel + N - end)),
+                     base=base[node] + full - (zeros_to[end - 1] - zeros_to[sel]),
+                     start=start, rows=rows)
+        limit[0] = min(WORKSPACE_BYTES, 2 * max(limit[0], int(cost[hi - 1] - done) * row_bytes))
+        lo, done = hi, int(cost[hi - 1])
+
+
+def _class_sizes(rows: np.ndarray, node: np.ndarray, q: int) -> np.ndarray:
+    """How many rows of the same node equal each row (rows scaled to a leading 1)."""
+    T, width = rows.shape
+    new = np.ones(T, dtype=bool)
+    if (int(node[-1]) + 1) * q**width < PACKED_KEY_LIMIT:
+        # the node index, then the row's base-q digits
+        key = node.astype(np.int64)
+        for c in range(width):
+            key *= q
+            key += rows[:, c]
+        order = np.argsort(key)
+        key = key[order]
+        new[1:] = key[1:] != key[:-1]
+    else:
+        order = np.lexsort((*rows.T[::-1], node))
+        srt = rows[order]
+        new[1:] = (srt[1:] != srt[:-1]).any(axis=1) | (node[order][1:] != node[order][:-1])
+    run = np.cumsum(new)
+    run -= 1
+    sizes = np.empty(T, dtype=np.intp)
+    sizes[order] = np.bincount(run)[run]
     return sizes
 
 
-def _span_counts(X: PointSet, m: int, budget: int):
-    """Yield (prefixes, counts) covering the m-subsets of X in lex order.
+def _counts(field, level: _Level) -> np.ndarray:
+    """The walk's count of X ∩ <P, p_j> for every row j of every prefix P."""
+    t = field.tables()
+    R = level.rows
+    node = np.repeat(np.arange(len(level.base)), np.diff(level.start))
+    lead = _leads(R)
+    zero = lead == 0
+    sizes = _class_sizes(lookup(t.mul, t.inv[lead][:, None], R), node, field.order)
+    sizes[zero] = 0
+    sizes += (level.base + np.add.reduceat(zero, level.start[:-1], dtype=np.intp))[node]
+    return sizes
 
-    prefixes (B, m-1) are index arrays P in lex order; counts (B, N) holds
-    |X ∩ <P, p_j>| at column j when j > max(P), and -1 elsewhere.
+
+def _walk(field, level: _Level, m: int, N: int, limit: list):
+    """Depth first from level, in lex order, yielding (last level, counts).
+
+    limit[0] is the scan's current batch size in bytes, shared by every level.
+    """
+    if level.prefix.shape[1] == m - 1:
+        yield level, _counts(field, level)
+        return
+    for child in _children(field, level, m, N, limit):
+        yield from _walk(field, child, m, N, limit)
+
+
+def _span_counts(X: PointSet, m: int, budget: int):
+    """Yield (level, counts) covering the m-subsets of X in lex order.
+
+    Row j of a last-level batch stands for the subset _subset(level, j, N);
+    counts[j] is its count under the layer rule (never above |X ∩ <B>|, and
+    equal to it for the lex-first subset reaching any given count).
     """
     N = len(X)
     total = comb(N, m)
@@ -119,20 +299,10 @@ def _span_counts(X: PointSet, m: int, budget: int):
         raise BudgetExceeded(
             f"subset scan needs C({N}, {m}) = {total} spans, budget is {budget}"
         )
-    field = X.field
-    arr = X.array.astype(field.tables().add.dtype)
-    cols = np.arange(N)
-    bs = linalg.span_batch_size(N, X.n + 1)
-    # a prefix holding the last point has no j > max(P) to extend it
-    for P in linalg.combination_batches(N - 1, m - 1, bs):
-        mats = arr[P]
-        _, pivots = linalg.batch_rref(field, mats)
-        R = linalg.batch_residues(field, mats, pivots, arr)
-        inside = ~R.any(axis=2)
-        counts = inside.sum(axis=1)[:, None] + np.where(inside, 0, _class_sizes(field, R))
-        last = P[:, -1] if m > 1 else np.full(len(P), -1)
-        counts[cols[None, :] <= last[:, None]] = -1
-        yield P, counts
+    root = _Level(prefix=np.empty((1, 0), dtype=np.intp), base=np.zeros(1, dtype=np.intp),
+                  start=np.array([0, N]),
+                  rows=np.ascontiguousarray(X.array, dtype=X.field.tables().add.dtype))
+    return _walk(X.field, root, m, N, [0])
 
 
 def _make_witness(X: PointSet, idx) -> ViolationWitness:
@@ -160,11 +330,11 @@ def max_in_s_space(X: PointSet, s: int, *, budget: int = DEFAULT_BUDGET):
     m = min(s + 1, len(X))
     best_count = -1
     best_idx = None
-    for P, counts in _span_counts(X, m, budget):
-        b, j = divmod(int(counts.argmax()), len(X))
-        if counts[b, j] > best_count:
-            best_count = int(counts[b, j])
-            best_idx = (*P[b].tolist(), j)
+    for level, counts in _span_counts(X, m, budget):
+        j = int(counts.argmax())
+        if counts[j] > best_count:
+            best_count = int(counts[j])
+            best_idx = _subset(level, j, len(X))
     return best_count, _make_witness(X, best_idx)
 
 
@@ -180,12 +350,13 @@ def find_violation(X: PointSet, dim: int, limit: int, *,
         return None
     m = min(dim + 1, len(X))
     stream = _span_counts(X, m, budget)
-    for P, counts in stream:
+    for level, counts in stream:
         hits = np.flatnonzero(counts > limit)
         if len(hits):
+            idx = _subset(level, int(hits[0]), len(X))
+            del level, counts
             stream.close()
-            b, j = divmod(int(hits[0]), len(X))
-            return _make_witness(X, (*P[b].tolist(), j))
+            return _make_witness(X, idx)
     return None
 
 
@@ -205,13 +376,17 @@ def is_rs_set(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET):
 
 
 def is_proper(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> bool:
-    """No m-space contains m + 1 + (r - s) points of X, for any m in [0, s]."""
+    """No m-space contains m + 1 + (r - s) points of X, for any m in [0, s].
+
+    m = 0 is not scanned: its limit r - s is at least 1, and a point of
+    the ambient holds at most one point of X.
+    """
     if not r > s >= 1:
         raise ParameterError(f"need r > s >= 1, got r={r}, s={s}")
     _check_dims(X, s)
     if len(X) == 0:
         return True
-    for m_dim in range(s + 1):
+    for m_dim in range(1, s + 1):
         limit = m_dim + r - s
         if find_violation(X, m_dim, limit, budget=budget) is not None:
             return False

@@ -15,6 +15,7 @@ from evasive.gf import (
     array_add,
     array_mul,
     factor_prime_power,
+    lookup,
     make_extension,
     make_field,
 )
@@ -345,6 +346,26 @@ def test_logs_and_array_ops_agree_with_tables(field):
     assert np.array_equal(array_mul(field, 1, a[:, None], np.arange(POW_TABLE_MAX + 1)), t.pow)
     assert np.array_equal(array_mul(field, 1, a, -1), t.inv)
     assert np.array_equal(array_mul(field, field.p - 1, a), t.neg)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (2, 8), (257, 1), (2, 11)])
+def test_lookup_matches_2d_index(p, k):
+    # q = 256 is the last order whose flat index is uint16, 257 the first uint32
+    field = make_field(p, k)
+    t = field.tables()
+    q = field.order
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, (50, 6)).astype(t.add.dtype)
+    b = rng.integers(0, q, (50, 6)).astype(np.int64)
+    a[0], b[0] = q - 1, q - 1
+    for table in (t.add, t.mul):
+        assert np.array_equal(lookup(table, a, b), table[a, b])
+        assert np.array_equal(lookup(table, a[:, :1], b), table[a[:, :1], b])  # broadcast
+        assert np.array_equal(lookup(table, a, b[0]), table[a, b[0]])
+        assert lookup(table, q - 1, q - 1) == table[q - 1, q - 1]
+    e = rng.integers(0, POW_TABLE_MAX + 1, (50, 6))
+    assert np.array_equal(lookup(t.pow, b, e), t.pow[b, e])
+    assert lookup(t.mul, a, b).dtype == t.mul.dtype
 
 
 def test_tables_are_read_only():

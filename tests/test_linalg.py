@@ -6,8 +6,6 @@ check the kernels against themselves (projgeom's rank and rref run
 batch_rref).
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,6 @@ from evasive.linalg import (
     batch_residues,
     batch_rref,
     batch_span_members,
-    combination_batches,
-    span_batch_size,
 )
 from evasive.randomized import Prng
 from evasive.verifier import _scalar_rref
@@ -143,24 +139,3 @@ def test_batch_rref_empty_and_zero_matrices():
     # pivot row was normalized to leading 1
     assert mats[2, 0, 1] == 1
 
-
-def test_combination_batches_covers_lex_order():
-    batches = list(combination_batches(6, 3, batch_size=7))
-    assert all(b.shape[1] == 3 for b in batches)
-    assert [len(b) for b in batches] == [1, 2, 4, 7, 6]  # doubling up to the cap
-    flat = [tuple(row) for b in batches for row in b.tolist()]
-    assert flat == list(itertools.combinations(range(6), 3))
-
-
-def test_combination_batches_degenerate():
-    assert [b.tolist() for b in combination_batches(3, 5, 10)] == []
-    only = list(combination_batches(4, 4, 10))
-    assert len(only) == 1 and only[0].tolist() == [[0, 1, 2, 3]]
-
-
-def test_span_batch_size_bounds():
-    assert 1 <= span_batch_size(10, 4) <= 4096
-    assert span_batch_size(100000, 50, cell_budget=100) == 1
-    # never exceeds the cell budget except at the floor of one subset
-    b = span_batch_size(1000, 8, cell_budget=50_000)
-    assert b * 1000 * 8 <= 50_000 or b == 1

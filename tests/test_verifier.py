@@ -1,10 +1,12 @@
 """Subspace intersection verifier, frozen witnesses, and the brute-force oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evasive import verifier
 from evasive.constructions import (
     elliptic_ovoid,
     graph_curve_for_prime_power,
@@ -14,7 +16,7 @@ from evasive.constructions import (
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_field
 from evasive.projgeom import PointSet, all_points, normalize
-from evasive.randomized import Prng
+from evasive.randomized import Prng, cubic_92_construction
 from evasive.verifier import (
     _scalar_rref,
     find_violation,
@@ -225,17 +227,107 @@ def test_kernel_degenerate_subsets():
     assert max_in_s_space(Y, 3)[0] == brute_max(Y, 3)
 
 
-def test_kernel_in_pg_8_256():
-    # wide residues over a large field: two collinear triples among seven points
+def pg_8_256_set():
+    """Seven points of PG(8, 256) holding two collinear triples."""
     field = make_field(2, 8)
     rng = Prng(5)
     base = [tuple(rng.below(256) for _ in range(9)) for _ in range(4)]
     combos = [tuple(field.add(a, field.mul(c, b)) for a, b in zip(base[0], base[1]))
               for c in (3, 200)]
     combos.append(tuple(field.add(a, field.mul(7, b)) for a, b in zip(base[2], base[3])))
-    X = PointSet.from_rows(field, 8, [normalize(field, v) for v in base + combos])
+    return PointSet.from_rows(field, 8, [normalize(field, v) for v in base + combos])
+
+
+def test_kernel_in_pg_8_256():
+    # wide residues over a large field: 256^7 keys do not pack into an int64
+    X = pg_8_256_set()
     for s in (0, 1, 2):
         assert max_in_s_space(X, s)[0] == brute_max(X, s)
         for limit in range(1, 5):
             assert_matches_brute_force(X, s, limit)
     assert max_in_s_space(X, 1)[0] == 4
+
+
+# ---------------------------------------------------------------------------
+# The walk's grouping paths, its workspace and is_proper's scans.
+
+def scan_results(X, s):
+    count, w = max_in_s_space(X, s)
+    return count, w, [find_violation(X, s, limit) for limit in range(count + 1)]
+
+
+def test_class_sizes_packed_and_lexsort_agree(monkeypatch):
+    rng = Prng(3)
+    rows = np.array([[rng.below(3) for _ in range(3)] for _ in range(120)], dtype=np.uint8)
+    node = np.repeat(np.arange(4), 30)
+    expect = [sum(int(node[k] == node[i]) * int((rows[k] == rows[i]).all()) for k in range(120))
+              for i in range(120)]
+    packed = verifier._class_sizes(rows, node, 3)
+    monkeypatch.setattr(verifier, "PACKED_KEY_LIMIT", 0)
+    assert packed.tolist() == verifier._class_sizes(rows, node, 3).tolist() == expect
+
+
+def test_scans_agree_with_keys_packed_and_lexsorted(monkeypatch):
+    line = [(0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 1, 1, 0, 0)]
+    planar = PointSet.from_rows(F2, 4, line + [(0, 0, 0, 0, 1), (1, 0, 0, 0, 0),
+                                               (1, 1, 1, 1, 1)])
+    cases = [(elliptic_ovoid(make_field(2, 2)), 1), (graph_curve_for_prime_power(3), 2),
+             (rational_normal_curve(4, F5), 2), (planar, 3), (monomial_curve(3, F5), 0)]
+    packed = [scan_results(X, s) for X, s in cases]
+    lexsorts = []
+    real_lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or real_lexsort(keys))
+    scan_results(pg_8_256_set(), 1)
+    assert lexsorts  # the fallback is the only path that fits PG(8, 256)
+    monkeypatch.setattr(verifier, "PACKED_KEY_LIMIT", 0)
+    assert [scan_results(X, s) for X, s in cases] == packed
+
+
+def traced_peak(X, r, s):
+    X.field.tables()  # built once per field, outside the scan
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ok, _ = is_rs_set(X, r, s, budget=10**10)
+        return ok, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# (set, r, s, valid, MiB): the bounds are the traced peaks of the former
+# prefix-RREF scan on the same calls, witness included
+WORKSPACE_CASES = {
+    "monomial-n2-q2048": (lambda: monomial_curve(2, make_field(2, 11)), 1, 1, False, 0.26),
+    "ovoid-q128": (lambda: elliptic_ovoid(make_field(2, 7)), 1, 1, False, 1.67),
+    "cubics-q7-seed2": (lambda: cubic_92_construction(make_field(7, 1), Prng(2)), 9, 2, True, 4.45),
+    "graph32-q0-4": (lambda: graph_curve_for_prime_power(4), 3, 2, True, 3.95),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKSPACE_CASES))
+def test_scan_workspace_bound(name):
+    build, r, s, valid, mib = WORKSPACE_CASES[name]
+    ok, peak = traced_peak(build(), r, s)
+    assert ok == valid
+    assert peak <= mib * 2**20
+
+
+def test_is_proper_skips_the_point_scan(monkeypatch):
+    cases = [(elliptic_ovoid(F3), 2, 1), (THREE_COLLINEAR, 3, 1), (THREE_COLLINEAR, 2, 1),
+             (monomial_curve(3, F3), 3, 1), (rational_normal_curve(4, F5), 3, 2),
+             (rational_normal_curve(4, F5), 4, 3), (graph_curve_for_prime_power(2), 3, 2)]
+    # the former loop, which also scanned m = 0
+    expect = [all(find_violation(X, m, m + r - s) is None for m in range(s + 1))
+              for X, r, s in cases]
+    dims = []
+    real = verifier.find_violation
+    monkeypatch.setattr(verifier, "find_violation",
+                        lambda X, dim, limit, **kw: dims.append(dim) or real(X, dim, limit, **kw))
+    for (X, r, s), proper in zip(cases, expect):
+        dims.clear()
+        assert is_proper(X, r, s) == proper
+        if proper:
+            assert dims == list(range(1, s + 1))
+        else:
+            assert dims and 0 not in dims

@@ -1,7 +1,9 @@
-"""Property test: the projection kernel against scalar references on random small sets.
+"""Property tests: the projection walk against references on random small sets.
 
-Needs hypothesis (the `test` extra); skipped without it, so the fixed
-verifier tests in test_verifier.py never depend on it.
+The references are scalar brute force (test_verifier.py), the former
+prefix-RREF scan (prefix_rref_scan.py) and the oracle.  Needs hypothesis
+(the `test` extra); skipped without it, so the fixed verifier tests in
+test_verifier.py never depend on it.
 """
 
 from math import comb
@@ -12,11 +14,17 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+import prefix_rref_scan as reference  # noqa: E402
 from test_verifier import assert_matches_brute_force, brute_max  # noqa: E402
 
 from evasive.gf import make_field  # noqa: E402
-from evasive.projgeom import PointSet, all_points, count_points  # noqa: E402
-from evasive.verifier import max_in_s_space, oracle_max_in_s_space  # noqa: E402
+from evasive.projgeom import PointSet, all_points, count_points, normalize  # noqa: E402
+from evasive.verifier import (  # noqa: E402
+    _make_witness,
+    find_violation,
+    max_in_s_space,
+    oracle_max_in_s_space,
+)
 
 KERNEL_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1)]
 ORACLE_WORK_CAP = 10_000  # (s+1)-subsets of the ambient the oracle may enumerate
@@ -42,3 +50,55 @@ def test_kernel_matches_scalar_references(inst, limit):
     if comb(count_points(X.n, X.field.order), s + 1) <= ORACLE_WORK_CAP:
         assert count == oracle_max_in_s_space(X, s)
     assert_matches_brute_force(X, s, limit)
+
+
+WALK_FIELDS = {q: make_field(*pk) for q, pk in
+               {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+                8: (2, 3), 9: (3, 2), 16: (2, 4)}.items()}
+
+
+@st.composite
+def walk_instances(draw):
+    """A set X in PG(n, q) with s < n <= s + 2, and s, drawn as random points,
+    a planted violation (many points of one s-space) or collinear triples
+    (rank-deficient prefixes once s >= 3)."""
+    field = WALK_FIELDS[draw(st.sampled_from(sorted(WALK_FIELDS)))]
+    q = field.order
+    s = draw(st.integers(0, 3))
+    n = draw(st.integers(max(s + 1, 2), s + 2))
+    element = st.integers(0, q - 1)
+    vector = st.lists(element, min_size=n + 1, max_size=n + 1).filter(any)
+    vectors = draw(st.lists(vector, min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["random", "planted", "collinear"]))
+    if kind == "planted":
+        basis = draw(st.lists(vector, min_size=s + 1, max_size=s + 1))
+        for _ in range(draw(st.integers(1, 6))):
+            coeffs = draw(st.lists(element, min_size=s + 1, max_size=s + 1))
+            combo = [0] * (n + 1)
+            for c, v in zip(coeffs, basis):
+                combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, v)]
+            vectors.append(combo)
+        vectors += basis
+    elif kind == "collinear":
+        for _ in range(draw(st.integers(1, 3))):
+            u, v = draw(vector), draw(vector)
+            c = draw(element)
+            vectors += [u, v, [field.add(x, field.mul(c, y)) for x, y in zip(u, v)]]
+    rows = {normalize(field, v) for v in vectors if any(v)}
+    return PointSet.from_rows(field, n, sorted(rows)), s
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(walk_instances(), st.integers(0, 12))
+def test_walk_matches_prefix_rref_scan_and_oracle(inst, limit):
+    X, s = inst
+    count, w = max_in_s_space(X, s)
+    ref_count, ref_idx = reference.max_subset(X, s)
+    assert count == ref_count
+    assert w == _make_witness(X, ref_idx)  # the lex-first maximal subset, byte for byte
+    if comb(count_points(X.n, X.field.order), s + 1) <= ORACLE_WORK_CAP:
+        assert count == oracle_max_in_s_space(X, s)
+    for lim in {limit, count - 1, count}:
+        ref = reference.first_violation(X, s, lim)
+        got = find_violation(X, s, lim)
+        assert got == (None if ref is None else _make_witness(X, ref))
