@@ -60,11 +60,11 @@ them.
 
 Grouping
 --------
-The last level groups each prefix's residues, scaled to a leading 1, by
-one packed int64 key per residue: the prefix's batch index followed by
-the residue's base-q digits, sorted with argsort, when that number stays
-below 2^63.  Otherwise (PG(8, 256), say) a lexsort over the columns and
-the prefix index groups them.
+The last level groups each batch's residues, scaled to a leading 1, with
+one lexsort over the prefix index and the columns, for every field size.
+An int64 key per row sorted with argsort speeds up large scans but not
+the search benchmark, would need this lexsort anyway where the key does
+not fit (PG(8, 256)), and maps numpy's SIMD sort code, raising peak RSS.
 
 Workspace
 ---------
@@ -100,7 +100,6 @@ from .projgeom import (
 ORACLE_SPACE_CAP = 100_000
 ORACLE_SUBSET_CAP = 10**7
 WORKSPACE_BYTES = 1 << 21  # residue batch of the scan, index temporaries included
-PACKED_KEY_LIMIT = 2**63   # grouping keys below this are packed into one int64
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ def _children(field, level: _Level, m: int, N: int, limit: list):
     cost = np.cumsum(after[a], dtype=np.int64)
     del after
     # workspace of one child row: 16 bytes a cell (values and intp
-    # indices) plus 96 for its index and key arrays
+    # indices) plus 96 for its index and sort arrays
     row_bytes = 16 * level.rows.shape[1] + 96
     lo, done = 0, 0
     while lo < len(a):
@@ -237,26 +236,15 @@ def _children(field, level: _Level, m: int, N: int, limit: list):
         lo, done = hi, int(cost[hi - 1])
 
 
-def _class_sizes(rows: np.ndarray, node: np.ndarray, q: int) -> np.ndarray:
+def _class_sizes(rows: np.ndarray, node: np.ndarray) -> np.ndarray:
     """How many rows of the same node equal each row (rows scaled to a leading 1)."""
-    T, width = rows.shape
-    new = np.ones(T, dtype=bool)
-    if (int(node[-1]) + 1) * q**width < PACKED_KEY_LIMIT:
-        # the node index, then the row's base-q digits
-        key = node.astype(np.int64)
-        for c in range(width):
-            key *= q
-            key += rows[:, c]
-        order = np.argsort(key)
-        key = key[order]
-        new[1:] = key[1:] != key[:-1]
-    else:
-        order = np.lexsort((*rows.T[::-1], node))
-        srt = rows[order]
-        new[1:] = (srt[1:] != srt[:-1]).any(axis=1) | (node[order][1:] != node[order][:-1])
+    order = np.lexsort((*rows.T[::-1], node))
+    srt, owner = rows[order], node[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1) | (owner[1:] != owner[:-1])
     run = np.cumsum(new)
     run -= 1
-    sizes = np.empty(T, dtype=np.intp)
+    sizes = np.empty(len(rows), dtype=np.intp)
     sizes[order] = np.bincount(run)[run]
     return sizes
 
@@ -268,7 +256,7 @@ def _counts(field, level: _Level) -> np.ndarray:
     node = np.repeat(np.arange(len(level.base)), np.diff(level.start))
     lead = _leads(R)
     zero = lead == 0
-    sizes = _class_sizes(lookup(t.mul, t.inv[lead][:, None], R), node, field.order)
+    sizes = _class_sizes(lookup(t.mul, t.inv[lead][:, None], R), node)
     sizes[zero] = 0
     sizes += (level.base + np.add.reduceat(zero, level.start[:-1], dtype=np.intp))[node]
     return sizes

@@ -227,20 +227,15 @@ def test_kernel_degenerate_subsets():
     assert max_in_s_space(Y, 3)[0] == brute_max(Y, 3)
 
 
-def pg_8_256_set():
-    """Seven points of PG(8, 256) holding two collinear triples."""
+def test_kernel_in_pg_8_256():
+    # wide residues over a large field: two collinear triples among seven points
     field = make_field(2, 8)
     rng = Prng(5)
     base = [tuple(rng.below(256) for _ in range(9)) for _ in range(4)]
     combos = [tuple(field.add(a, field.mul(c, b)) for a, b in zip(base[0], base[1]))
               for c in (3, 200)]
     combos.append(tuple(field.add(a, field.mul(7, b)) for a, b in zip(base[2], base[3])))
-    return PointSet.from_rows(field, 8, [normalize(field, v) for v in base + combos])
-
-
-def test_kernel_in_pg_8_256():
-    # wide residues over a large field: 256^7 keys do not pack into an int64
-    X = pg_8_256_set()
+    X = PointSet.from_rows(field, 8, [normalize(field, v) for v in base + combos])
     for s in (0, 1, 2):
         assert max_in_s_space(X, s)[0] == brute_max(X, s)
         for limit in range(1, 5):
@@ -249,38 +244,15 @@ def test_kernel_in_pg_8_256():
 
 
 # ---------------------------------------------------------------------------
-# The walk's grouping paths, its workspace and is_proper's scans.
+# The walk's grouping, its workspace and is_proper's scans.
 
-def scan_results(X, s):
-    count, w = max_in_s_space(X, s)
-    return count, w, [find_violation(X, s, limit) for limit in range(count + 1)]
-
-
-def test_class_sizes_packed_and_lexsort_agree(monkeypatch):
+def test_class_sizes_counts_equal_rows_of_each_prefix():
     rng = Prng(3)
     rows = np.array([[rng.below(3) for _ in range(3)] for _ in range(120)], dtype=np.uint8)
     node = np.repeat(np.arange(4), 30)
     expect = [sum(int(node[k] == node[i]) * int((rows[k] == rows[i]).all()) for k in range(120))
               for i in range(120)]
-    packed = verifier._class_sizes(rows, node, 3)
-    monkeypatch.setattr(verifier, "PACKED_KEY_LIMIT", 0)
-    assert packed.tolist() == verifier._class_sizes(rows, node, 3).tolist() == expect
-
-
-def test_scans_agree_with_keys_packed_and_lexsorted(monkeypatch):
-    line = [(0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 1, 1, 0, 0)]
-    planar = PointSet.from_rows(F2, 4, line + [(0, 0, 0, 0, 1), (1, 0, 0, 0, 0),
-                                               (1, 1, 1, 1, 1)])
-    cases = [(elliptic_ovoid(make_field(2, 2)), 1), (graph_curve_for_prime_power(3), 2),
-             (rational_normal_curve(4, F5), 2), (planar, 3), (monomial_curve(3, F5), 0)]
-    packed = [scan_results(X, s) for X, s in cases]
-    lexsorts = []
-    real_lexsort = np.lexsort
-    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or real_lexsort(keys))
-    scan_results(pg_8_256_set(), 1)
-    assert lexsorts  # the fallback is the only path that fits PG(8, 256)
-    monkeypatch.setattr(verifier, "PACKED_KEY_LIMIT", 0)
-    assert [scan_results(X, s) for X, s in cases] == packed
+    assert verifier._class_sizes(rows, node).tolist() == expect
 
 
 def traced_peak(X, r, s):
