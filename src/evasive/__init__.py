@@ -33,11 +33,8 @@ from .gf import FieldSpec, make_extension, make_field
 from .jsonio import pointset_from_json_bytes, pointset_to_json_bytes
 from .projgeom import (
     PointSet,
-    SubspaceBasis,
     all_points,
     count_points,
-    embed_copy,
-    field_reduction_spread,
     gaussian_binomial,
     normalize,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "ParameterError",
     "PointSet",
     "Prng",
-    "SubspaceBasis",
     "ViolationWitness",
     "all_points",
     "best_upper_bound",
@@ -81,9 +77,7 @@ __all__ = [
     "count_points",
     "cubic_92_construction",
     "elliptic_ovoid",
-    "embed_copy",
     "exponent_table",
-    "field_reduction_spread",
     "find_violation",
     "gaussian_binomial",
     "graph_curve_32",

@@ -8,6 +8,9 @@ encodings: products and powers go through the field's discrete logs
 (``gf.array_mul``), sums through ``gf.array_add``, and the rows go to
 ``PointSet.from_rows``.  No q x q table is built, so these work above
 ``TABLE_LIMIT``; each family checks its budget before it allocates.
+Products run one array pass through the base field's tables: every spread
+element at once (``projgeom.spread_bases``), then every copy of the small
+factor in N lookup steps.
 """
 
 from __future__ import annotations
@@ -19,14 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import array_add, array_mul, factor_prime_power, make_field
-from .projgeom import (
-    DEFAULT_BUDGET,
-    PointSet,
-    all_points,
-    field_reduction_spread,
-    embed_copy,
-)
+from .gf import array_add, array_mul, factor_prime_power, lookup, make_field
+from .projgeom import DEFAULT_BUDGET, PointSet, all_points, spread_bases
 from .verifier import is_proper, is_rs_set
 
 
@@ -262,10 +259,19 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
                 f"holds {witness.count} points"
             )
     M = Y.n + 1
-    if len(X) * len(Y) * N * M > budget:
+    # the product's N*M coordinates per point, or the N x N*M spread bases
+    # per point of Y, whichever is larger
+    if len(Y) * N * M * max(len(X), N) > budget:
         raise BudgetExceeded(f"product would hold {len(X) * len(Y)} points of PG({N * M - 1}, q)")
-    copies = [embed_copy(X, field_reduction_spread(y, ext)).array for y in Y]
-    Z = PointSet.from_rows(X.field, N * M - 1, np.reshape(copies, (-1, N * M)))
+    # the copy of X in y's element sends c to c . rows; the rows are in RREF,
+    # so c's leading 1 lands on a pivot column with zeros before it
+    rows = spread_bases(Y)[:, None]  # (|Y|, 1, N, N*M)
+    coords = X.array.T[:, :, None]   # (N, |X|, 1)
+    t = X.field.tables()
+    images = lookup(t.mul, coords[0], rows[:, :, 0])
+    for i in range(1, N):
+        images = lookup(t.add, images, lookup(t.mul, coords[i], rows[:, :, i]))
+    Z = PointSet.from_rows(X.field, N * M - 1, images.reshape(-1, N * M))
     if len(Z) != len(X) * len(Y):
         raise RuntimeError("product size is not multiplicative; spread embedding collapsed")
     return Z

@@ -474,12 +474,6 @@ class FieldSpec(_TableMixin):
 
     # -- coordinate maps -----------------------------------------------------
 
-    def embed(self, a: int) -> int:
-        """Base field element as a constant of this field (same encoding)."""
-        if self.base is None or not 0 <= a < self.base.order:
-            raise ParameterError(f"{a} is not a base field encoding")
-        return a
-
     def coords(self, x: int) -> tuple[int, ...]:
         """Power-basis coordinates of x over the base, constant term first."""
         q = self._q

@@ -14,20 +14,20 @@ Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
 Two subspaces are equal iff their RREF rows are equal, so the basis doubles
 as a canonical form.  Every rank, RREF and span test here runs
-linalg.batch_rref on a batch of one matrix, so it needs the field's tables
-(orders up to gf.TABLE_LIMIT); input vectors are checked for shape and
-encoding range before they are eliminated.
+linalg.batch_rref on a batch of one matrix, and spread_bases runs it once
+on one matrix per point, so they need the field's tables (orders up to
+gf.TABLE_LIMIT); input vectors are checked for shape and encoding range
+before they are eliminated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import FieldSpec, array_add, array_mul
+from .gf import lookup
 from . import linalg
 
 DEFAULT_BUDGET = 10**8
@@ -115,28 +115,6 @@ def rref(field, vectors):
     ranks, pivots = linalg.batch_rref(field, mat[None])
     r = int(ranks[0])
     return tuple(map(tuple, mat[:r].tolist())), tuple(pivots[0, :r].tolist())
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Canonical (RREF) basis of a projective subspace of PG(n, field)."""
-
-    field: object
-    n: int
-    rows: tuple[ProjPoint, ...]
-    pivots: tuple[int, ...]
-
-    @classmethod
-    def from_vectors(cls, field, n: int, vectors) -> "SubspaceBasis":
-        rows, pivots = rref(field, _matrix(field, vectors, n + 1))
-        if not rows:
-            raise ParameterError("subspace needs at least one nonzero vector")
-        return cls(field=field, n=n, rows=rows, pivots=pivots)
-
-    @property
-    def dim(self) -> int:
-        """Projective dimension (rank - 1)."""
-        return len(self.rows) - 1
 
 
 class PointSet:
@@ -238,48 +216,37 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     return num // den
 
 
-def field_reduction_spread(point, ext: FieldSpec) -> SubspaceBasis:
-    """The spread element of a point of PG(M-1, q^N) under field reduction.
+def spread_bases(Y: PointSet) -> np.ndarray:
+    """The spread element of every point of Y under field reduction, in RREF.
 
-    Expanding each GF(q^N) coordinate into N base-field coordinates maps a
-    projective point y to the GF(q)-row space of {beta^i * y : 0 <= i < N},
-    an (N-1)-dimensional subspace of PG(NM-1, q).  Distinct points map to
-    disjoint subspaces and the union covers the whole space.
+    Y lives in PG(M-1, q^N) over ext = base[X]/(f).  Expanding each
+    coordinate into its N base-q digits maps a point y to the GF(q)-row
+    space of {beta^i * y : 0 <= i < N}, an (N-1)-space of PG(NM-1, q).
+    Distinct points map to disjoint spaces, and their union is the whole
+    space.  Returns a (|Y|, N, N*M) array in the base tables' dtype whose
+    j-th matrix holds the canonical RREF rows of y_j's element; the digits
+    of coordinate c fill columns c*N to c*N + N - 1.  Each beta^i * y comes
+    from beta^(i-1) * y by shifting the digits up one place and adding the
+    top digit times -f, through the base field's tables, so no discrete
+    logs of ext are needed.  Refuses a zero row of Y, whose matrix has
+    rank 0.
     """
-    point = tuple(point)
-    M = len(point)
+    ext = Y.field
     base = ext.base
-    rows = []
-    scale = 1
-    for _ in range(ext.N):
-        vec = []
-        for c in point:
-            vec.extend(ext.coords(ext.mul(scale, c)))
-        rows.append(vec)
-        scale = ext.mul(scale, ext.beta)
-    basis = SubspaceBasis.from_vectors(base, ext.N * M - 1, rows)
-    if basis.dim != ext.N - 1:
+    if base is None:
+        raise ParameterError(f"field reduction needs an extension field, got {ext!r}")
+    N, M = ext.N, Y.n + 1
+    t = base.tables()
+    q = base.order
+    mats = np.empty((len(Y), N, M, N), dtype=t.add.dtype)
+    mats[:, 0] = Y.array[:, :, None] // q ** np.arange(N) % q
+    wrap = t.neg[list(ext.modulus[:N])]  # X^N = -(f_0 + f_1 X + ... + f_(N-1) X^(N-1))
+    for i in range(1, N):
+        prev = mats[:, i - 1]
+        mats[:, i] = lookup(t.mul, prev[..., -1:], wrap)
+        mats[:, i, :, 1:] = lookup(t.add, mats[:, i, :, 1:], prev[..., :-1])
+    mats = mats.reshape(len(Y), N, N * M)
+    ranks, _ = linalg.batch_rref(base, mats)
+    if (ranks < N).any():
         raise ParameterError("spread element has wrong dimension; input was not a point")
-    return basis
-
-
-def embed_copy(X: PointSet, spread_element: SubspaceBasis) -> PointSet:
-    """Copy X into a spread element via the basis-row linear injection.
-
-    c maps to c · rows; as the rows are in RREF, c's leading 1 lands on a
-    pivot column with zeros before it, so every image is normalized.
-    """
-    rows = np.asarray(spread_element.rows, dtype=np.int64)
-    if X.n + 1 != len(rows):
-        raise ParameterError(
-            f"need a point set of PG({len(rows) - 1}, q) to embed into a "
-            f"{len(rows) - 1}-row spread element, got PG({X.n}, q)"
-        )
-    field = spread_element.field
-    images = np.zeros((len(X), rows.shape[1]), dtype=np.int64)
-    for coords, row in zip(X.array.T, rows):
-        images = array_add(field, images, array_mul(field, coords[:, None], row))
-    result = PointSet.from_rows(field, spread_element.n, images)
-    if len(result) != len(X):
-        raise RuntimeError("embedding collapsed points; basis rows not independent")
-    return result
+    return mats

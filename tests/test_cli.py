@@ -279,6 +279,11 @@ PINNED_FILES = [
                   "--x-c", "3", "--y-kind", "rnc", "--y-c", "3"],
                  "0249ec348ed9044d3c02157fa024659a4870f318b79609cdbb96af0549c51178",
                  id="product-51"),
+    # over the tower GF(4)^4; pinned from the per-point scalar spread code
+    pytest.param(["product", "--q", "4", "--r", "2", "--s", "1", "--x-kind", "ovoid",
+                  "--y-kind", "rnc", "--y-c", "2", "--no-verify"],
+                 "15e1fb9ac868f2fdf14da68a38f17b7e62da49e756cf0485658aeff187d15676",
+                 id="product-4369-tower"),
 ]
 
 

@@ -21,7 +21,7 @@ from evasive.constructions import (
     trimmed_incidence_graph,
 )
 from evasive.constructions import _smallest_irreducible_binary_quadratic
-from evasive.errors import ParameterError
+from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import FieldSpec, make_extension, make_field
 from evasive.projgeom import PointSet, rank
 from evasive.verifier import is_proper, is_rs_set, max_in_s_space
@@ -241,6 +241,20 @@ def test_product_validate_false_skips_checks():
     assert len(Z) == len(bad) * len(Y)
 
 
+def test_product_budget_covers_points_and_spread_bases():
+    base = make_field(2, 1)
+    Y = rational_normal_curve(2, make_extension(base, 4))  # 17 points, M = 3
+    X = elliptic_ovoid(base)                               # 5 points, N = 4
+    with pytest.raises(BudgetExceeded):
+        product_construction(X, 2, Y, 1, budget=5 * 17 * 4 * 3 - 1)
+    assert len(product_construction(X, 2, Y, 1, budget=5 * 17 * 4 * 3)) == 85
+    # one point of X, but four rows of twelve entries per spread basis
+    e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
+    with pytest.raises(BudgetExceeded):
+        product_construction(e0, 2, Y, 1, validate=False, budget=17 * 4 * 4 * 3 - 1)
+    assert len(product_construction(e0, 2, Y, 1, validate=False, budget=17 * 4 * 4 * 3)) == 17
+
+
 def test_product_recipes_frozen():
     caps = product_recipe("caps", 2)
     assert (caps.n, caps.r, caps.s) == (15, 2, 1)
@@ -379,3 +393,22 @@ def test_families_make_no_per_point_scalar_calls(monkeypatch):
     assert len(elliptic_ovoid(field)) == 128 * 128 + 1
     assert len(monomial_curve(3, field)) == 127 * 127
     assert calls <= 4 * field.order
+
+
+def test_products_make_no_per_point_scalar_calls(monkeypatch):
+    # the pinned q=4 product, 257 copies of a 17-point ovoid; X is over a
+    # fresh GF(4), so that building its tables falls inside the count
+    base = FieldSpec(make_field(2, 1), 2, make_field(2, 2).modulus)
+    X = elliptic_ovoid(base)
+    Y = rational_normal_curve(2, make_extension(make_field(2, 2), 4))
+    calls = 0
+    scalar_mul = FieldSpec.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return scalar_mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "mul", counting_mul)
+    assert len(product_construction(X, 2, Y, 1)) == 17 * 257
+    assert calls <= 4 * base.order

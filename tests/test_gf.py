@@ -183,29 +183,28 @@ def test_pow_table_matches_scalar_pow():
     (2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3),
     (5, 1, 2), (7, 1, 2), (2, 3, 2), (13, 1, 2), (2, 4, 3),
 ])
-def test_embed_is_ring_homomorphism(p, k, N):
+def test_base_encodings_are_constants_of_extension(p, k, N):
+    # the encoding contract: a base element keeps its encoding in the extension
     base = make_field(p, k)
     ext = make_extension(base, N)
     for a in base.elements():
+        assert ext.coords(a) == (a,) + (0,) * (N - 1)
         for b in base.elements():
-            assert ext.add(ext.embed(a), ext.embed(b)) == ext.embed(base.add(a, b))
-            assert ext.mul(ext.embed(a), ext.embed(b)) == ext.embed(base.mul(a, b))
-    # injective by construction (encoding unchanged)
-    assert ext.embed(0) == 0 and ext.embed(1) == 1
-    with pytest.raises(ParameterError):
-        ext.embed(base.order)
+            assert ext.add(a, b) == base.add(a, b)
+            assert ext.mul(a, b) == base.mul(a, b)
+    # the first encoding past the base is beta, not a constant
+    assert ext.coords(base.order) == (0, 1) + (0,) * (N - 2)
 
 
 def test_extension_power_basis_coordinates():
     ext = make_extension(make_field(2, 1), 2)
     assert ext.coords(ext.beta) == (0, 1)
     ext9 = make_extension(make_field(3, 1), 2)
-    assert ext9.coords(ext9.embed(2)) == (2, 0)
+    assert ext9.coords(2) == (2, 0)
     # beta satisfies the extension modulus: beta^2 + c1 beta + c0 = 0
     c0, c1, _ = ext9.modulus
     beta = ext9.beta
-    lhs = ext9.add(ext9.mul(beta, beta),
-                   ext9.add(ext9.mul(ext9.embed(c1), beta), ext9.embed(c0)))
+    lhs = ext9.add(ext9.mul(beta, beta), ext9.add(ext9.mul(c1, beta), c0))
     assert lhs == 0
 
 
@@ -213,7 +212,7 @@ def test_identity_extension_is_degenerate():
     base = make_field(2, 1)
     ext = make_extension(base, 1)
     assert ext.order == 2 and ext.beta == 1
-    assert [ext.embed(a) for a in base.elements()] == [0, 1]
+    assert [ext.coords(a) for a in base.elements()] == [(0,), (1,)]
 
 
 def test_tower_arithmetic_agrees_with_flat_field():

@@ -6,22 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from evasive.constructions import elliptic_ovoid, rational_normal_curve
+from evasive.constructions import elliptic_ovoid, product_construction, rational_normal_curve
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_extension, make_field
 from evasive.projgeom import (
     PointSet,
-    SubspaceBasis,
     all_points,
     count_points,
-    embed_copy,
-    field_reduction_spread,
     gaussian_binomial,
     normalize,
     rank,
     rref,
     span_count,
     span_mask,
+    spread_bases,
 )
 from evasive.randomized import Prng
 from evasive.verifier import _scalar_rref
@@ -136,23 +134,21 @@ def test_gaussian_binomial_recurrence_and_q1_limit():
 
 
 def test_lines_of_pg32_enumerated():
-    # 35 distinct lines, counted through canonical SubspaceBasis forms
+    # 35 distinct lines, counted through their canonical RREF rows
     field = make_field(2, 1)
     pts = list(all_points(3, field))
-    lines = {SubspaceBasis.from_vectors(field, 3, pair)
-             for pair in itertools.combinations(pts, 2)}
+    lines = {rref(field, pair) for pair in itertools.combinations(pts, 2)}
     assert len(lines) == gaussian_binomial(4, 2, 2) == 35
 
 
-def test_subspace_basis_contains_and_dim():
+def test_rref_span_contains_and_dim():
     field = make_field(3, 1)
-    basis = SubspaceBasis.from_vectors(field, 2, [(1, 0, 1), (0, 1, 1)])
-    assert basis.dim == 1
+    rows, pivots = rref(field, [(1, 0, 1), (0, 1, 1)])
+    assert len(rows) - 1 == 1 and pivots == (0, 1)  # a line
     X = PointSet.from_rows(field, 2, [(1, 0, 0), (1, 1, 2)])
-    assert span_mask(basis.rows, X).tolist() == [False, True]
+    assert span_mask(rows, X).tolist() == [False, True]
     # canonical form ignores generator order and scaling
-    same = SubspaceBasis.from_vectors(field, 2, [(0, 2, 2), (1, 1, 2)])
-    assert basis == same
+    assert rref(field, [(0, 2, 2), (1, 1, 2)]) == (rows, pivots)
 
 
 def test_span_count_examples():
@@ -184,51 +180,87 @@ def test_pointset_construction_and_queries():
     assert X != PointSet(field, 2, np.array([[0, 0, 1]], dtype=np.int64))
 
 
-@pytest.mark.parametrize("p,k,N", [(2, 1, 2), (3, 1, 2)])
+def scalar_spread(point, ext):
+    """The rows beta^i * y, 0 <= i < N, by per-element field calls, reduced
+    by the oracle's scalar Gauss-Jordan."""
+    rows, scale = [], 1
+    for _ in range(ext.N):
+        rows.append([d for c in point for d in ext.coords(ext.mul(scale, c))])
+        scale = ext.mul(scale, ext.beta)
+    return _scalar_rref(ext.base, rows)[0]
+
+
+def projective_line(ext):
+    return PointSet.from_rows(ext, 1, list(all_points(1, ext)))
+
+
+@pytest.mark.parametrize("p,k,N", [
+    (2, 1, 2), (3, 1, 2), (2, 2, 3), (2, 2, 4), (2, 3, 4), (3, 1, 4), (5, 1, 3), (2, 1, 4),
+])
+def test_spread_bases_match_scalar_reference(p, k, N):
+    ext = make_extension(make_field(p, k), N)
+    Y = projective_line(ext)
+    bases = spread_bases(Y)
+    assert bases.shape == (len(Y), N, 2 * N)
+    for point, rows in zip(Y.points, bases.tolist()):
+        assert tuple(map(tuple, rows)) == scalar_spread(point, ext)
+
+
+@pytest.mark.parametrize("p,k,N", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
 def test_spread_partitions_space(p, k, N):
     # PG(1, q^2) -> q^2+1 pairwise disjoint lines covering PG(3, q)
     base = make_field(p, k)
-    ext = make_extension(base, N)
-    elements = [field_reduction_spread(pt, ext) for pt in all_points(1, ext)]
+    bases = spread_bases(projective_line(make_extension(base, N)))
     q = base.order
-    assert len(elements) == q**2 + 1
-    seen = set()
+    assert len(bases) == q**2 + 1
     space = PointSet.from_rows(base, 2 * N - 1, list(all_points(2 * N - 1, base)))
-    for el in elements:
-        assert el.dim == N - 1
-        pts = space.array[span_mask(el.rows, space)]
-        pts = list(map(tuple, pts.tolist()))
-        assert len(pts) == q + 1
-        assert not seen & set(pts)
-        seen.update(pts)
-    assert len(seen) == count_points(2 * N - 1, q)
+    seen = np.zeros(len(space), dtype=bool)
+    for rows in bases:
+        assert rank(base, rows) == N
+        mask = span_mask(rows, space)
+        assert mask.sum() == q + 1
+        assert not (seen & mask).any()
+        seen |= mask
+    assert seen.all()
 
 
 def test_spread_degenerate_shapes():
     base = make_field(2, 1)
     # M = 1: the single point of PG(0, q^N) fills all of PG(N-1, q)
     ext = make_extension(base, 3)
-    el = field_reduction_spread((1,), ext)
-    assert el.dim == 2
+    assert spread_bases(PointSet.from_rows(ext, 0, [(1,)])).tolist() == [np.eye(3).tolist()]
     # N = 1: points map to themselves
     ident = make_extension(base, 1)
-    el = field_reduction_spread((1, 0, 1), ident)
-    assert el.dim == 0 and el.rows == ((1, 0, 1),)
+    assert spread_bases(PointSet.from_rows(ident, 2, [(1, 0, 1)])).tolist() == [[[1, 0, 1]]]
+    # no points, no elements
+    empty = PointSet.from_rows(ext, 1, np.zeros((0, 2), dtype=np.int64))
+    assert spread_bases(empty).shape == (0, 3, 6)
 
 
-def test_embed_copy_shapes_and_membership():
+def test_spread_bases_refuse_zero_rows_and_prime_fields():
+    ext = make_extension(make_field(3, 1), 2)
+    # the trusted constructor lets a zero row through; its rows have rank 0
+    zero = PointSet(ext, 1, np.array([[0, 0], [1, 4]], dtype=np.int64))
+    with pytest.raises(ParameterError, match="not a point"):
+        spread_bases(zero)
+    with pytest.raises(ParameterError, match="extension field"):
+        spread_bases(PointSet.from_rows(make_field(3, 1), 1, [(1, 2)]))
+
+
+def test_product_copies_fill_their_spread_elements():
     base = make_field(2, 1)
     ext = make_extension(base, 4)
-    spread_el = field_reduction_spread((1, 3), ext)  # a 3-space of PG(7,2)
+    Y = PointSet.from_rows(ext, 1, [(1, 3)])
+    rows = spread_bases(Y)[0]  # a 3-space of PG(7, 2)
     ovoid = elliptic_ovoid(base)
-    copy = embed_copy(ovoid, spread_el)
+    copy = product_construction(ovoid, 2, Y, 1, validate=False)
     assert len(copy) == len(ovoid)
     assert copy.n == 7
-    assert span_mask(spread_el.rows, copy).all()
+    assert span_mask(rows, copy).all()
     # the first unit vector lands on the first basis row
     e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
-    img = embed_copy(e0, spread_el)
-    assert img.points == (spread_el.rows[0],)
+    img = product_construction(e0, 2, Y, 1, validate=False)
+    assert img.array.tolist() == [rows[0].tolist()]
 
 
 @pytest.mark.parametrize("field", [make_field(2, 8), make_field(257, 1)], ids=repr)
@@ -243,24 +275,29 @@ def test_rref_rank_and_basis_match_scalar_reference(field):
             rows[0] = (255,) + rows[0][1:]
             cases.append(rows)
             cases.append(rows + [rows[0]])  # rank-deficient
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     for rows in cases:
         ref = _scalar_rref(field, rows)
         assert rref(field, rows) == ref
         assert rank(field, rows) == len(ref[0])
+        X = PointSet.from_rows(field, 3, [normalize(field, v) for v in rows + units if any(v)])
         if ref[0]:
-            basis = SubspaceBasis.from_vectors(field, 3, rows)
-            assert (basis.rows, basis.pivots) == ref
+            inside = [pt for pt in X.points
+                      if len(_scalar_rref(field, (*ref[0], pt))[0]) == len(ref[0])]
+            assert X.array[span_mask(rows, X)].tolist() == [list(pt) for pt in inside]
         else:
             with pytest.raises(ParameterError):
-                SubspaceBasis.from_vectors(field, 3, rows)
+                span_mask(rows, X)
     assert rank(field, []) == 0 and rref(field, []) == ((), ())
 
 
 def test_elimination_refused_above_table_limit():
     field = make_field(2, 13)  # 8192 > TABLE_LIMIT
     rows = [(1, 0, 0), (0, 1, 8191)]
+    X = PointSet.from_rows(field, 2, [(0, 0, 1)])
+    Y = PointSet.from_rows(make_extension(field, 2), 0, [(1,)])
     for call in (lambda: rref(field, rows), lambda: rank(field, rows),
-                 lambda: SubspaceBasis.from_vectors(field, 2, rows)):
+                 lambda: span_mask(rows, X), lambda: spread_bases(Y)):
         with pytest.raises(ParameterError, match="TABLE_LIMIT"):
             call()
 
@@ -272,13 +309,12 @@ def test_malformed_vectors_refused_before_elimination():
         "out of range": [(0, 5, 0)],
         "negative": [(1, -1, 0)],
     }
+    plane = PointSet.from_rows(F3, 2, [(0, 0, 1)])
     for rows in bad.values():
         for call in (lambda: rref(F3, rows), lambda: rank(F3, rows),
-                     lambda: SubspaceBasis.from_vectors(F3, 2, rows)):
+                     lambda: span_mask(rows, plane)):
             with pytest.raises(ParameterError):
                 call()
-    with pytest.raises(ParameterError):
-        SubspaceBasis.from_vectors(F3, 3, [(1, 0, 0)])  # wrong width
     with pytest.raises(ParameterError):
         PointSet.from_rows(F3, 2, bad["ragged"])
     X = PointSet.from_rows(F3, 3, [(0, 0, 0, 1), (1, 0, 0, 0)])
