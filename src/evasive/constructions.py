@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
 from .gf import array_add, array_mul, factor_prime_power, lookup, make_field
-from .projgeom import DEFAULT_BUDGET, PointSet, all_points, spread_bases
+from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, spread_bases
 from .verifier import is_proper, is_rs_set
 
 
@@ -164,29 +164,21 @@ def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
     points and lines are labeled 0..q0^2-1 in sorted coordinate order.
     """
     field = field_of_order(q0)
-    pts = list(all_points(2, field))
-    lines = pts  # a line is the coefficient triple of a*x + b*y + c*z = 0
-
-    def incident(point, line):
-        acc = 0
-        for u, v in zip(point, line):
-            acc = field.add(acc, field.mul(u, v))
-        return acc == 0
-
-    line0 = lines[0]
-    on_line0 = [p for p in pts if incident(p, line0)]
-    p0 = on_line0[0]
-    keep_pts = [p for p in pts if not incident(p, line0)]
-    keep_lines = [l for l in lines if not incident(p0, l)]
-    assert len(keep_pts) == q0 * q0 and len(keep_lines) == q0 * q0
-    edges = [
-        (i, j)
-        for i, p in enumerate(keep_pts)
-        for j, l in enumerate(keep_lines)
-        if incident(p, l)
-    ]
-    assert len(edges) == q0**3
-    return BipartiteGraph.from_edges(q0 * q0, edges)
+    pts = _points_array(field, 2, DEFAULT_BUDGET)
+    # L is z = 0, the first row, and its smallest point is (0, 1, 0): the
+    # kept points have z != 0 and the kept lines (a, b, c) have b != 0
+    keep_pts, keep_lines = pts[pts[:, 2] != 0], pts[pts[:, 1] != 0]
+    # line j meets z = 1 in the q0 points (x, -(a x + c)/b, 1)
+    a, b, c = keep_lines.T[:, :, None]
+    x = np.arange(q0)
+    y = array_mul(field, field.p - 1, array_add(field, array_mul(field, a, x), c))
+    y = array_mul(field, y, b, -1)
+    # scaled to a leading 1 by the inverse of x, else of y, else of z = 1
+    w = array_mul(field, 1, np.where(x != 0, x, np.where(y != 0, y, 1)), -1)
+    key = (array_mul(field, x, w) * q0 + array_mul(field, y, w)) * q0 + w
+    i = np.searchsorted((keep_pts[:, 0] * q0 + keep_pts[:, 1]) * q0 + keep_pts[:, 2], key)
+    j = np.broadcast_to(np.arange(q0 * q0)[:, None], i.shape)
+    return BipartiteGraph.from_edges(q0 * q0, zip(i.ravel().tolist(), j.ravel().tolist()))
 
 
 def graph_curve_32(graph: BipartiteGraph, field, require_c4_free: bool = False,
@@ -219,6 +211,8 @@ def graph_curve_32(graph: BipartiteGraph, field, require_c4_free: bool = False,
 def graph_curve_for_prime_power(q0: int, budget: int = DEFAULT_BUDGET) -> PointSet:
     """The q0^3-point (3, 2)-set in PG(6, q0^2) built on the trimmed graph."""
     p, k = factor_prime_power(q0)
+    if q0**3 > budget:
+        raise BudgetExceeded(f"{q0**3} edges exceed budget {budget}")
     field = make_field(p, 2 * k)
     return graph_curve_32(trimmed_incidence_graph(q0), field, budget=budget)
 

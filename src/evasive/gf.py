@@ -54,7 +54,6 @@ from .errors import ParameterError
 
 ORDER_LIMIT = 2**64  # field orders must fit in 64 bits
 TABLE_LIMIT = 4096   # largest order we materialize lookup tables for
-POW_TABLE_MAX = 3    # largest exponent kept in the pow table
 _MUL_BLOCK_CELLS = 2**16  # cells of the mul table filled per step
 
 
@@ -65,7 +64,6 @@ class FieldTables(NamedTuple):
     mul: np.ndarray   # (q, q)  mul[a, b] = a * b
     neg: np.ndarray   # (q,)    neg[a] = -a
     inv: np.ndarray   # (q,)    inv[a] = a**-1, with inv[0] = 0 as a sentinel
-    pow: np.ndarray   # (q, POW_TABLE_MAX + 1)  pow[a, e] = a**e, 0**0 = 1
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -274,8 +272,7 @@ def _build_tables(F) -> FieldTables:
     a = np.arange(q)
     neg = array_mul(F, p - 1, a).astype(dtype)  # the encoding p - 1 is -1 in every field
     inv = array_mul(F, 1, a, -1).astype(dtype)
-    powt = array_mul(F, 1, a[:, None], np.arange(POW_TABLE_MAX + 1)).astype(dtype)
-    out = FieldTables(add=add, mul=mul, neg=neg, inv=inv, pow=powt)
+    out = FieldTables(add=add, mul=mul, neg=neg, inv=inv)
     for table in out:
         table.setflags(write=False)
     return out

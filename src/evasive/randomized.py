@@ -113,8 +113,8 @@ class HomogeneousForm:
         for exps, c in sorted(self.coefficients.items()):
             term = np.full(len(vectors), c, dtype=t.add.dtype)
             for i, e in enumerate(exps):
-                if e:
-                    term = lookup(t.mul, term, lookup(t.pow, vectors[:, i], e))
+                for _ in range(e):
+                    term = lookup(t.mul, term, vectors[:, i])
             acc = lookup(t.add, acc, term)
         return acc
 

@@ -72,8 +72,8 @@ Children are built in batches of contiguous lex order.  A batch is sized
 by the bytes its residues take, intp index temporaries included, up to
 WORKSPACE_BYTES; the first batch of a scan is one prefix, and the size
 doubles from there, so a scan that stops at its first subset pays for
-little more than that subset.  Rows are gathered as one void item each,
-and every table lookup is a 1-D one (gf.lookup).
+little more than that subset.  Rows are gathered with np.take along axis
+0, and every table lookup is a 1-D one (gf.lookup).
 """
 
 from __future__ import annotations
@@ -151,12 +151,6 @@ def _subset(level: _Level, row: int, N: int) -> tuple:
     return (*level.prefix[k].tolist(), row + N - int(level.start[k + 1]))
 
 
-def _take_rows(R: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """R[idx] for a C-contiguous 2-D R, gathering each row as one item."""
-    items = R.view(np.dtype((np.void, R.shape[1] * R.itemsize)))
-    return np.take(items.ravel(), idx).view(R.dtype).reshape(len(idx), R.shape[1])
-
-
 def _leads(R: np.ndarray) -> np.ndarray:
     """The first nonzero entry of each row of R, 0 for a zero row."""
     lead = R[:, -1].copy()
@@ -184,7 +178,7 @@ def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
     np.cumsum(L, out=start[1:])
     src = np.repeat(a + 1 - start[:-1], L)
     src += np.arange(len(src))
-    S = _take_rows(R, src)
+    S = np.take(R, src, axis=0)
     del src
     cols = np.repeat(col, L)
     at = np.arange(0, S.size, width)

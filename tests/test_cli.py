@@ -178,6 +178,20 @@ def test_construct_budget_bounds_the_family(args, no_verify, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_construct_graph32_budget_refuses_before_the_graph(tmp_path, capsys, monkeypatch):
+    # q0^3 edges are bounded before the incidence graph is built
+    def no_graph(q0):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr("evasive.constructions.trimmed_incidence_graph", no_graph)
+    out = tmp_path / "g.json"
+    code, stdout, stderr = run(capsys, "construct", "graph32", "--q0", "32",
+                               "--budget", "100", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "32768 edges exceed budget 100" in stderr
+    assert not out.exists()
+
+
 RANDOMIZED_ARGS = {
     "cubics": ["--q", "3", "--seed", "1"],
     "quadrics": ["--m", "2", "--q", "5", "--seed", "7"],
@@ -284,6 +298,13 @@ PINNED_FILES = [
                   "--y-kind", "rnc", "--y-c", "2", "--no-verify"],
                  "15e1fb9ac868f2fdf14da68a38f17b7e62da49e756cf0485658aeff187d15676",
                  id="product-4369-tower"),
+    # pinned from the scalar point-line incidence scan
+    *(pytest.param(["graph32", "--q0", str(q0), "--no-verify"], sha256, id=f"graph32-q0-{q0}")
+      for q0, sha256 in [
+          (5, "dc0f55b454e32fa14c09f02736d6b8c64ff9ec556b3b889fcc59c8c84cf3214b"),
+          (8, "a6c327e46d62014f21aa63529d8e752d501f185ae4ab30ffffac52bb02594483"),
+          (9, "f667f48e24bd5250eab9a84a30bcc487be5b5aac16c9802a798a04d47c6057bb"),
+      ]),
 ]
 
 

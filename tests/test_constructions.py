@@ -23,7 +23,7 @@ from evasive.constructions import (
 from evasive.constructions import _smallest_irreducible_binary_quadratic
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import FieldSpec, make_extension, make_field
-from evasive.projgeom import PointSet, rank
+from evasive.projgeom import PointSet, all_points, rank
 from evasive.verifier import is_proper, is_rs_set, max_in_s_space
 
 
@@ -117,6 +117,31 @@ def test_trimmed_incidence_graph(q0):
     for x, _ in g.edges:
         degrees[x] += 1
     assert all(d == q0 for d in degrees)
+
+
+def scalar_trimmed_graph(q0):
+    # the reference: every point-line pair of PG(2, q0) tested with scalar calls
+    field = field_of_order(q0)
+    pts = list(all_points(2, field))
+    lines = pts  # a line is the coefficient triple of a*x + b*y + c*z = 0
+
+    def incident(point, line):
+        acc = 0
+        for u, v in zip(point, line):
+            acc = field.add(acc, field.mul(u, v))
+        return acc == 0
+
+    p0 = next(p for p in pts if incident(p, lines[0]))
+    keep_pts = [p for p in pts if not incident(p, lines[0])]
+    keep_lines = [l for l in lines if not incident(p0, l)]
+    edges = [(i, j) for i, p in enumerate(keep_pts) for j, l in enumerate(keep_lines)
+             if incident(p, l)]
+    return BipartiteGraph.from_edges(q0 * q0, edges)
+
+
+@pytest.mark.parametrize("q0", [2, 3, 4, 5, 7, 8, 9])
+def test_trimmed_incidence_graph_matches_scalar_scan(q0):
+    assert trimmed_incidence_graph(q0) == scalar_trimmed_graph(q0)
 
 
 def test_complete_bipartite_has_c4():
@@ -376,11 +401,9 @@ def test_from_rows_sorts_dedupes_and_checks_rows():
         PointSet.from_rows(F3, 2, [(1, 2, 0, 0)])  # width 4 in PG(2, 3)
 
 
-def test_families_make_no_per_point_scalar_calls(monkeypatch):
-    # a fresh GF(128), equal to make_field(2, 7), so that building its
-    # discrete logs (q - 1 products) falls inside the count
-    field = FieldSpec(make_field(2, 1), 7, make_field(2, 7).modulus)
-    assert field == make_field(2, 7)
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """The number of scalar FieldSpec.mul calls the test has made so far."""
     calls = 0
     scalar_mul = FieldSpec.mul
 
@@ -390,25 +413,31 @@ def test_families_make_no_per_point_scalar_calls(monkeypatch):
         return scalar_mul(self, a, b)
 
     monkeypatch.setattr(FieldSpec, "mul", counting_mul)
+    return lambda: calls
+
+
+def test_families_make_no_per_point_scalar_calls(mul_calls):
+    # a fresh GF(128), equal to make_field(2, 7), so that building its
+    # discrete logs (q - 1 products) falls inside the count
+    field = FieldSpec(make_field(2, 1), 7, make_field(2, 7).modulus)
+    assert field == make_field(2, 7)
     assert len(elliptic_ovoid(field)) == 128 * 128 + 1
     assert len(monomial_curve(3, field)) == 127 * 127
-    assert calls <= 4 * field.order
+    assert mul_calls() <= 4 * field.order
 
 
-def test_products_make_no_per_point_scalar_calls(monkeypatch):
+def test_incidence_graph_makes_no_per_pair_scalar_calls(mul_calls):
+    # the scalar scan made about 13k calls at q0 = 8, three per pair
+    assert len(trimmed_incidence_graph(8).edges) == 8**3
+    assert mul_calls() <= 4 * 8 * 8
+
+
+def test_products_make_no_per_point_scalar_calls(mul_calls):
     # the pinned q=4 product, 257 copies of a 17-point ovoid; X is over a
     # fresh GF(4), so that building its tables falls inside the count
     base = FieldSpec(make_field(2, 1), 2, make_field(2, 2).modulus)
     X = elliptic_ovoid(base)
     Y = rational_normal_curve(2, make_extension(make_field(2, 2), 4))
-    calls = 0
-    scalar_mul = FieldSpec.mul
-
-    def counting_mul(self, a, b):
-        nonlocal calls
-        calls += 1
-        return scalar_mul(self, a, b)
-
-    monkeypatch.setattr(FieldSpec, "mul", counting_mul)
+    before = mul_calls()
     assert len(product_construction(X, 2, Y, 1)) == 17 * 257
-    assert calls <= 4 * base.order
+    assert mul_calls() - before <= 4 * base.order

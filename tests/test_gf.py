@@ -8,7 +8,6 @@ import pytest
 
 from evasive.errors import ParameterError
 from evasive.gf import (
-    POW_TABLE_MAX,
     TABLE_LIMIT,
     FieldSpec,
     _is_irreducible,
@@ -170,13 +169,14 @@ def test_frobenius_fixes_every_element(field):
         assert field.pow(a, field.order) == a
 
 
-def test_pow_table_matches_scalar_pow():
+def test_scalar_pow_matches_repeated_mul():
     field = make_field(3, 2)
-    t = field.tables()
     for a in field.elements():
+        power = 1
         for e in range(4):
-            assert t.pow[a, e] == field.pow(a, e)
-    assert t.pow[0, 0] == 1
+            assert field.pow(a, e) == power
+            power = field.mul(power, a)
+    assert field.pow(0, 0) == 1
 
 
 @pytest.mark.parametrize("p,k,N", [
@@ -342,7 +342,8 @@ def test_logs_and_array_ops_agree_with_tables(field):
     for rows in np.array_split(checked, -(-len(checked) // 256)):
         assert np.array_equal(array_mul(field, rows[:, None], a[None, :]), t.mul[rows])
         assert np.array_equal(array_add(field, rows[:, None], a[None, :]), t.add[rows])
-    assert np.array_equal(array_mul(field, 1, a[:, None], np.arange(POW_TABLE_MAX + 1)), t.pow)
+    assert array_mul(field, 1, checked[:, None], np.arange(4)).tolist() \
+        == [[field.pow(int(x), e) for e in range(4)] for x in checked]
     assert np.array_equal(array_mul(field, 1, a, -1), t.inv)
     assert np.array_equal(array_mul(field, field.p - 1, a), t.neg)
 
@@ -362,8 +363,9 @@ def test_lookup_matches_2d_index(p, k):
         assert np.array_equal(lookup(table, a[:, :1], b), table[a[:, :1], b])  # broadcast
         assert np.array_equal(lookup(table, a, b[0]), table[a, b[0]])
         assert lookup(table, q - 1, q - 1) == table[q - 1, q - 1]
-    e = rng.integers(0, POW_TABLE_MAX + 1, (50, 6))
-    assert np.array_equal(lookup(t.pow, b, e), t.pow[b, e])
+    rect = np.arange(q * 3).reshape(q, 3)  # a non-square table of distinct entries
+    e = rng.integers(0, 3, (50, 6))
+    assert np.array_equal(lookup(rect, b, e), rect[b, e])
     assert lookup(t.mul, a, b).dtype == t.mul.dtype
 
 
@@ -395,5 +397,5 @@ def test_table_build_peak_is_near_final_size(p, k):
         tracemalloc.stop()
     final = sum(table.nbytes for table in t)
     q = field.order
-    assert final == 2 * (2 * q * q + (POW_TABLE_MAX + 3) * q)  # uint16 add, mul, neg, inv, pow
+    assert final == 2 * (2 * q * q + 2 * q)  # uint16 add, mul, neg, inv
     assert peak <= 1.5 * final + 2**20
