@@ -8,9 +8,9 @@ encodings: products and powers go through the field's discrete logs
 (``gf.array_mul``), sums through ``gf.array_add``, and the rows go to
 ``PointSet.from_rows``.  No q x q table is built, so these work above
 ``TABLE_LIMIT``; each family checks its budget before it allocates.
-Products run one array pass through the base field's tables: every spread
-element at once (``projgeom.spread_bases``), then every copy of the small
-factor in N lookup steps.
+Products use the same arithmetic over the extension field: field reduction
+sends x to the element x~ whose base-q digits are x's coordinates, and its
+copy in the spread element of y is x~ * y, coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import array_add, array_mul, factor_prime_power, lookup, make_field
-from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, spread_bases
+from .gf import array_add, array_mul, factor_prime_power, make_field
+from .projgeom import DEFAULT_BUDGET, PointSet, _points_array
 from .verifier import is_proper, is_rs_set
 
 
@@ -39,11 +39,16 @@ def _monomial_points(n: int, field, budget: int, columns) -> PointSet:
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
     q = field.order
-    if (q - 1) ** (n - 1) > budget:
-        raise BudgetExceeded(f"(q-1)^(n-1) = {(q - 1) ** (n - 1)} exceeds budget {budget}")
+    size = (q - 1) ** (n - 1)
+    if size > budget:
+        raise BudgetExceeded(f"(q-1)^(n-1) = {size} exceeds budget {budget}")
+    if size * (n + 1) > budget:
+        raise BudgetExceeded(
+            f"(q-1)^(n-1) * (n+1) = {size * (n + 1)} coordinates exceed budget {budget}")
     exp, _ = field.logs()
-    e = np.indices((q - 1,) * (n - 1), dtype=np.int64).reshape(n - 1, -1).T
-    rows = np.ones((len(e), n + 1), dtype=np.int64)
+    # e_i is base-(q-1) digit i of the point's index
+    e = np.arange(size)[:, None] // (q - 1) ** np.arange(n - 1) % (q - 1)
+    rows = np.ones((size, n + 1), dtype=np.int64)
     rows[:, 1:] = exp[columns(e, e.sum(axis=1, keepdims=True)) % (q - 1)]
     return PointSet.from_rows(field, n, rows)
 
@@ -69,13 +74,17 @@ def rational_normal_curve(c: int, field, budget: int = DEFAULT_BUDGET) -> PointS
     For q >= c this is the classical arc: any c+1 of its q+1 points have
     full rank.  The set is still well defined for smaller q (powers of t
     then repeat by Frobenius), just without the arc guarantee.  Raises
-    BudgetExceeded when q + 1 exceeds the budget.
+    BudgetExceeded when q + 1 points, or their (q + 1)(c + 1) coordinates,
+    exceed the budget.
     """
     if c < 2:
         raise ParameterError(f"need c >= 2, got c={c}")
     q = field.order
     if q + 1 > budget:
         raise BudgetExceeded(f"q + 1 = {q + 1} points exceed budget {budget}")
+    if (q + 1) * (c + 1) > budget:
+        raise BudgetExceeded(
+            f"(q + 1) * (c + 1) = {(q + 1) * (c + 1)} coordinates exceed budget {budget}")
     rows = np.zeros((q + 1, c + 1), dtype=np.int64)
     rows[:q] = array_mul(field, 1, np.arange(q)[:, None], np.arange(c + 1))
     rows[q, c] = 1
@@ -181,21 +190,18 @@ def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(q0 * q0, zip(i.ravel().tolist(), j.ravel().tolist()))
 
 
-def graph_curve_32(graph: BipartiteGraph, field, require_c4_free: bool = False,
-                   budget: int = DEFAULT_BUDGET) -> PointSet:
+def graph_curve_32(graph: BipartiteGraph, field, budget: int = DEFAULT_BUDGET) -> PointSet:
     """{(1, x, x^2, x^3, y, y^2, y^3) : xy an edge} in PG(6, q).
 
     Edge labels are read as field elements, so graph.order must not exceed
     the field order.  When the graph is C4-free the result is a (3, 2)-set:
     four of these points are coplanar only when the x's and y's each take
-    exactly two values, which would be a C4.
+    exactly two values, which would be a C4 (``graph.is_c4_free()``).
     """
     if graph.order > field.order:
         raise ParameterError(
             f"graph labels run to {graph.order - 1} but the field has order {field.order}"
         )
-    if require_c4_free and not graph.is_c4_free():
-        raise ParameterError("graph contains a C4")
     if len(graph.edges) > budget:
         raise BudgetExceeded(f"{len(graph.edges)} edges exceed budget {budget}")
     # the powers come from field.logs(), which costs O(q)
@@ -231,7 +237,10 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
     an (r, s)-set of size |X| * |Y|.
 
     With validate=True (the default) both preconditions are checked by the
-    verifier and reported with witnesses; validate=False trusts the caller.
+    verifier and reported with witnesses; validate=False trusts the caller
+    and builds no q x q table.  BudgetExceeded is raised when the product's
+    |X| * |Y| * N * M coordinates, or the order of Y's field, whose discrete
+    logs the multiplication reads, exceed the budget.
     """
     if r < 2:
         raise ParameterError(
@@ -253,18 +262,22 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
                 f"holds {witness.count} points"
             )
     M = Y.n + 1
-    # the product's N*M coordinates per point, or the N x N*M spread bases
-    # per point of Y, whichever is larger
-    if len(Y) * N * M * max(len(X), N) > budget:
+    if len(X) * len(Y) * N * M > budget:
         raise BudgetExceeded(f"product would hold {len(X) * len(Y)} points of PG({N * M - 1}, q)")
-    # the copy of X in y's element sends c to c . rows; the rows are in RREF,
-    # so c's leading 1 lands on a pivot column with zeros before it
-    rows = spread_bases(Y)[:, None]  # (|Y|, 1, N, N*M)
-    coords = X.array.T[:, :, None]   # (N, |X|, 1)
-    t = X.field.tables()
-    images = lookup(t.mul, coords[0], rows[:, :, 0])
-    for i in range(1, N):
-        images = lookup(t.add, images, lookup(t.mul, coords[i], rows[:, :, i]))
+    # multiplying in ext builds ext.logs(), which costs O(ext.order)
+    if ext.order > budget:
+        raise BudgetExceeded(f"field order {ext.order} exceeds budget {budget}")
+    # x~ = sum x_i beta^i is the element of ext whose base-q digits are x,
+    # and the copy of x in y's spread element is x~ * y: coordinate c of y
+    # gives the N digits of x~ * y_c, in columns c*N to c*N + N - 1
+    q = X.field.order
+    xt = X.array @ q ** np.arange(N)
+    images = np.empty((len(X), len(Y), M, N), dtype=np.min_scalar_type(q - 1))
+    for c in range(M):
+        prod = array_mul(ext, xt[:, None], Y.array[:, c])
+        for j in range(N):
+            prod, images[:, :, c, j] = np.divmod(prod, q)
+    del prod
     Z = PointSet.from_rows(X.field, N * M - 1, images.reshape(-1, N * M))
     if len(Z) != len(X) * len(Y):
         raise RuntimeError("product size is not multiplicative; spread embedding collapsed")

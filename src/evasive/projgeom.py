@@ -1,4 +1,4 @@
-"""Projective geometry over finite fields: points, subspaces, field reduction.
+"""Projective geometry over finite fields: points, subspaces and counting.
 
 A projective point of PG(n, q) is a normalized homogeneous coordinate tuple
 of length n+1: the first nonzero coordinate equals 1.  A PointSet stores its
@@ -14,10 +14,9 @@ Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
 Two subspaces are equal iff their RREF rows are equal, so the basis doubles
 as a canonical form.  Every rank, RREF and span test here runs
-linalg.batch_rref on a batch of one matrix, and spread_bases runs it once
-on one matrix per point, so they need the field's tables (orders up to
-gf.TABLE_LIMIT); input vectors are checked for shape and encoding range
-before they are eliminated.
+linalg.batch_rref on a batch of one matrix, so they need the field's
+tables (orders up to gf.TABLE_LIMIT); input vectors are checked for shape
+and encoding range before they are eliminated.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from math import prod
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import lookup
 from . import linalg
 
 DEFAULT_BUDGET = 10**8
@@ -56,6 +54,14 @@ def count_points(n: int, q: int) -> int:
     return (q ** (n + 1) - 1) // (q - 1)
 
 
+def require_points(n: int, q: int, budget: int) -> int:
+    """count_points(n, q), or BudgetExceeded when it is above budget."""
+    total = count_points(n, q)
+    if total > budget:
+        raise BudgetExceeded(f"PG({n},{q}) has {total} points, budget is {budget}")
+    return total
+
+
 def _points_array(field, n: int, budget: int) -> np.ndarray:
     """PG(n, field) as an (N, n+1) int64 array, in ascending lexicographic order.
 
@@ -64,9 +70,7 @@ def _points_array(field, n: int, budget: int) -> np.ndarray:
     leading positions sort first.  The budget is checked before allocating.
     """
     q = field.order
-    total = count_points(n, q)
-    if total > budget:
-        raise BudgetExceeded(f"PG({n},{q}) has {total} points, budget is {budget}")
+    total = require_points(n, q, budget)
     out = np.zeros((total, n + 1), dtype=np.int64)
     start = 0
     for t in range(n + 1):  # the leading 1 at n - t, then t free coordinates
@@ -214,39 +218,3 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     den = prod(q**(b - i) - 1 for i in range(b))
     assert num % den == 0
     return num // den
-
-
-def spread_bases(Y: PointSet) -> np.ndarray:
-    """The spread element of every point of Y under field reduction, in RREF.
-
-    Y lives in PG(M-1, q^N) over ext = base[X]/(f).  Expanding each
-    coordinate into its N base-q digits maps a point y to the GF(q)-row
-    space of {beta^i * y : 0 <= i < N}, an (N-1)-space of PG(NM-1, q).
-    Distinct points map to disjoint spaces, and their union is the whole
-    space.  Returns a (|Y|, N, N*M) array in the base tables' dtype whose
-    j-th matrix holds the canonical RREF rows of y_j's element; the digits
-    of coordinate c fill columns c*N to c*N + N - 1.  Each beta^i * y comes
-    from beta^(i-1) * y by shifting the digits up one place and adding the
-    top digit times -f, through the base field's tables, so no discrete
-    logs of ext are needed.  Refuses a zero row of Y, whose matrix has
-    rank 0.
-    """
-    ext = Y.field
-    base = ext.base
-    if base is None:
-        raise ParameterError(f"field reduction needs an extension field, got {ext!r}")
-    N, M = ext.N, Y.n + 1
-    t = base.tables()
-    q = base.order
-    mats = np.empty((len(Y), N, M, N), dtype=t.add.dtype)
-    mats[:, 0] = Y.array[:, :, None] // q ** np.arange(N) % q
-    wrap = t.neg[list(ext.modulus[:N])]  # X^N = -(f_0 + f_1 X + ... + f_(N-1) X^(N-1))
-    for i in range(1, N):
-        prev = mats[:, i - 1]
-        mats[:, i] = lookup(t.mul, prev[..., -1:], wrap)
-        mats[:, i, :, 1:] = lookup(t.add, mats[:, i, :, 1:], prev[..., :-1])
-    mats = mats.reshape(len(Y), N, N * M)
-    ranks, _ = linalg.batch_rref(base, mats)
-    if (ranks < N).any():
-        raise ParameterError("spread element has wrong dimension; input was not a point")
-    return mats

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .gf import is_int, lookup, make_field
 from .jsonio import require_flat_field
-from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, span_mask
+from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, require_points, span_mask
 from .verifier import is_rs_set
 
 log = logging.getLogger(__name__)
@@ -257,6 +257,7 @@ def quadric_42_construction(m: int, field, rng: Prng, *,
     if m < 2:
         raise ParameterError(f"need m >= 2, got m={m}")
     n = 2 * m - 1
+    require_points(n, field.order, budget)  # before any form is drawn
     forms = [random_irreducible_quadric(n, field, rng) for _ in range(m)]
     return cleanup(hypersurface_points(*forms, budget=budget), 4, 2, budget=budget)
 

@@ -192,6 +192,45 @@ def test_construct_graph32_budget_refuses_before_the_graph(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["rnc", "--c", "1000", "--q", "2"], "(q + 1) * (c + 1) = 3003 coordinates"),
+    (["monomial", "--n", "1000", "--q", "2"], "(q-1)^(n-1) * (n+1) = 1001 coordinates"),
+], ids=["rnc", "monomial"])
+def test_construct_budget_counts_coordinates(args, message, tmp_path, capsys):
+    # a few points can still be wide: the budget bounds points x coordinates
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run(capsys, "construct", *args, "--budget", "100",
+                               "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert message + " exceed budget 100" in stderr
+    assert not out.exists()
+
+
+def test_construct_monomial_wider_than_64_dimensions(tmp_path, capsys):
+    # (q-1)^(n-1) = 1 point with 69 exponents, one more than numpy allows axes
+    out = tmp_path / "m.json"
+    code, stdout, _ = run(capsys, "construct", "monomial", "--n", "70", "--q", "2",
+                          "--out", str(out))
+    assert code == 0
+    assert stdout.strip() == "monomial 70 2 1 70 1 yes"
+    X, _, _ = pointset_from_json_bytes(out.read_bytes())
+    assert X.points == ((1,) * 71,)
+
+
+def test_construct_quadrics_budget_refuses_before_drawing(tmp_path, capsys, monkeypatch):
+    # m = 400 would draw 400 forms in 800 variables before enumerating PG(799, 3)
+    def no_form(*args):
+        raise AssertionError("a form was drawn")
+
+    monkeypatch.setattr("evasive.randomized._random_form", no_form)
+    out = tmp_path / "q.json"
+    code, stdout, stderr = run(capsys, "construct", "quadrics", "--m", "400", "--q", "3",
+                               "--seed", "1", "--budget", "10", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "PG(799,3) has" in stderr and "budget is 10" in stderr
+    assert not out.exists()
+
+
 RANDOMIZED_ARGS = {
     "cubics": ["--q", "3", "--seed", "1"],
     "quadrics": ["--m", "2", "--q", "5", "--seed", "7"],

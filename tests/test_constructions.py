@@ -1,5 +1,6 @@
 """Deterministic constructions: curves, ovoids, graphs, and products."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from evasive.constructions import (
 )
 from evasive.constructions import _smallest_irreducible_binary_quadratic
 from evasive.errors import BudgetExceeded, ParameterError
-from evasive.gf import FieldSpec, make_extension, make_field
+from evasive.gf import FieldSpec, _TableMixin, make_extension, make_field
+from evasive.jsonio import pointset_to_json_bytes
 from evasive.projgeom import PointSet, all_points, rank
 from evasive.verifier import is_proper, is_rs_set, max_in_s_space
 
@@ -188,8 +190,7 @@ def test_graph_curve_guards():
     with pytest.raises(ParameterError):
         graph_curve_32(big, field)  # labels exceed the field
     quad = BipartiteGraph.from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    with pytest.raises(ParameterError):
-        graph_curve_32(quad, field, require_c4_free=True)
+    assert not quad.is_c4_free()
 
 
 def build_85_point_product():
@@ -266,18 +267,60 @@ def test_product_validate_false_skips_checks():
     assert len(Z) == len(bad) * len(Y)
 
 
-def test_product_budget_covers_points_and_spread_bases():
+def test_product_budget_covers_coordinates():
     base = make_field(2, 1)
     Y = rational_normal_curve(2, make_extension(base, 4))  # 17 points, M = 3
     X = elliptic_ovoid(base)                               # 5 points, N = 4
     with pytest.raises(BudgetExceeded):
         product_construction(X, 2, Y, 1, budget=5 * 17 * 4 * 3 - 1)
     assert len(product_construction(X, 2, Y, 1, budget=5 * 17 * 4 * 3)) == 85
-    # one point of X, but four rows of twelve entries per spread basis
+    # one point of X: 17 copies of four digits in each of three coordinates
     e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
     with pytest.raises(BudgetExceeded):
-        product_construction(e0, 2, Y, 1, validate=False, budget=17 * 4 * 4 * 3 - 1)
-    assert len(product_construction(e0, 2, Y, 1, validate=False, budget=17 * 4 * 4 * 3)) == 17
+        product_construction(e0, 2, Y, 1, validate=False, budget=1 * 17 * 4 * 3 - 1)
+    assert len(product_construction(e0, 2, Y, 1, validate=False, budget=1 * 17 * 4 * 3)) == 17
+
+
+def test_product_field_order_refused_before_logs(monkeypatch):
+    # one point of X and one of Y make 4 coordinates, but multiplying in
+    # GF(2)^4 takes its discrete logs, 16 entries
+    base = make_field(2, 1)
+    e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
+    Y = PointSet.from_rows(make_extension(base, 4), 0, [(1,)])
+    logs = _TableMixin.logs
+
+    def no_logs(self):
+        raise AssertionError("logs were built")
+
+    monkeypatch.setattr(_TableMixin, "logs", no_logs)
+    with pytest.raises(BudgetExceeded, match="field order 16 exceeds budget 15"):
+        product_construction(e0, 2, Y, 1, validate=False, budget=15)
+    monkeypatch.setattr(_TableMixin, "logs", logs)
+    assert product_construction(e0, 2, Y, 1, validate=False, budget=16).points == ((1, 0, 0, 0),)
+
+
+def test_product_builds_no_tables(monkeypatch):
+    # products multiply in the extension through its discrete logs; only
+    # validate=True, which runs the verifier, needs q x q tables
+    X, Y, Z = build_85_point_product()
+
+    def no_tables(self):
+        raise AssertionError("tables were built")
+
+    monkeypatch.setattr(_TableMixin, "tables", no_tables)
+    assert product_construction(X, 2, Y, 1, validate=False) == Z
+
+
+def test_product_q8_bytes_pinned():
+    # 65 copies of the GF(8) ovoid in each of the 4097 spread elements of
+    # the conic over GF(8)^4: 266,305 points of PG(15, 8)
+    base = make_field(2, 3)
+    Z = product_construction(elliptic_ovoid(base), 2,
+                             rational_normal_curve(2, make_extension(base, 4)), 1,
+                             validate=False)
+    assert len(Z) == 266305
+    assert hashlib.sha256(pointset_to_json_bytes(Z, 2, 1)).hexdigest() == \
+        "d8b0e67a3fce99ef63a8880e26945841de2a7c605e1ad96367e047e49c19c46a"
 
 
 def test_product_recipes_frozen():

@@ -1,4 +1,4 @@
-"""Projective points, subspaces, counting, and field reduction."""
+"""Projective points, subspaces, counting, and products by field reduction."""
 
 import itertools
 import math
@@ -19,7 +19,6 @@ from evasive.projgeom import (
     rref,
     span_count,
     span_mask,
-    spread_bases,
 )
 from evasive.randomized import Prng
 from evasive.verifier import _scalar_rref
@@ -190,68 +189,83 @@ def scalar_spread(point, ext):
     return _scalar_rref(ext.base, rows)[0]
 
 
-def projective_line(ext):
-    return PointSet.from_rows(ext, 1, list(all_points(1, ext)))
+def every_point(field, n):
+    return PointSet.from_rows(field, n, list(all_points(n, field)))
+
+
+def thinned(points: PointSet, most: int) -> PointSet:
+    """Every k-th point, k chosen so that at most `most` remain."""
+    return PointSet(points.field, points.n, points.array[::-(-len(points) // most)])
 
 
 @pytest.mark.parametrize("p,k,N", [
     (2, 1, 2), (3, 1, 2), (2, 2, 3), (2, 2, 4), (2, 3, 4), (3, 1, 4), (5, 1, 3), (2, 1, 4),
 ])
-def test_spread_bases_match_scalar_reference(p, k, N):
-    ext = make_extension(make_field(p, k), N)
-    Y = projective_line(ext)
-    bases = spread_bases(Y)
-    assert bases.shape == (len(Y), N, 2 * N)
-    for point, rows in zip(Y.points, bases.tolist()):
-        assert tuple(map(tuple, rows)) == scalar_spread(point, ext)
+def test_product_matches_scalar_reference(p, k, N):
+    # each copy of x is sum x_i R_i over the scalar spread rows R of y,
+    # formed by scalar base-field calls and normalized
+    base = make_field(p, k)
+    ext = make_extension(base, N)
+    X = thinned(every_point(base, N - 1), 12)
+    Y = thinned(every_point(ext, 1), 40)
+    expected = []
+    for y in Y.points:
+        spread = scalar_spread(y, ext)
+        assert len(spread) == N
+        for x in X.points:
+            image = [0] * (2 * N)
+            for xi, row in zip(x, spread):
+                image = [base.add(a, base.mul(xi, b)) for a, b in zip(image, row)]
+            expected.append(normalize(base, image))
+    assert product_construction(X, 2, Y, 1, validate=False) == \
+        PointSet.from_rows(base, 2 * N - 1, expected)
 
 
 @pytest.mark.parametrize("p,k,N", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
 def test_spread_partitions_space(p, k, N):
-    # PG(1, q^2) -> q^2+1 pairwise disjoint lines covering PG(3, q)
+    # PG(1, q^N) -> q^N+1 pairwise disjoint (N-1)-spaces covering PG(2N-1, q):
+    # the copies of all of PG(N-1, q) are all of PG(2N-1, q), none twice
     base = make_field(p, k)
-    bases = spread_bases(projective_line(make_extension(base, N)))
-    q = base.order
-    assert len(bases) == q**2 + 1
-    space = PointSet.from_rows(base, 2 * N - 1, list(all_points(2 * N - 1, base)))
-    seen = np.zeros(len(space), dtype=bool)
-    for rows in bases:
-        assert rank(base, rows) == N
-        mask = span_mask(rows, space)
-        assert mask.sum() == q + 1
-        assert not (seen & mask).any()
-        seen |= mask
-    assert seen.all()
+    Z = product_construction(every_point(base, N - 1), 2,
+                             every_point(make_extension(base, N), 1), 1, validate=False)
+    assert Z == every_point(base, 2 * N - 1)
 
 
-def test_spread_degenerate_shapes():
+def test_product_degenerate_shapes():
     base = make_field(2, 1)
     # M = 1: the single point of PG(0, q^N) fills all of PG(N-1, q)
     ext = make_extension(base, 3)
-    assert spread_bases(PointSet.from_rows(ext, 0, [(1,)])).tolist() == [np.eye(3).tolist()]
+    plane = every_point(base, 2)
+    assert product_construction(plane, 2, PointSet.from_rows(ext, 0, [(1,)]), 1,
+                                validate=False) == plane
     # N = 1: points map to themselves
     ident = make_extension(base, 1)
-    assert spread_bases(PointSet.from_rows(ident, 2, [(1, 0, 1)])).tolist() == [[[1, 0, 1]]]
-    # no points, no elements
+    one = PointSet.from_rows(base, 0, [(1,)])
+    Y = PointSet.from_rows(ident, 2, [(1, 0, 1)])
+    assert product_construction(one, 2, Y, 1, validate=False).array.tolist() == [[1, 0, 1]]
+    # no points, no copies
     empty = PointSet.from_rows(ext, 1, np.zeros((0, 2), dtype=np.int64))
-    assert spread_bases(empty).shape == (0, 3, 6)
+    Z = product_construction(plane, 2, empty, 1, validate=False)
+    assert Z.n == 5 and Z.array.shape == (0, 6)
 
 
-def test_spread_bases_refuse_zero_rows_and_prime_fields():
-    ext = make_extension(make_field(3, 1), 2)
-    # the trusted constructor lets a zero row through; its rows have rank 0
+def test_product_refuses_zero_rows_and_prime_fields():
+    base = make_field(3, 1)
+    ext = make_extension(base, 2)
+    X = every_point(base, 1)
+    # the trusted constructor lets a zero row through; its copies are zero
     zero = PointSet(ext, 1, np.array([[0, 0], [1, 4]], dtype=np.int64))
-    with pytest.raises(ParameterError, match="not a point"):
-        spread_bases(zero)
-    with pytest.raises(ParameterError, match="extension field"):
-        spread_bases(PointSet.from_rows(make_field(3, 1), 1, [(1, 2)]))
+    with pytest.raises(ParameterError, match="nonzero"):
+        product_construction(X, 2, zero, 1, validate=False)
+    with pytest.raises(ParameterError, match="extension"):
+        product_construction(X, 2, PointSet.from_rows(base, 1, [(1, 2)]), 1, validate=False)
 
 
 def test_product_copies_fill_their_spread_elements():
     base = make_field(2, 1)
     ext = make_extension(base, 4)
     Y = PointSet.from_rows(ext, 1, [(1, 3)])
-    rows = spread_bases(Y)[0]  # a 3-space of PG(7, 2)
+    rows = scalar_spread(Y.points[0], ext)  # a 3-space of PG(7, 2)
     ovoid = elliptic_ovoid(base)
     copy = product_construction(ovoid, 2, Y, 1, validate=False)
     assert len(copy) == len(ovoid)
@@ -260,7 +274,7 @@ def test_product_copies_fill_their_spread_elements():
     # the first unit vector lands on the first basis row
     e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
     img = product_construction(e0, 2, Y, 1, validate=False)
-    assert img.array.tolist() == [rows[0].tolist()]
+    assert img.points == (rows[0],)
 
 
 @pytest.mark.parametrize("field", [make_field(2, 8), make_field(257, 1)], ids=repr)
@@ -295,9 +309,8 @@ def test_elimination_refused_above_table_limit():
     field = make_field(2, 13)  # 8192 > TABLE_LIMIT
     rows = [(1, 0, 0), (0, 1, 8191)]
     X = PointSet.from_rows(field, 2, [(0, 0, 1)])
-    Y = PointSet.from_rows(make_extension(field, 2), 0, [(1,)])
     for call in (lambda: rref(field, rows), lambda: rank(field, rows),
-                 lambda: span_mask(rows, X), lambda: spread_bases(Y)):
+                 lambda: span_mask(rows, X)):
         with pytest.raises(ParameterError, match="TABLE_LIMIT"):
             call()
 
