@@ -35,11 +35,15 @@ run field arithmetic through fancy indexing; ``lookup`` reads a 2-D table
 through one 1-D index into its flat view.  Tables are built lazily, cached
 on the spec, read-only, and only for orders up to ``TABLE_LIMIT``.  Their
 dtype is the smallest unsigned one that holds every encoding, chosen from
-the order alone: uint8 for q <= 256, uint16 above.  Subtraction has no
-table: x - f*y is add[x, mul[neg[f], y]].  ``logs()`` holds the
-O(q) discrete-log arrays behind the mul table and behind ``array_mul`` and
-``array_add``, which do elementwise arithmetic on arrays of encodings at any
-order; it has no limit of its own, so callers bound q first.
+the order alone: uint8 for q <= 256, uint16 above.  Kernels add only
+through ``table_add`` (a + b) and ``table_sub_mul`` (x - f*y).  In
+characteristic 2 the base-2 digits of an encoding are its coordinates, so
+a + b is a ^ b and -f is f: those fields keep an empty add table, and the
+helpers XOR.  For odd p they read add[a, b] and add[x, mul[neg[f], y]];
+subtraction has no table of its own.  ``logs()`` holds the O(q)
+discrete-log arrays behind the mul table and ``array_mul``; ``array_mul``
+and ``array_add`` do elementwise arithmetic on arrays of encodings at any
+order.  ``logs()`` has no limit of its own, so callers bound q first.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ _MUL_BLOCK_CELLS = 2**16  # cells of the mul table filled per step
 class FieldTables(NamedTuple):
     """Read-only tables, all uint8 for q <= 256 and uint16 above."""
 
-    add: np.ndarray   # (q, q)  add[a, b] = a + b
+    add: np.ndarray   # (q, q)  add[a, b] = a + b; (0, 0) when p = 2
     mul: np.ndarray   # (q, q)  mul[a, b] = a * b
     neg: np.ndarray   # (q,)    neg[a] = -a
     inv: np.ndarray   # (q,)    inv[a] = a**-1, with inv[0] = 0 as a sentinel
@@ -249,18 +253,22 @@ def _build_tables(F) -> FieldTables:
             "bulk operations are not available for fields this large"
         )
     dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
-    # addition is digit-wise mod p, so the add table of the encodings below
-    # p^(i+1) is p x p blocks of the table below p^i, each block shifted by
-    # p^i times the sum mod p of the two new top digits; 2(p-1) fits uint16
-    r = np.arange(p, dtype=np.uint16)
-    digit_add = r[:, None] + r[None, :]
-    np.remainder(digit_add, np.uint16(p), out=digit_add)
-    digit_add = digit_add.astype(dtype, copy=False)
-    add = digit_add
-    for i in range(1, F.k):
-        m = p**i
-        shift = digit_add * dtype.type(m)
-        add = (add[None, :, None, :] + shift[:, None, :, None]).reshape(m * p, m * p)
+    if p == 2:
+        add = np.empty((0, 0), dtype=dtype)  # a + b is a ^ b
+    else:
+        # addition is digit-wise mod p, so the add table of the encodings
+        # below p^(i+1) is p x p blocks of the table below p^i, each block
+        # shifted by p^i times the sum mod p of the two new top digits;
+        # 2(p-1) fits uint16
+        r = np.arange(p, dtype=np.uint16)
+        digit_add = r[:, None] + r[None, :]
+        np.remainder(digit_add, np.uint16(p), out=digit_add)
+        digit_add = digit_add.astype(dtype, copy=False)
+        add = digit_add
+        for i in range(1, F.k):
+            m = p**i
+            shift = digit_add * dtype.type(m)
+            add = (add[None, :, None, :] + shift[:, None, :, None]).reshape(m * p, m * p)
     # mul from the logs, a block of rows at a time, so no int64 array of
     # q^2 cells exists
     exp, log = F.logs()
@@ -294,6 +302,26 @@ def lookup(table: np.ndarray, a, b) -> np.ndarray:
     return np.take(table.ravel(), idx)
 
 
+def table_add(t: FieldTables, a, b) -> np.ndarray:
+    """a + b elementwise through the tables, in their dtype; arguments broadcast.
+
+    An empty add table marks characteristic 2, where a + b is a ^ b.
+    """
+    if not t.add.size:
+        return np.bitwise_xor(a, b, dtype=t.mul.dtype, casting="unsafe")
+    return lookup(t.add, a, b)
+
+
+def table_sub_mul(t: FieldTables, x, f, y) -> np.ndarray:
+    """x - f*y elementwise through the tables, in their dtype; arguments broadcast.
+
+    In characteristic 2, -f is f, so the neg gather is skipped.
+    """
+    if not t.add.size:
+        return np.bitwise_xor(x, lookup(t.mul, f, y), dtype=t.mul.dtype, casting="unsafe")
+    return lookup(t.add, x, lookup(t.mul, t.neg[f], y))
+
+
 def _find_generator(F) -> int:
     # 1 generates the unit group of GF(2) and fails the test everywhere else
     q = F.order
@@ -319,17 +347,30 @@ class _TableMixin:
 
         exp[i] = g^i for a fixed generator g and 0 <= i < 2(q-1): two periods,
         so a sum of two logs needs no reduction.  log[x] is the discrete log
-        of x != 0; log[0] = 0 is a placeholder that callers mask.  Built in
-        O(q) scalar multiplications with no TABLE_LIMIT, so callers bound q.
+        of x != 0; log[0] = 0 is a placeholder that callers mask.  Built by
+        doubling with no TABLE_LIMIT, so callers bound q: multiplication by
+        g^m is GF(p)-linear on the k base-p digits, so with M its k x k
+        matrix, exp[m:2m] is M applied to the digits of exp[:m], and M^2
+        is the matrix for the next step.  k scalar products build M for g.
         """
         if self._logs is None:
-            q = self.order
+            q, p, k = self.order, self.p, self.k
             g = _find_generator(self)
+            weights = p ** np.arange(k, dtype=np.int64)
+            # column j holds the digits of g * p^j; the sums of k products
+            # of digits stay below k*p^2, in int64 for every q below 2^31,
+            # where exp alone would already take 32 GiB
+            M = np.array([[self.mul(g, p**j) // p**i % p for j in range(k)]
+                          for i in range(k)], dtype=np.int64)
             exp = np.empty(2 * (q - 1), dtype=np.int64)
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
-                x = self.mul(x, g)
+            exp[0] = 1
+            m = 1
+            while m < q - 1:
+                n = min(m, q - 1 - m)
+                digits = exp[:n, None] // weights % p
+                exp[m:m + n] = (digits @ M.T % p) @ weights
+                M = M @ M % p
+                m += n
             exp[q - 1:] = exp[:q - 1]
             log = np.zeros(q, dtype=np.int64)
             log[exp[:q - 1]] = np.arange(q - 1)
@@ -358,10 +399,13 @@ def array_mul(F, a, b=1, e=1) -> np.ndarray:
 
 
 def array_add(F, a, b) -> np.ndarray:
-    """a + b elementwise: digit-wise mod p over the k base-p digits."""
+    """a + b elementwise: digit-wise mod p over the k base-p digits, which
+    for p = 2 is a ^ b."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     p = F.p
+    if p == 2:
+        return a ^ b
     out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
     w = 1
     for _ in range(F.k):

@@ -3,10 +3,9 @@
 Matrices are numpy arrays of field-element encodings in any integer dtype,
 and every arithmetic step goes through the field's lookup tables, so the
 same code path serves prime fields, prime-power fields, and towers.
-Lookups go through gf.lookup and come out, residues included, in the
-tables' dtype.
-x - f*y is computed as x + (-f)*y, negating the small factor array through
-the neg table.  Batches are eliminated in lock step: one pass over the
+Products go through gf.lookup and each x - f*y through gf.table_sub_mul,
+which XORs in characteristic 2; results, residues included, come out in
+the tables' dtype.  Batches are eliminated in lock step: one pass over the
 columns, with per-matrix pivot bookkeeping carried in index arrays.
 """
 
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import lookup
+from .gf import lookup, table_sub_mul
 
 
 def batch_rref(field, mats: np.ndarray):
@@ -49,8 +48,7 @@ def batch_rref(field, mats: np.ndarray):
         mats[sel, rsel] = lookup(t.mul, t.inv[pv][:, None], mats[sel, rsel])
         factors = mats[sel, :, col]
         factors[np.arange(len(sel)), rsel] = 0  # leave the pivot row itself alone
-        delta = lookup(t.mul, t.neg[factors][:, :, None], mats[sel, rsel][:, None, :])
-        mats[sel] = lookup(t.add, mats[sel], delta)
+        mats[sel] = table_sub_mul(t, mats[sel], factors[:, :, None], mats[sel, rsel][:, None, :])
         pivot_cols[sel, rsel] = col
         row[has] += 1
         if (row == m).all():
@@ -71,7 +69,7 @@ def batch_residues(field, rref_mats, pivot_cols, points):
     t = field.tables()
     B, m, w = rref_mats.shape
     N = points.shape[0]
-    V = np.empty((B, N, w), dtype=t.add.dtype)
+    V = np.empty((B, N, w), dtype=t.mul.dtype)
     V[...] = points
     for step in range(m):
         cols = pivot_cols[:, step]
@@ -81,7 +79,7 @@ def batch_residues(field, rref_mats, pivot_cols, points):
         c = np.where(live, cols, 0)
         f = np.take_along_axis(V, c[:, None, None], axis=2)[:, :, 0]
         rrow = np.where(live[:, None], rref_mats[:, step, :], 0)
-        V = lookup(t.add, V, lookup(t.mul, t.neg[f][:, :, None], rrow[:, None, :]))
+        V = table_sub_mul(t, V, f[:, :, None], rrow[:, None, :])
     return V
 
 

@@ -21,7 +21,7 @@ and encoding range before they are eliminated.
 
 from __future__ import annotations
 
-from math import prod
+from math import floor, log10, prod
 
 import numpy as np
 
@@ -55,11 +55,26 @@ def count_points(n: int, q: int) -> int:
 
 
 def require_points(n: int, q: int, budget: int) -> int:
-    """count_points(n, q), or BudgetExceeded when it is above budget."""
+    """count_points(n, q), or BudgetExceeded when it is above budget.
+
+    A count of 16 digits or more is written as (q^(n+1) - 1)/(q - 1) and
+    in scientific notation, so the message stays one short line.
+    """
     total = count_points(n, q)
     if total > budget:
-        raise BudgetExceeded(f"PG({n},{q}) has {total} points, budget is {budget}")
+        shown = str(total) if total < 10**15 else \
+            f"({q}^{n + 1} - 1)/{q - 1}, about {_scientific(total)},"
+        raise BudgetExceeded(f"PG({n},{q}) has {shown} points, budget is {budget}")
     return total
+
+
+def _scientific(x: int) -> str:
+    """x > 0 as d.de+N, from its logarithm: str() of a huge int is slow or refused."""
+    e = floor(log10(x))
+    mantissa = f"{10 ** (log10(x) - e):.1f}"
+    if mantissa == "10.0":
+        mantissa, e = "1.0", e + 1
+    return f"{mantissa}e+{e}"
 
 
 def _points_array(field, n: int, budget: int) -> np.ndarray:

@@ -87,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import lookup
+from .gf import lookup, table_sub_mul
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
@@ -183,10 +183,10 @@ def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
     cols = np.repeat(col, L)
     at = np.arange(0, S.size, width)
     at += cols
-    negf = t.neg[np.take(S.ravel(), at)]
+    f = np.take(S.ravel(), at)
     del at
-    rows = lookup(t.add, S, lookup(t.mul, negf[:, None], np.repeat(unit, L, axis=0)))
-    del S, negf
+    rows = table_sub_mul(t, S, f[:, None], np.repeat(unit, L, axis=0))
+    del S, f
     if not full.all():
         return start, rows, full
     # drop each row's pivot column, which the step has zeroed
@@ -283,7 +283,7 @@ def _span_counts(X: PointSet, m: int, budget: int):
         )
     root = _Level(prefix=np.empty((1, 0), dtype=np.intp), base=np.zeros(1, dtype=np.intp),
                   start=np.array([0, N]),
-                  rows=np.ascontiguousarray(X.array, dtype=X.field.tables().add.dtype))
+                  rows=np.ascontiguousarray(X.array, dtype=X.field.tables().mul.dtype))
     return _walk(X.field, root, m, N, [0])
 
 

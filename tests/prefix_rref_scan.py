@@ -38,7 +38,7 @@ def span_counts(X, m):
     """Yield (prefixes (B, m-1), counts (B, N)); counts is -1 where j <= max(P)."""
     N = len(X)
     field = X.field
-    arr = X.array.astype(field.tables().add.dtype)
+    arr = X.array.astype(field.tables().mul.dtype)
     cols = np.arange(N)
     combos = itertools.combinations(range(N - 1), m - 1)
     while chunk := list(itertools.islice(combos, BATCH)):

@@ -47,6 +47,18 @@ def test_field_class_inherits_traced_tables():
     assert FieldSpec.tables is _TableMixin.tables
 
 
+@pytest.mark.parametrize("p,k", [(2, 11), (3, 2)])
+def test_tracer_counts_table_bytes(p, k):
+    # the traced gf.tables span sums nbytes over FieldTables, so every slot
+    # must stay an array, the empty add table of characteristic 2 included
+    from evasive.gf import make_field
+
+    tables = make_field(p, k).tables()
+    counted = TRACE.Tracer("test")._table_bytes((), {}, tables)["bytes"]
+    assert type(counted) is int
+    assert counted == sum(table.nbytes for table in tables) > 0
+
+
 def test_cli_import_loads_every_target_module():
     # install() looks targets up in sys.modules right after `import evasive.cli`,
     # so a module imported lazily later would read as a missing target

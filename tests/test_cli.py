@@ -231,6 +231,27 @@ def test_construct_quadrics_budget_refuses_before_drawing(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,count", [
+    (["quadrics", "--m", "400", "--q", "3"],
+     "PG(799,3) has (3^800 - 1)/2, about 2.5e+381, points"),
+    (["quadrics", "--m", "30", "--q", "2"], "PG(59,2) has (2^60 - 1)/1, about 1.2e+18, points"),
+    (["quadrics", "--m", "8", "--q", "5"], "PG(15,5) has 38146972656 points"),
+    # past 4300 digits str() of the count raises ValueError
+    (["gv", "--n", "100000", "--q", "3", "--r", "3", "--s", "2"],
+     "PG(100000,3) has (3^100001 - 1)/2, about 2.0e+47712, points"),
+], ids=["382-digits", "19-digits", "11-digits", "47713-digits"])
+def test_construct_budget_message_stays_short(args, count, tmp_path, capsys):
+    # a point count past 15 digits is written as a power of q and in
+    # scientific notation instead of in full
+    out = tmp_path / "q.json"
+    code, stdout, stderr = run(capsys, "construct", *args, "--seed", "1",
+                               "--budget", "10", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert count + ", budget is 10" in stderr
+    assert len(stderr) < 120
+    assert not out.exists()
+
+
 RANDOMIZED_ARGS = {
     "cubics": ["--q", "3", "--seed", "1"],
     "quadrics": ["--m", "2", "--q", "5", "--seed", "7"],

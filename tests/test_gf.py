@@ -17,6 +17,8 @@ from evasive.gf import (
     lookup,
     make_extension,
     make_field,
+    table_add,
+    table_sub_mul,
 )
 from evasive.randomized import HomogeneousForm
 
@@ -125,25 +127,29 @@ AXIOM_FIELDS = [
 
 @pytest.mark.parametrize("field", AXIOM_FIELDS, ids=repr)
 def test_field_axioms_exhaustive(field):
-    # table-level checks cover all q^3 triples at numpy speed
+    # table-level checks cover all q^3 triples at numpy speed; addition is
+    # read through table_add and table_sub_mul, as the kernels read it, so
+    # characteristic 2 (which has no add table) is covered too
     q = field.order
     t = field.tables()
     a = np.arange(q)
-    assert np.array_equal(t.add, t.add.T)
+    x, y, z = a[:, None, None], a[None, :, None], a[None, None, :]
+
+    def add(u, v):
+        return table_add(t, u, v)
+
+    assert np.array_equal(add(a[:, None], a[None, :]), add(a[None, :], a[:, None]))
     assert np.array_equal(t.mul, t.mul.T)
-    assert np.array_equal(t.add[a, 0], a)
+    assert np.array_equal(add(a, 0), a)
     assert np.array_equal(t.mul[a, 1], a)
     assert np.array_equal(t.mul[a, 0], np.zeros(q, dtype=np.int64))
-    assert np.array_equal(t.add[a, t.neg[a]], np.zeros(q, dtype=np.int64))
+    assert np.array_equal(add(a, t.neg[a]), np.zeros(q, dtype=np.int64))
     assert np.array_equal(t.mul[a[1:], t.inv[a[1:]]], np.ones(q - 1, dtype=np.int64))
-    assert np.array_equal(t.add[t.add[a[:, None, None], a[None, :, None]], a[None, None, :]],
-                          t.add[a[:, None, None], t.add[a[None, :, None], a[None, None, :]]])
-    assert np.array_equal(t.mul[t.mul[a[:, None, None], a[None, :, None]], a[None, None, :]],
-                          t.mul[a[:, None, None], t.mul[a[None, :, None], a[None, None, :]]])
-    assert np.array_equal(t.mul[a[:, None, None], t.add[a[None, :, None], a[None, None, :]]],
-                          t.add[t.mul[a[:, None, None], a[None, :, None]],
-                                t.mul[a[:, None, None], a[None, None, :]]])
-    assert np.array_equal(t.add[t.add[a[:, None], a[None, :]], t.neg[a][None, :]],
+    assert np.array_equal(add(add(x, y), z), add(x, add(y, z)))
+    assert np.array_equal(t.mul[t.mul[x, y], z], t.mul[x, t.mul[y, z]])
+    assert np.array_equal(t.mul[x, add(y, z)], add(t.mul[x, y], t.mul[x, z]))
+    assert np.array_equal(table_sub_mul(t, x, y, z), add(x, t.neg[t.mul[y, z]]))
+    assert np.array_equal(add(table_sub_mul(t, a[:, None], 1, a[None, :]), a[None, :]),
                           np.broadcast_to(a[:, None], (q, q)))
 
 
@@ -155,8 +161,8 @@ def test_scalar_ops_agree_with_tables(field):
     for a in elems:
         assert field.neg(a) == t.neg[a]
         for b in elems:
-            assert field.add(a, b) == t.add[a, b]
-            assert field.sub(a, b) == t.add[a, t.neg[b]]
+            assert field.add(a, b) == table_add(t, a, b)
+            assert field.sub(a, b) == table_sub_mul(t, a, 1, b)
             assert field.mul(a, b) == t.mul[a, b]
     for a in range(1, q):
         assert field.inv(a) == t.inv[a]
@@ -336,16 +342,31 @@ def test_logs_and_array_ops_agree_with_tables(field):
     assert exp.shape == (2 * (q - 1),) and np.array_equal(exp[:q - 1], exp[q - 1:])
     assert sorted(exp[:q - 1]) == list(range(1, q))
     assert np.array_equal(exp[log[1:]], a[1:])
-    # array_add takes seconds at q = 4096, so above 256 every 15th row is
+    # a full check takes seconds at q = 4096, so above 256 every 15th row is
     # checked, counting back from the last; blocks keep the int64 references small
     checked = a if q <= 256 else a[::-15]
     for rows in np.array_split(checked, -(-len(checked) // 256)):
         assert np.array_equal(array_mul(field, rows[:, None], a[None, :]), t.mul[rows])
-        assert np.array_equal(array_add(field, rows[:, None], a[None, :]), t.add[rows])
+        assert np.array_equal(array_add(field, rows[:, None], a[None, :]),
+                              table_add(t, rows[:, None], a[None, :]))
     assert array_mul(field, 1, checked[:, None], np.arange(4)).tolist() \
         == [[field.pow(int(x), e) for e in range(4)] for x in checked]
     assert np.array_equal(array_mul(field, 1, a, -1), t.inv)
     assert np.array_equal(array_mul(field, field.p - 1, a), t.neg)
+
+
+@pytest.mark.parametrize("field", [make_field(2, 11), make_field(3, 7), make_field(5, 5),
+                                   make_field(7, 1), make_field(3, 2), make_field(2, 1),
+                                   make_extension(make_field(2, 3), 4)], ids=repr)
+def test_logs_match_scalar_powers(field):
+    # logs() fills exp by doubling; the reference is one scalar product per power
+    exp, _ = field.logs()
+    g = int(exp[1]) if field.order > 2 else 1
+    x = 1
+    for i in range(field.order - 1):
+        assert exp[i] == x
+        x = field.mul(x, g)
+    assert x == 1
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (2, 8), (257, 1), (2, 11)])
@@ -355,10 +376,10 @@ def test_lookup_matches_2d_index(p, k):
     t = field.tables()
     q = field.order
     rng = np.random.default_rng(q)
-    a = rng.integers(0, q, (50, 6)).astype(t.add.dtype)
+    a = rng.integers(0, q, (50, 6)).astype(t.mul.dtype)
     b = rng.integers(0, q, (50, 6)).astype(np.int64)
     a[0], b[0] = q - 1, q - 1
-    for table in (t.add, t.mul):
+    for table in [table for table in (t.add, t.mul) if table.size]:  # no add table for p = 2
         assert np.array_equal(lookup(table, a, b), table[a, b])
         assert np.array_equal(lookup(table, a[:, :1], b), table[a[:, :1], b])  # broadcast
         assert np.array_equal(lookup(table, a, b[0]), table[a, b[0]])
@@ -397,5 +418,18 @@ def test_table_build_peak_is_near_final_size(p, k):
         tracemalloc.stop()
     final = sum(table.nbytes for table in t)
     q = field.order
-    assert final == 2 * (2 * q * q + 2 * q)  # uint16 add, mul, neg, inv
+    # uint16 mul, neg, inv, and add for odd p
+    assert final == 2 * ((1 if p == 2 else 2) * q * q + 2 * q)
     assert peak <= 1.5 * final + 2**20
+
+
+def test_table_memory_is_pinned():
+    # characteristic 2 adds by XOR and keeps no q x q add table, which
+    # halves its tables (a uint16 table of GF(2^12) alone is 32 MiB); odd
+    # characteristic keeps one
+    for p, k, mib in [(2, 11, 8.1), (2, 12, 32.1)]:
+        t = make_field(p, k).tables()
+        assert t.add.size == 0
+        assert sum(table.nbytes for table in t) <= mib * 2**20
+    q = 3**7
+    assert make_field(3, 7).tables().add.shape == (q, q)

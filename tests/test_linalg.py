@@ -94,7 +94,7 @@ def test_batch_span_members_matches_scalar_membership(field):
 def test_kernels_agree_across_input_dtypes(field):
     # uint8 tables at q = 256, uint16 at 257; encoding 255 would wrap under
     # uint8 arithmetic, so it fills pivots, whole rows and points
-    dtype = field.tables().add.dtype
+    dtype = field.tables().mul.dtype
     assert dtype == (np.uint8 if field.order == 256 else np.uint16)
     mats = random_batch(field, 40, 3, 5, seed=field.order)
     mats[::4, 0, 0] = 255
