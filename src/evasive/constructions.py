@@ -133,20 +133,35 @@ def elliptic_ovoid(field, budget: int = DEFAULT_BUDGET) -> PointSet:
 # ---------------------------------------------------------------------------
 # C4-free graphs and the curve construction over them.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Bipartite graph on two label sets {0..order-1}; edges are (x, y) pairs."""
+    """Bipartite graph on two label sets {0..order-1}.
+
+    ``edges`` is a read-only (E, 2) int64 array of the (x, y) pairs, sorted
+    and deduplicated, as ``from_edges`` builds it.
+    """
 
     order: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     @classmethod
     def from_edges(cls, order: int, edges) -> "BipartiteGraph":
-        es = sorted(set(map(tuple, edges)))
-        for x, y in es:
-            if not (0 <= x < order and 0 <= y < order):
-                raise ParameterError(f"edge label out of range: {(x, y)}")
-        return cls(order=order, edges=tuple(es))
+        """The graph of (x, y) pairs in any order, as an (E, 2) integer array or
+        an iterable of pairs; refuses a label outside [0, order)."""
+        es = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if not es.size:
+            es = es.reshape(0, 2)
+        if es.ndim != 2 or es.shape[1] != 2:
+            raise ParameterError("edges must be (x, y) pairs")
+        bad = (es < 0).any(axis=1) | (es >= order).any(axis=1)
+        if bad.any():
+            raise ParameterError(f"edge label out of range: {tuple(es[bad][0].tolist())}")
+        es = es[np.lexsort(es.T[::-1])]
+        keep = np.ones(len(es), dtype=bool)
+        keep[1:] = (es[1:] != es[:-1]).any(axis=1)
+        es = es[keep]
+        es.setflags(write=False)
+        return cls(order, es)
 
     @classmethod
     def complete(cls, order: int) -> "BipartiteGraph":
@@ -155,12 +170,16 @@ class BipartiteGraph:
     def is_c4_free(self) -> bool:
         """No two left vertices share two common neighbours."""
         nbrs: dict[int, set[int]] = {}
-        for x, y in self.edges:
+        for x, y in self.edges.tolist():
             nbrs.setdefault(x, set()).add(y)
         for a, b in itertools.combinations(nbrs.values(), 2):
             if len(a & b) >= 2:
                 return False
         return True
+
+    def __eq__(self, other):
+        return (isinstance(other, BipartiteGraph) and self.order == other.order
+                and np.array_equal(self.edges, other.edges))
 
 
 def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
@@ -187,7 +206,7 @@ def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
     key = (array_mul(field, x, w) * q0 + array_mul(field, y, w)) * q0 + w
     i = np.searchsorted((keep_pts[:, 0] * q0 + keep_pts[:, 1]) * q0 + keep_pts[:, 2], key)
     j = np.broadcast_to(np.arange(q0 * q0)[:, None], i.shape)
-    return BipartiteGraph.from_edges(q0 * q0, zip(i.ravel().tolist(), j.ravel().tolist()))
+    return BipartiteGraph.from_edges(q0 * q0, np.column_stack((i.ravel(), j.ravel())))
 
 
 def graph_curve_32(graph: BipartiteGraph, field, budget: int = DEFAULT_BUDGET) -> PointSet:
@@ -207,7 +226,7 @@ def graph_curve_32(graph: BipartiteGraph, field, budget: int = DEFAULT_BUDGET) -
     # the powers come from field.logs(), which costs O(q)
     if field.order > budget:
         raise BudgetExceeded(f"field order {field.order} exceeds budget {budget}")
-    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2, 1)
+    edges = graph.edges.reshape(-1, 2, 1)
     # (x, x^2, x^3, y, y^2, y^3) per edge, after a leading 1
     powers = array_mul(field, 1, edges, np.arange(1, 4)).reshape(-1, 6)
     rows = np.hstack([np.ones((len(powers), 1), dtype=np.int64), powers])

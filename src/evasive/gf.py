@@ -30,20 +30,23 @@ first, with trailing (high-degree) zeros trimmed; the zero polynomial is ().
 
 Lookup tables
 -------------
-``tables()`` materializes dense numpy operation tables so that bulk code can
-run field arithmetic through fancy indexing; ``lookup`` reads a 2-D table
-through one 1-D index into its flat view.  Tables are built lazily, cached
-on the spec, read-only, and only for orders up to ``TABLE_LIMIT``.  Their
-dtype is the smallest unsigned one that holds every encoding, chosen from
-the order alone: uint8 for q <= 256, uint16 above.  Kernels add only
-through ``table_add`` (a + b) and ``table_sub_mul`` (x - f*y).  In
+``tables()`` materializes numpy arrays so that bulk code can run field
+arithmetic through fancy indexing.  Tables are built lazily, cached on the
+spec, read-only, and only for orders up to ``TABLE_LIMIT``.  Their dtype
+is the smallest unsigned one that holds every encoding, chosen from the
+order alone: uint8 for q <= 256, uint16 above.  Kernels multiply only
+through ``table_mul`` (a * b), add through ``table_add`` (a + b) and
+subtract through ``table_sub_mul`` (x - f*y).  Up to q = 256 products read
+a q x q mul table and, for odd p, sums a q x q add table, each through
+``lookup``, one 1-D index into the table's flat view.  Above 256 no q x q
+array exists: products read exp[log a + log b] from O(q) arrays, where
+log[0] points into a zero tail of exp, and sums add digit-wise mod p.  In
 characteristic 2 the base-2 digits of an encoding are its coordinates, so
-a + b is a ^ b and -f is f: those fields keep an empty add table, and the
-helpers XOR.  For odd p they read add[a, b] and add[x, mul[neg[f], y]];
-subtraction has no table of its own.  ``logs()`` holds the O(q)
-discrete-log arrays behind the mul table and ``array_mul``; ``array_mul``
-and ``array_add`` do elementwise arithmetic on arrays of encodings at any
-order.  ``logs()`` has no limit of its own, so callers bound q first.
+a + b is a ^ b and -f is f at every order; odd p subtracts as
+x + (-f)*y.  ``logs()`` holds the O(q) discrete-log arrays the tables are
+built from; ``array_mul`` and ``array_add`` do elementwise arithmetic on
+arrays of encodings at any order.  ``logs()`` has no limit of its own, so
+callers bound q first.
 """
 
 from __future__ import annotations
@@ -58,16 +61,23 @@ from .errors import ParameterError
 
 ORDER_LIMIT = 2**64  # field orders must fit in 64 bits
 TABLE_LIMIT = 4096   # largest order we materialize lookup tables for
-_MUL_BLOCK_CELLS = 2**16  # cells of the mul table filled per step
 
 
 class FieldTables(NamedTuple):
-    """Read-only tables, all uint8 for q <= 256 and uint16 above."""
+    """Read-only arrays, all uint8 for q <= 256 and uint16 above.
 
-    add: np.ndarray   # (q, q)  add[a, b] = a + b; (0, 0) when p = 2
-    mul: np.ndarray   # (q, q)  mul[a, b] = a * b
-    neg: np.ndarray   # (q,)    neg[a] = -a
+    The q x q tables exist only up to q = 256 and the log pair only above
+    it; a slot a field does not use is an empty array, so every slot is
+    an array at every order.  Read them through table_mul, table_add and
+    table_sub_mul.
+    """
+
+    add: np.ndarray   # (q, q)  add[a, b] = a + b for odd p and q <= 256, else (0, 0)
+    mul: np.ndarray   # (q, q)  mul[a, b] = a * b for q <= 256, else (0, 0)
+    neg: np.ndarray   # (q,)    neg[a] = -a, so neg[1] + 1 is p
     inv: np.ndarray   # (q,)    inv[a] = a**-1, with inv[0] = 0 as a sentinel
+    exp: np.ndarray   # (4q-3,) for q > 256: g^i below 2(q-1), zeros from there; else (0,)
+    log: np.ndarray   # (q,)    for q > 256: g^log[a] = a, log[0] = 2(q-1); else (0,)
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -253,63 +263,98 @@ def _build_tables(F) -> FieldTables:
             "bulk operations are not available for fields this large"
         )
     dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
-    if p == 2:
-        add = np.empty((0, 0), dtype=dtype)  # a + b is a ^ b
-    else:
-        # addition is digit-wise mod p, so the add table of the encodings
-        # below p^(i+1) is p x p blocks of the table below p^i, each block
-        # shifted by p^i times the sum mod p of the two new top digits;
-        # 2(p-1) fits uint16
-        r = np.arange(p, dtype=np.uint16)
-        digit_add = r[:, None] + r[None, :]
-        np.remainder(digit_add, np.uint16(p), out=digit_add)
-        digit_add = digit_add.astype(dtype, copy=False)
-        add = digit_add
-        for i in range(1, F.k):
-            m = p**i
-            shift = digit_add * dtype.type(m)
-            add = (add[None, :, None, :] + shift[:, None, :, None]).reshape(m * p, m * p)
-    # mul from the logs, a block of rows at a time, so no int64 array of
-    # q^2 cells exists
     exp, log = F.logs()
-    exp = exp.astype(dtype)
-    mul = np.zeros((q, q), dtype=dtype)
-    rows = max(1, _MUL_BLOCK_CELLS // q)
-    for lo in range(1, q, rows):
-        mul[lo:lo + rows, 1:] = exp[log[lo:lo + rows, None] + log[None, 1:]]
     a = np.arange(q)
     neg = array_mul(F, p - 1, a).astype(dtype)  # the encoding p - 1 is -1 in every field
     inv = array_mul(F, 1, a, -1).astype(dtype)
-    out = FieldTables(add=add, mul=mul, neg=neg, inv=inv)
+    square, flat = np.empty((0, 0), dtype=dtype), np.empty(0, dtype=dtype)
+    if q <= 256:
+        mul = np.zeros((q, q), dtype=dtype)
+        mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
+        add = square if p == 2 else _add_table(p, F.k, dtype)  # p = 2: a + b is a ^ b
+        out = FieldTables(add=add, mul=mul, neg=neg, inv=inv, exp=flat, log=flat)
+    else:
+        # log[0] + log[b] is at least 2(q-1) for every b, and a sum of two
+        # unit logs is below it, so exp reads 0 exactly when a factor is
+        # 0; 4(q-1) < 2^16 at TABLE_LIMIT, so the sums stay uint16
+        exp_z = np.zeros(4 * q - 3, dtype=dtype)
+        exp_z[:2 * (q - 1)] = exp
+        log_z = log.astype(dtype)
+        log_z[0] = 2 * (q - 1)
+        out = FieldTables(add=square, mul=square, neg=neg, inv=inv, exp=exp_z, log=log_z)
     for table in out:
         table.setflags(write=False)
     return out
 
 
+def _add_table(p: int, k: int, dtype) -> np.ndarray:
+    # addition is digit-wise mod p, so the add table of the encodings below
+    # p^(i+1) is p x p blocks of the table below p^i, each block shifted by
+    # p^i times the sum mod p of the two new top digits; 2(p-1) fits uint16
+    r = np.arange(p, dtype=np.uint16)
+    digit_add = r[:, None] + r[None, :]
+    np.remainder(digit_add, np.uint16(p), out=digit_add)
+    digit_add = digit_add.astype(dtype, copy=False)
+    add = digit_add
+    for i in range(1, k):
+        m = p**i
+        shift = digit_add * dtype.type(m)
+        add = (add[None, :, None, :] + shift[:, None, :, None]).reshape(m * p, m * p)
+    return add
+
+
 def lookup(table: np.ndarray, a, b) -> np.ndarray:
-    """table[a, b] for a 2-D table, as one 1-D lookup of a * width + b.
+    """table[a, b] for a 2-D table of at most 2^16 cells, as one 1-D lookup.
 
     a and b are integer arrays (or ints) of encodings that broadcast.  The
-    flat index is built in uint16 when the table has at most 2^16 cells
-    (q <= 256) and in uint32 above, which holds every table up to
-    TABLE_LIMIT; taking it from table.ravel() is 2 to 3 times faster than
-    numpy's 2-D fancy index.
+    flat index a * width + b is built in uint16, which holds it for every
+    q x q table (those stop at q = 256); taking it from table.ravel() is 2
+    to 3 times faster than numpy's 2-D fancy index.
     """
-    dtype = np.uint16 if table.size <= 2**16 else np.uint32
-    idx = np.multiply(a, table.shape[1], dtype=dtype, casting="unsafe")
+    idx = np.multiply(a, table.shape[1], dtype=np.uint16, casting="unsafe")
     inplace = np.ndim(idx) and idx.shape == np.broadcast_shapes(idx.shape, np.shape(b))
-    idx = np.add(idx, b, out=idx if inplace else None, dtype=dtype, casting="unsafe")
+    idx = np.add(idx, b, out=idx if inplace else None, dtype=np.uint16, casting="unsafe")
     return np.take(table.ravel(), idx)
+
+
+def table_mul(t: FieldTables, a, b) -> np.ndarray:
+    """a * b elementwise through the tables, in their dtype; arguments broadcast.
+
+    Above q = 256 it reads exp[log a + log b], where a zero factor's
+    sentinel log lands in exp's zero tail.
+    """
+    if t.mul.size:
+        return lookup(t.mul, a, b)
+    return np.take(t.exp, np.take(t.log, a) + np.take(t.log, b))
+
+
+def _digit_add(a, b, p: int, q: int, dtype) -> np.ndarray:
+    """a + b in dtype for odd p: digit-wise mod p over the base-p digits
+    of encodings below q, which is one remainder when q = p."""
+    a = np.asarray(a).astype(dtype, copy=False)
+    b = np.asarray(b).astype(dtype, copy=False)
+    if q == p:
+        return (a + b) % p
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
+    w = 1
+    while w < q:
+        out += (a // w % p + b // w % p) % p * w
+        w *= p
+    return out
 
 
 def table_add(t: FieldTables, a, b) -> np.ndarray:
     """a + b elementwise through the tables, in their dtype; arguments broadcast.
 
-    An empty add table marks characteristic 2, where a + b is a ^ b.
+    Characteristic 2 XORs; odd p reads the add table up to q = 256 and
+    adds digit-wise above it.
     """
-    if not t.add.size:
-        return np.bitwise_xor(a, b, dtype=t.mul.dtype, casting="unsafe")
-    return lookup(t.add, a, b)
+    if t.add.size:
+        return lookup(t.add, a, b)
+    p = int(t.neg[1]) + 1  # -1 is the encoding p - 1
+    if p == 2:
+        return np.bitwise_xor(a, b, dtype=t.neg.dtype, casting="unsafe")
+    return _digit_add(a, b, p, len(t.neg), t.neg.dtype)
 
 
 def table_sub_mul(t: FieldTables, x, f, y) -> np.ndarray:
@@ -317,9 +362,9 @@ def table_sub_mul(t: FieldTables, x, f, y) -> np.ndarray:
 
     In characteristic 2, -f is f, so the neg gather is skipped.
     """
-    if not t.add.size:
-        return np.bitwise_xor(x, lookup(t.mul, f, y), dtype=t.mul.dtype, casting="unsafe")
-    return lookup(t.add, x, lookup(t.mul, t.neg[f], y))
+    if t.neg[1] == 1:  # characteristic 2
+        return np.bitwise_xor(x, table_mul(t, f, y), dtype=t.neg.dtype, casting="unsafe")
+    return table_add(t, x, table_mul(t, t.neg[f], y))
 
 
 def _find_generator(F) -> int:
@@ -403,15 +448,9 @@ def array_add(F, a, b) -> np.ndarray:
     for p = 2 is a ^ b."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    p = F.p
-    if p == 2:
+    if F.p == 2:
         return a ^ b
-    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    w = 1
-    for _ in range(F.k):
-        out += (a // w % p + b // w % p) % p * w
-        w *= p
-    return out
+    return _digit_add(a, b, F.p, F.order, np.int64)
 
 
 # ---------------------------------------------------------------------------

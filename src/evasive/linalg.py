@@ -1,19 +1,21 @@
 """Batched exact Gaussian elimination over small finite fields.
 
 Matrices are numpy arrays of field-element encodings in any integer dtype,
-and every arithmetic step goes through the field's lookup tables, so the
-same code path serves prime fields, prime-power fields, and towers.
-Products go through gf.lookup and each x - f*y through gf.table_sub_mul,
-which XORs in characteristic 2; results, residues included, come out in
-the tables' dtype.  Batches are eliminated in lock step: one pass over the
-columns, with per-matrix pivot bookkeeping carried in index arrays.
+and every arithmetic step goes through the field's tables, so the same
+code path serves prime fields, prime-power fields, and towers.  Products
+go through gf.table_mul and each x - f*y through gf.table_sub_mul: up to
+q = 256 they read q x q tables, above it the field's O(q) logs, and in
+characteristic 2 the subtraction is an XOR.  Results, residues included,
+come out in the tables' dtype.  Batches are eliminated in lock step: one
+pass over the columns, with per-matrix pivot bookkeeping carried in index
+arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gf import lookup, table_sub_mul
+from .gf import table_mul, table_sub_mul
 
 
 def batch_rref(field, mats: np.ndarray):
@@ -45,7 +47,7 @@ def batch_rref(field, mats: np.ndarray):
             mats[ssel, sr] = mats[ssel, sp]
             mats[ssel, sp] = tmp
         pv = mats[sel, rsel, col]
-        mats[sel, rsel] = lookup(t.mul, t.inv[pv][:, None], mats[sel, rsel])
+        mats[sel, rsel] = table_mul(t, t.inv[pv][:, None], mats[sel, rsel])
         factors = mats[sel, :, col]
         factors[np.arange(len(sel)), rsel] = 0  # leave the pivot row itself alone
         mats[sel] = table_sub_mul(t, mats[sel], factors[:, :, None], mats[sel, rsel][:, None, :])
@@ -69,7 +71,7 @@ def batch_residues(field, rref_mats, pivot_cols, points):
     t = field.tables()
     B, m, w = rref_mats.shape
     N = points.shape[0]
-    V = np.empty((B, N, w), dtype=t.mul.dtype)
+    V = np.empty((B, N, w), dtype=t.neg.dtype)
     V[...] = points
     for step in range(m):
         cols = pivot_cols[:, step]

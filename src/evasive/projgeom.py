@@ -60,18 +60,22 @@ def require_points(n: int, q: int, budget: int) -> int:
     A count of 16 digits or more is written as (q^(n+1) - 1)/(q - 1) and
     in scientific notation, so the message stays one short line.
     """
-    total = count_points(n, q)
-    if total > budget:
-        shown = str(total) if total < 10**15 else \
-            f"({q}^{n + 1} - 1)/{q - 1}, about {_scientific(total)},"
+    log_total = (n + 1) * log10(q) - log10(q - 1)
+    # a count that far past the budget is refused from its logarithm,
+    # before q^(n+1) is built: at n = 10^8 that alone takes minutes
+    far = log_total >= 16 and log_total > log10(max(budget, 1)) + 1
+    total = None if far else count_points(n, q)
+    if far or total > budget:
+        shown = str(total) if not far and total < 10**15 else \
+            f"({q}^{n + 1} - 1)/{q - 1}, about {_scientific(log_total)},"
         raise BudgetExceeded(f"PG({n},{q}) has {shown} points, budget is {budget}")
     return total
 
 
-def _scientific(x: int) -> str:
-    """x > 0 as d.de+N, from its logarithm: str() of a huge int is slow or refused."""
-    e = floor(log10(x))
-    mantissa = f"{10 ** (log10(x) - e):.1f}"
+def _scientific(log_x: float) -> str:
+    """The number whose log10 is log_x, as d.de+N: str() of a huge int is slow or refused."""
+    e = floor(log_x)
+    mantissa = f"{10 ** (log_x - e):.1f}"
     if mantissa == "10.0":
         mantissa, e = "1.0", e + 1
     return f"{mantissa}e+{e}"

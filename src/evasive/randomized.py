@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .gf import is_int, lookup, make_field, table_add
+from .gf import is_int, make_field, table_add, table_mul
 from .jsonio import require_flat_field
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, require_points, span_mask
 from .verifier import is_rs_set
@@ -109,12 +109,12 @@ class HomogeneousForm:
     def evaluate(self, vectors: np.ndarray) -> np.ndarray:
         """Values at each row of an integer-encoded (m, n+1) array, in the tables' dtype."""
         t = self.field.tables()
-        acc = np.zeros(len(vectors), dtype=t.mul.dtype)
+        acc = np.zeros(len(vectors), dtype=t.neg.dtype)
         for exps, c in sorted(self.coefficients.items()):
-            term = np.full(len(vectors), c, dtype=t.mul.dtype)
+            term = np.full(len(vectors), c, dtype=t.neg.dtype)
             for i, e in enumerate(exps):
                 for _ in range(e):
-                    term = lookup(t.mul, term, vectors[:, i])
+                    term = table_mul(t, term, vectors[:, i])
             acc = table_add(t, acc, term)
         return acc
 

@@ -73,7 +73,7 @@ by the bytes its residues take, intp index temporaries included, up to
 WORKSPACE_BYTES; the first batch of a scan is one prefix, and the size
 doubles from there, so a scan that stops at its first subset pays for
 little more than that subset.  Rows are gathered with np.take along axis
-0, and every table lookup is a 1-D one (gf.lookup).
+0, and every product goes through gf.table_mul.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import lookup, table_sub_mul
+from .gf import table_mul, table_sub_mul
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
@@ -173,7 +173,7 @@ def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
     col = (piv != 0).argmax(axis=1)
     lead = piv[np.arange(len(a)), col]
     full = lead != 0
-    unit = lookup(t.mul, t.inv[lead][:, None], piv)  # zero rows stay zero
+    unit = table_mul(t, t.inv[lead][:, None], piv)  # zero rows stay zero
     start = np.zeros(len(a) + 1, dtype=np.intp)
     np.cumsum(L, out=start[1:])
     src = np.repeat(a + 1 - start[:-1], L)
@@ -250,7 +250,7 @@ def _counts(field, level: _Level) -> np.ndarray:
     node = np.repeat(np.arange(len(level.base)), np.diff(level.start))
     lead = _leads(R)
     zero = lead == 0
-    sizes = _class_sizes(lookup(t.mul, t.inv[lead][:, None], R), node)
+    sizes = _class_sizes(table_mul(t, t.inv[lead][:, None], R), node)
     sizes[zero] = 0
     sizes += (level.base + np.add.reduceat(zero, level.start[:-1], dtype=np.intp))[node]
     return sizes
@@ -283,7 +283,7 @@ def _span_counts(X: PointSet, m: int, budget: int):
         )
     root = _Level(prefix=np.empty((1, 0), dtype=np.intp), base=np.zeros(1, dtype=np.intp),
                   start=np.array([0, N]),
-                  rows=np.ascontiguousarray(X.array, dtype=X.field.tables().mul.dtype))
+                  rows=np.ascontiguousarray(X.array, dtype=X.field.tables().neg.dtype))
     return _walk(X.field, root, m, N, [0])
 
 

@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 
 from evasive import linalg
+from evasive.gf import table_mul
 
 BATCH = 64  # prefixes per batch
 
@@ -23,7 +24,7 @@ def class_sizes(field, R):
     t = field.tables()
     B, N, _ = R.shape
     lead = np.take_along_axis(R, (R != 0).argmax(axis=2)[:, :, None], axis=2)
-    R = t.mul[R, t.inv[lead]]
+    R = table_mul(t, R, t.inv[lead])
     order = np.lexsort(np.moveaxis(R, 2, 0))
     sR = np.take_along_axis(R, order[:, :, None], axis=1)
     new = np.ones((B, N), dtype=bool)
@@ -38,7 +39,7 @@ def span_counts(X, m):
     """Yield (prefixes (B, m-1), counts (B, N)); counts is -1 where j <= max(P)."""
     N = len(X)
     field = X.field
-    arr = X.array.astype(field.tables().mul.dtype)
+    arr = X.array.astype(field.tables().neg.dtype)
     cols = np.arange(N)
     combos = itertools.combinations(range(N - 1), m - 1)
     while chunk := list(itertools.islice(combos, BATCH)):

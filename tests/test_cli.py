@@ -252,6 +252,22 @@ def test_construct_budget_message_stays_short(args, count, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_construct_huge_n_refused_before_counting(tmp_path):
+    # 3^(10^8 + 1) as an exact int takes minutes to build, so the count is
+    # compared with the budget through its logarithm first
+    env = dict(os.environ)
+    src = str(Path(evasive.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["construct", "gv", "--n", "100000000", "--q", "3", "--r", "3", "--s", "2",
+            "--seed", "1", "--budget", "10", "--out", "gv.json"]
+    done = subprocess.run([sys.executable, "-m", "evasive", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 3 and done.stdout == ""
+    assert "PG(100000000,3) has (3^100000001 - 1)/2, about 4.4e+47712125, points, " \
+           "budget is 10" in done.stderr
+    assert not (tmp_path / "gv.json").exists()
+
+
 RANDOMIZED_ARGS = {
     "cubics": ["--q", "3", "--seed", "1"],
     "quadrics": ["--m", "2", "--q", "5", "--seed", "7"],

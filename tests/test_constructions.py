@@ -152,12 +152,21 @@ def test_complete_bipartite_has_c4():
 
 
 def test_bipartite_graph_validation():
-    g = BipartiteGraph.from_edges(2, [(1, 0), (0, 1), (0, 0)])
-    assert g.edges == ((0, 0), (0, 1), (1, 0))  # sorted, deduped
-    with pytest.raises(ParameterError):
-        BipartiteGraph.from_edges(2, [(0, 2)])
+    g = BipartiteGraph.from_edges(2, [(1, 0), (0, 1), (0, 0), (1, 0)])
+    assert g.edges.tolist() == [[0, 0], [0, 1], [1, 0]]  # sorted, deduped
+    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+    assert BipartiteGraph.from_edges(2, np.array([[1, 0], [0, 0], [0, 1]])) == g
+    assert BipartiteGraph.from_edges(3, g.edges) != g
+    assert BipartiteGraph.from_edges(2, []).edges.shape == (0, 2)
+    with pytest.raises(ParameterError, match=r"\(0, 2\)"):
+        BipartiteGraph.from_edges(2, [(0, 1), (0, 2)])
     with pytest.raises(ParameterError):
         BipartiteGraph.from_edges(3, [(-1, 0)])
+    with pytest.raises(ParameterError):
+        BipartiteGraph.from_edges(3, np.array([[0, 3]]))
+    for pairs in ([(0, 1, 2)], [(0, 1, 0, 1)], [0, 1]):
+        with pytest.raises(ParameterError, match="pairs"):
+            BipartiteGraph.from_edges(3, pairs)
 
 
 @pytest.mark.parametrize("q0", [2, 3, 4])
@@ -387,7 +396,7 @@ def scalar_ovoid(F):
 def scalar_graph32(graph, F):
     return PointSet.from_rows(F, 6, [
         (1, x, F.mul(x, x), F.pow(x, 3), y, F.mul(y, y), F.pow(y, 3))
-        for x, y in graph.edges])
+        for x, y in graph.edges.tolist()])
 
 
 REFERENCE_FIELDS = [

@@ -18,6 +18,7 @@ from evasive.gf import (
     make_extension,
     make_field,
     table_add,
+    table_mul,
     table_sub_mul,
 )
 from evasive.randomized import HomogeneousForm
@@ -332,13 +333,28 @@ def test_modulus_is_first_irreducible_in_product_order(field):
 DTYPE_BOUNDARY_FIELDS = [make_field(2, 8), make_field(257, 1), make_field(2, 12)]
 
 
+def assert_table_layout(field, t):
+    """q x q tables up to q = 256; above, the log pair and no q x q array."""
+    q = field.order
+    assert {table.dtype for table in t} == {np.dtype(np.uint8 if q <= 256 else np.uint16)}
+    if q <= 256:
+        assert t.mul.shape == (q, q) and t.add.shape == ((0, 0) if field.p == 2 else (q, q))
+        assert t.exp.shape == t.log.shape == (0,)
+        return
+    assert t.add.shape == t.mul.shape == (0, 0)
+    assert t.exp.shape == (4 * q - 3,) and t.log.shape == (q,)
+    exp, log = field.logs()
+    assert np.array_equal(t.exp[:2 * (q - 1)], exp) and not t.exp[2 * (q - 1):].any()
+    assert t.log[0] == 2 * (q - 1) and np.array_equal(t.log[1:], log[1:])
+
+
 @pytest.mark.parametrize("field", AXIOM_FIELDS + DTYPE_BOUNDARY_FIELDS, ids=repr)
 def test_logs_and_array_ops_agree_with_tables(field):
     q = field.order
     t = field.tables()
     exp, log = field.logs()
     a = np.arange(q)
-    assert {table.dtype for table in t} == {np.dtype(np.uint8 if q <= 256 else np.uint16)}
+    assert_table_layout(field, t)
     assert exp.shape == (2 * (q - 1),) and np.array_equal(exp[:q - 1], exp[q - 1:])
     assert sorted(exp[:q - 1]) == list(range(1, q))
     assert np.array_equal(exp[log[1:]], a[1:])
@@ -346,7 +362,8 @@ def test_logs_and_array_ops_agree_with_tables(field):
     # checked, counting back from the last; blocks keep the int64 references small
     checked = a if q <= 256 else a[::-15]
     for rows in np.array_split(checked, -(-len(checked) // 256)):
-        assert np.array_equal(array_mul(field, rows[:, None], a[None, :]), t.mul[rows])
+        assert np.array_equal(array_mul(field, rows[:, None], a[None, :]),
+                              table_mul(t, rows[:, None], a[None, :]))
         assert np.array_equal(array_add(field, rows[:, None], a[None, :]),
                               table_add(t, rows[:, None], a[None, :]))
     assert array_mul(field, 1, checked[:, None], np.arange(4)).tolist() \
@@ -371,23 +388,34 @@ def test_logs_match_scalar_powers(field):
 
 @pytest.mark.parametrize("p,k", [(7, 1), (2, 8), (257, 1), (2, 11)])
 def test_lookup_matches_2d_index(p, k):
-    # q = 256 is the last order whose flat index is uint16, 257 the first uint32
+    # q = 256 is the last order with q x q tables, read through one uint16
+    # flat index; at 257 and 2^11 table_mul reads the logs and table_add
+    # the digits, against the same 2-D references, array_mul and array_add
     field = make_field(p, k)
     t = field.tables()
     q = field.order
     rng = np.random.default_rng(q)
-    a = rng.integers(0, q, (50, 6)).astype(t.mul.dtype)
+    a = rng.integers(0, q, (50, 6)).astype(t.neg.dtype)
     b = rng.integers(0, q, (50, 6)).astype(np.int64)
     a[0], b[0] = q - 1, q - 1
-    for table in [table for table in (t.add, t.mul) if table.size]:  # no add table for p = 2
+    a[1, :3], b[2, 3:] = 0, 0  # zero factors, whose logs are sentinels above 256
+    for op, ref in [(table_mul, array_mul), (table_add, array_add)]:
+        assert np.array_equal(op(t, a, b), ref(field, a, b))
+        assert np.array_equal(op(t, a[:, :1], b), ref(field, a[:, :1], b))  # broadcast
+        assert np.array_equal(op(t, a, b[0]), ref(field, a, b[0]))
+        assert op(t, q - 1, q - 1) == ref(field, q - 1, q - 1)
+        assert op(t, 0, 0) == ref(field, 0, 0)
+        assert op(t, a, b).dtype == t.neg.dtype
+    tables = [table for table in (t.add, t.mul) if table.size]  # no add table for p = 2
+    assert len(tables) == (0 if q > 256 else 1 if p == 2 else 2)
+    for table in tables:
         assert np.array_equal(lookup(table, a, b), table[a, b])
-        assert np.array_equal(lookup(table, a[:, :1], b), table[a[:, :1], b])  # broadcast
+        assert np.array_equal(lookup(table, a[:, :1], b), table[a[:, :1], b])
         assert np.array_equal(lookup(table, a, b[0]), table[a, b[0]])
         assert lookup(table, q - 1, q - 1) == table[q - 1, q - 1]
     rect = np.arange(q * 3).reshape(q, 3)  # a non-square table of distinct entries
     e = rng.integers(0, 3, (50, 6))
     assert np.array_equal(lookup(rect, b, e), rect[b, e])
-    assert lookup(t.mul, a, b).dtype == t.mul.dtype
 
 
 def test_tables_are_read_only():
@@ -418,18 +446,20 @@ def test_table_build_peak_is_near_final_size(p, k):
         tracemalloc.stop()
     final = sum(table.nbytes for table in t)
     q = field.order
-    # uint16 mul, neg, inv, and add for odd p
-    assert final == 2 * ((1 if p == 2 else 2) * q * q + 2 * q)
-    assert peak <= 1.5 * final + 2**20
+    # uint16 exp of 4q - 3 cells, then log, neg and inv of q each
+    assert final == 2 * ((4 * q - 3) + 3 * q)
+    assert peak <= 3 * final
 
 
 def test_table_memory_is_pinned():
-    # characteristic 2 adds by XOR and keeps no q x q add table, which
-    # halves its tables (a uint16 table of GF(2^12) alone is 32 MiB); odd
-    # characteristic keeps one
-    for p, k, mib in [(2, 11, 8.1), (2, 12, 32.1)]:
+    # above q = 256 no table has q^2 cells, so the tables are O(q): a q x q
+    # uint16 table of GF(2^12) alone would be 32 MiB
+    for p, k, nbytes in [(2, 11, 28_666), (2, 12, 57_338), (3, 7, 30_612)]:
         t = make_field(p, k).tables()
-        assert t.add.size == 0
-        assert sum(table.nbytes for table in t) <= mib * 2**20
-    q = 3**7
-    assert make_field(3, 7).tables().add.shape == (q, q)
+        q = p**k
+        assert max(table.size for table in t) == 4 * q - 3
+        assert sum(table.nbytes for table in t) == nbytes
+    assert sum(table.nbytes for table in make_field(2, 11).tables()) <= 64 * 2**10
+    # q = 256 keeps its q x q tables: a uint8 mul table, and add for odd p
+    assert sum(table.nbytes for table in make_field(2, 8).tables()) == 256 * 256 + 2 * 256
+    assert sum(table.nbytes for table in make_field(251, 1).tables()) == 2 * 251 * 251 + 2 * 251

@@ -15,6 +15,7 @@ from evasive.linalg import (
     batch_rref,
     batch_span_members,
 )
+from evasive.projgeom import rank
 from evasive.randomized import Prng
 from evasive.verifier import _scalar_rref
 
@@ -94,7 +95,7 @@ def test_batch_span_members_matches_scalar_membership(field):
 def test_kernels_agree_across_input_dtypes(field):
     # uint8 tables at q = 256, uint16 at 257; encoding 255 would wrap under
     # uint8 arithmetic, so it fills pivots, whole rows and points
-    dtype = field.tables().mul.dtype
+    dtype = field.tables().neg.dtype
     assert dtype == (np.uint8 if field.order == 256 else np.uint16)
     mats = random_batch(field, 40, 3, 5, seed=field.order)
     mats[::4, 0, 0] = 255
@@ -126,6 +127,39 @@ def test_kernels_agree_across_input_dtypes(field):
             assert all(residue[c] == 0 for c in piv)
             diff = tuple(field.sub(a, b) for a, b in zip(point, residue))
             assert scalar_rank(field, rows + (diff,)) == len(rows)
+
+
+# above the uint8 boundary products read the logs and sums the digits (or
+# XOR): primes, odd prime powers, characteristic 2 and a tower over GF(9)
+ABOVE_UINT8 = [make_field(257, 1), make_field(4093, 1), make_field(17, 2), make_field(3, 6),
+               make_field(2, 10), make_extension(make_field(3, 2), 3)]
+
+
+@pytest.mark.parametrize("field", ABOVE_UINT8, ids=repr)
+def test_kernels_above_uint8_match_scalar(field):
+    q = field.order
+    mats = random_batch(field, 24, 3, 5, seed=q)
+    mats[::3, 0, 0] = 0  # a zero where a pivot would be
+    mats[1::3, 2] = mats[1::3, 0]  # rank-deficient
+    mats[2::6, 1] = [[field.mul(q - 1, x) for x in row] for row in mats[2::6, 0].tolist()]
+    mats[4::6, :, 1] = q - 1
+    mats[5::6] = 0
+    work = mats.copy()
+    ranks, pivot_cols = batch_rref(field, work)
+    pts = random_batch(field, 1, 12, 5, seed=q + 1)[0]
+    pts[0] = 0
+    pts[1] = mats[0, 1]  # inside the first row space
+    members = batch_span_members(field, work, pivot_cols, pts)
+    assert sorted(set(ranks.tolist())) == [0, 2, 3]
+    for i in range(len(mats)):
+        rows, pivots = _scalar_rref(field, mats[i].tolist())
+        assert rank(field, mats[i]) == ranks[i] == len(rows)
+        assert [tuple(r) for r in work[i, :ranks[i]].tolist()] == list(rows)
+        assert pivot_cols[i, :ranks[i]].tolist() == list(pivots)
+        assert not work[i, ranks[i]:].any()
+        for j, point in enumerate(pts.tolist()):
+            assert members[i, j] == (scalar_rank(field, rows + (tuple(point),)) == len(rows))
+    assert members[:, 0].all() and members[0, 1]
 
 
 def test_batch_rref_empty_and_zero_matrices():

@@ -16,6 +16,7 @@ from evasive.projgeom import (
     gaussian_binomial,
     normalize,
     rank,
+    require_points,
     rref,
     span_count,
     span_mask,
@@ -78,6 +79,17 @@ def test_all_points_sorted_normalized_counted(n, q, p, k):
 def test_all_points_budget():
     with pytest.raises(BudgetExceeded):
         list(all_points(9, make_field(5, 1), budget=1000))
+
+
+def test_require_points_at_the_budget():
+    # the logarithm refuses only counts ten times past the budget, so a
+    # count at or just above it is still compared exactly
+    for n, q in [(59, 2), (20, 7), (1000, 3)]:
+        total = count_points(n, q)
+        assert require_points(n, q, total) == total
+        for budget in (total - 1, total // 10, 1, 0):
+            with pytest.raises(BudgetExceeded, match=f"PG\\({n},{q}\\) has"):
+                require_points(n, q, budget)
 
 
 def test_rank_examples():

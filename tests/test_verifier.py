@@ -14,7 +14,7 @@ from evasive.constructions import (
     rational_normal_curve,
 )
 from evasive.errors import BudgetExceeded, ParameterError
-from evasive.gf import make_field
+from evasive.gf import FieldSpec, make_extension, make_field
 from evasive.projgeom import PointSet, all_points, normalize
 from evasive.randomized import Prng, cubic_92_construction
 from evasive.verifier import (
@@ -241,6 +241,68 @@ def test_kernel_in_pg_8_256():
         for limit in range(1, 5):
             assert_matches_brute_force(X, s, limit)
     assert max_in_s_space(X, 1)[0] == 4
+
+
+# one field of each kind above the uint8 boundary, where the kernels
+# multiply through the logs: primes, odd prime powers, characteristic 2
+# and a tower over GF(9)
+ABOVE_UINT8 = [make_field(257, 1), make_field(4093, 1), make_field(17, 2), make_field(3, 6),
+               make_field(2, 10), make_extension(make_field(3, 2), 3)]
+
+
+@pytest.mark.parametrize("field", ABOVE_UINT8, ids=repr)
+def test_kernel_above_uint8(field):
+    # PG(3, q) has too many lines for oracle_max_in_s_space's enumeration
+    # at q > 256, so the references are the brute-force scans on the
+    # oracle's scalar elimination: four points on one line and four more
+    # on one plane through it, among random points
+    q = field.order
+    rng = Prng(q)
+
+    def combo(c, u, v):
+        return tuple(field.add(a, field.mul(c, b)) for a, b in zip(u, v))
+
+    base = [(1,) + tuple(rng.below(q) for _ in range(3)) for _ in range(5)]
+    on_line = [combo(3, base[0], base[1]), combo(q - 1, base[0], base[1])]
+    on_plane = [combo(2, base[0], base[2]), combo(q - 2, on_line[0], base[2])]
+    X = PointSet.from_rows(field, 3, [normalize(field, v) for v in base + on_line + on_plane])
+    assert len(X) == 9
+    for s, most in [(1, 4), (2, 7)]:
+        # brute_max and brute_first_violation in one pass: scalar spans are slow in towers
+        spans = [(sub, scalar_span(X, sub)) for sub in itertools.combinations(X.points, s + 1)]
+        assert max_in_s_space(X, s)[0] == max(len(inside) for _, inside in spans) == most
+        for limit in (1, most - 1, most):
+            w = find_violation(X, s, limit)
+            ref = next(((sub, inside) for sub, inside in spans if len(inside) > limit), None)
+            assert (w is None) if ref is None else (w.generating_points, w.intersection) == ref
+
+
+@pytest.mark.parametrize("field", [make_field(257, 1), make_field(2, 10)], ids=repr)
+def test_monomial_curve_above_uint8(field):
+    # the n = 2 monomial curve is a (2, 1)-set: no three of its q - 1 points collinear
+    X = monomial_curve(2, field)
+    assert is_rs_set(X, 2, 1) == (True, None)
+    ok, w = is_rs_set(X, 1, 1)
+    assert not ok and w.count == 2
+    w.recheck(X)
+
+
+def test_early_exit_at_q2048_stays_small():
+    # a fresh spec equal to GF(2^11) has no tables yet, so the traced call
+    # builds them: above q = 256 they are O(q), where the mul table alone
+    # took 8 MiB
+    cached = make_field(2, 11)
+    field = FieldSpec(cached.base, cached.N, cached.modulus)
+    X = monomial_curve(2, field)
+    tracemalloc.start()
+    try:
+        ok, w = is_rs_set(X, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field._tables is not None
+    assert not ok and w.count == 2
+    assert peak <= 2**20
 
 
 # ---------------------------------------------------------------------------
