@@ -36,17 +36,18 @@ spec, read-only, and only for orders up to ``TABLE_LIMIT``.  Their dtype
 is the smallest unsigned one that holds every encoding, chosen from the
 order alone: uint8 for q <= 256, uint16 above.  Kernels multiply only
 through ``table_mul`` (a * b), add through ``table_add`` (a + b) and
-subtract through ``table_sub_mul`` (x - f*y).  Up to q = 256 products read
-a q x q mul table and, for odd p, sums a q x q add table, each through
+subtract through ``table_sub_mul`` (x - f*y).  Every product derives from
+one log layout, ``logs()``, whose log[0] points into a zero tail of exp,
+so exp[log a + log b] is a * b for every a and b.  Up to q = 256 the mul
+table is that gather over the q x q grid and, for odd p, the add table is
+the digit-wise sum mod p (``_digit_add``) over it, each read through
 ``lookup``, one 1-D index into the table's flat view.  Above 256 no q x q
-array exists: products read exp[log a + log b] from O(q) arrays, where
-log[0] points into a zero tail of exp, and sums add digit-wise mod p.  In
-characteristic 2 the base-2 digits of an encoding are its coordinates, so
-a + b is a ^ b and -f is f at every order; odd p subtracts as
-x + (-f)*y.  ``logs()`` holds the O(q) discrete-log arrays the tables are
-built from; ``array_mul`` and ``array_add`` do elementwise arithmetic on
-arrays of encodings at any order.  ``logs()`` has no limit of its own, so
-callers bound q first.
+array exists: the tables hold exp and log cast to uint16, and sums run
+``_digit_add`` directly.  In characteristic 2 the base-2 digits of an
+encoding are its coordinates, so a + b is a ^ b and -f is f at every
+order; odd p subtracts as x + (-f)*y.  ``array_mul`` and ``array_add`` do
+elementwise arithmetic on arrays of encodings at any order.  ``logs()``
+has no limit of its own, so callers bound q first.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ class FieldTables(NamedTuple):
     """
 
     add: np.ndarray   # (q, q)  add[a, b] = a + b for odd p and q <= 256, else (0, 0)
-    mul: np.ndarray   # (q, q)  mul[a, b] = a * b for q <= 256, else (0, 0)
+    mul: np.ndarray   # (q, q)  mul[a, b] = exp[log a + log b] for q <= 256, else (0, 0)
     neg: np.ndarray   # (q,)    neg[a] = -a, so neg[1] + 1 is p
     inv: np.ndarray   # (q,)    inv[a] = a**-1, with inv[0] = 0 as a sentinel
-    exp: np.ndarray   # (4q-3,) for q > 256: g^i below 2(q-1), zeros from there; else (0,)
-    log: np.ndarray   # (q,)    for q > 256: g^log[a] = a, log[0] = 2(q-1); else (0,)
+    exp: np.ndarray   # (4q-3,) logs()'s exp cast, for q > 256; else (0,)
+    log: np.ndarray   # (q,)    logs()'s log cast, log[0] = 2(q-1), for q > 256; else (0,)
 
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -263,44 +264,25 @@ def _build_tables(F) -> FieldTables:
             "bulk operations are not available for fields this large"
         )
     dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
+    # log[a] + log[b] <= 4(q-1) < 2^16 up to TABLE_LIMIT: uint16 index sums
     exp, log = F.logs()
-    a = np.arange(q)
-    neg = array_mul(F, p - 1, a).astype(dtype)  # the encoding p - 1 is -1 in every field
-    inv = array_mul(F, 1, a, -1).astype(dtype)
+    exp, log = exp.astype(dtype), log.astype(np.uint16)
+    neg = exp[log + log[p - 1]]  # the encoding p - 1 is -1 in every field
+    inv = np.zeros(q, dtype=dtype)  # inv[0] = 0 is a sentinel
+    inv[exp[:q - 1]] = exp[q - 1:0:-1]  # g^i * g^(q-1-i) = 1
     square, flat = np.empty((0, 0), dtype=dtype), np.empty(0, dtype=dtype)
     if q <= 256:
-        mul = np.zeros((q, q), dtype=dtype)
-        mul[1:, 1:] = exp[log[1:, None] + log[None, 1:]]
-        add = square if p == 2 else _add_table(p, F.k, dtype)  # p = 2: a + b is a ^ b
+        mul = exp[log[:, None] + log[None, :]]
+        # p = 2 adds by XOR; odd p adds digit-wise, in uint16 since a digit
+        # sum reaches 2(p-1)
+        a = np.arange(q, dtype=np.uint16)
+        add = square if p == 2 else _digit_add(a[:, None], a, p, q, np.uint16).astype(dtype)
         out = FieldTables(add=add, mul=mul, neg=neg, inv=inv, exp=flat, log=flat)
     else:
-        # log[0] + log[b] is at least 2(q-1) for every b, and a sum of two
-        # unit logs is below it, so exp reads 0 exactly when a factor is
-        # 0; 4(q-1) < 2^16 at TABLE_LIMIT, so the sums stay uint16
-        exp_z = np.zeros(4 * q - 3, dtype=dtype)
-        exp_z[:2 * (q - 1)] = exp
-        log_z = log.astype(dtype)
-        log_z[0] = 2 * (q - 1)
-        out = FieldTables(add=square, mul=square, neg=neg, inv=inv, exp=exp_z, log=log_z)
+        out = FieldTables(add=square, mul=square, neg=neg, inv=inv, exp=exp, log=log)
     for table in out:
         table.setflags(write=False)
     return out
-
-
-def _add_table(p: int, k: int, dtype) -> np.ndarray:
-    # addition is digit-wise mod p, so the add table of the encodings below
-    # p^(i+1) is p x p blocks of the table below p^i, each block shifted by
-    # p^i times the sum mod p of the two new top digits; 2(p-1) fits uint16
-    r = np.arange(p, dtype=np.uint16)
-    digit_add = r[:, None] + r[None, :]
-    np.remainder(digit_add, np.uint16(p), out=digit_add)
-    digit_add = digit_add.astype(dtype, copy=False)
-    add = digit_add
-    for i in range(1, k):
-        m = p**i
-        shift = digit_add * dtype.type(m)
-        add = (add[None, :, None, :] + shift[:, None, :, None]).reshape(m * p, m * p)
-    return add
 
 
 def lookup(table: np.ndarray, a, b) -> np.ndarray:
@@ -390,11 +372,13 @@ class _TableMixin:
     def logs(self) -> tuple[np.ndarray, np.ndarray]:
         """(exp, log) of the cyclic unit group, as read-only int64 arrays.
 
-        exp[i] = g^i for a fixed generator g and 0 <= i < 2(q-1): two periods,
-        so a sum of two logs needs no reduction.  log[x] is the discrete log
-        of x != 0; log[0] = 0 is a placeholder that callers mask.  Built by
-        doubling with no TABLE_LIMIT, so callers bound q: multiplication by
-        g^m is GF(p)-linear on the k base-p digits, so with M its k x k
+        exp has 4q - 3 cells: exp[i] = g^i for a fixed generator g and
+        0 <= i < 2(q-1), two periods, so a sum of two unit logs needs no
+        reduction, and zeros from 2(q-1) on.  log[x] is the discrete log of
+        x != 0, and log[0] = 2(q-1), so exp[log a + log b] is a * b for
+        every a and b: a zero factor's sum lands in the zero tail.  Built
+        by doubling with no TABLE_LIMIT, so callers bound q: multiplication
+        by g^m is GF(p)-linear on the k base-p digits, so with M its k x k
         matrix, exp[m:2m] is M applied to the digits of exp[:m], and M^2
         is the matrix for the next step.  k scalar products build M for g.
         """
@@ -407,7 +391,7 @@ class _TableMixin:
             # where exp alone would already take 32 GiB
             M = np.array([[self.mul(g, p**j) // p**i % p for j in range(k)]
                           for i in range(k)], dtype=np.int64)
-            exp = np.empty(2 * (q - 1), dtype=np.int64)
+            exp = np.zeros(4 * q - 3, dtype=np.int64)
             exp[0] = 1
             m = 1
             while m < q - 1:
@@ -416,8 +400,9 @@ class _TableMixin:
                 exp[m:m + n] = (digits @ M.T % p) @ weights
                 M = M @ M % p
                 m += n
-            exp[q - 1:] = exp[:q - 1]
-            log = np.zeros(q, dtype=np.int64)
+            exp[q - 1:2 * (q - 1)] = exp[:q - 1]
+            log = np.empty(q, dtype=np.int64)
+            log[0] = 2 * (q - 1)
             log[exp[:q - 1]] = np.arange(q - 1)
             exp.setflags(write=False)
             log.setflags(write=False)
@@ -436,11 +421,13 @@ def array_mul(F, a, b=1, e=1) -> np.ndarray:
     inv table, 0^-1 gives 0.
     """
     exp, log = F.logs()
-    a = np.asarray(a, dtype=np.int64)
+    q1 = F.order - 1
     b = np.asarray(b, dtype=np.int64)
     e = np.asarray(e, dtype=np.int64)
-    out = exp[log[a] + log[b] * (e % (F.order - 1)) % (F.order - 1)]
-    return np.where((a == 0) | ((b == 0) & (e != 0)), 0, out)
+    # a zero a's log lands in exp's zero tail; reducing e * log b mod q - 1
+    # drops a zero b's sentinel, so that case is masked
+    out = exp[log[np.asarray(a, dtype=np.int64)] + log[b] * (e % q1) % q1]
+    return np.where((b == 0) & (e != 0), 0, out)
 
 
 def array_add(F, a, b) -> np.ndarray:

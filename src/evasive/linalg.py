@@ -85,10 +85,21 @@ def batch_residues(field, rref_mats, pivot_cols, points):
     return V
 
 
+# batch_span_members reduces points in chunks of B x chunk x w residue
+# cells that take at most this many bytes as intp, the gathers' index dtype
+MEMBER_CHUNK_BYTES = 2**17
+
+
 def batch_span_members(field, rref_mats, pivot_cols, points):
     """Membership of each point in each row space of an RREF batch.
 
     rref_mats (B, m, w) must be output of batch_rref; points (N, w).
-    Returns a boolean (B, N) array.
+    Returns a boolean (B, N) array, reducing the points in chunks.
     """
-    return (batch_residues(field, rref_mats, pivot_cols, points) == 0).all(axis=2)
+    B, _, w = rref_mats.shape
+    step = max(1, MEMBER_CHUNK_BYTES // max(1, B * w * np.dtype(np.intp).itemsize))
+    out = np.empty((B, len(points)), dtype=bool)
+    for i in range(0, len(points), step):
+        residues = batch_residues(field, rref_mats, pivot_cols, points[i:i + step])
+        out[:, i:i + step] = (residues == 0).all(axis=2)
+    return out

@@ -72,8 +72,10 @@ Children are built in batches of contiguous lex order.  A batch is sized
 by the bytes its residues take, intp index temporaries included, up to
 WORKSPACE_BYTES; the first batch of a scan is one prefix, and the size
 doubles from there, so a scan that stops at its first subset pays for
-little more than that subset.  Rows are gathered with np.take along axis
-0, and every product goes through gf.table_mul.
+little more than that subset.  That first batch can hold all N rows, so
+per-row columns, prefix indices and zero counts take the smallest dtype
+that holds them.  Rows are gathered with np.take along axis 0, and every
+product goes through gf.table_mul.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
     src += np.arange(len(src))
     S = np.take(R, src, axis=0)
     del src
-    cols = np.repeat(col, L)
+    cols = np.repeat(col.astype(np.min_scalar_type(width)), L)
     at = np.arange(0, S.size, width)
     at += cols
     f = np.take(S.ravel(), at)
@@ -202,7 +204,7 @@ def _children(field, level: _Level, m: int, N: int, limit: list):
     in batches of at most limit[0] workspace bytes (at least one child)."""
     zero = ~level.rows.any(axis=1)
     base = level.base + np.add.reduceat(zero, level.start[:-1], dtype=np.intp)
-    zeros_to = np.cumsum(zero)
+    zeros_to = np.cumsum(zero, dtype=np.min_scalar_type(len(zero)))
     del zero
     need = m - level.prefix.shape[1] - 1
     after = np.repeat(level.start[1:] - 1, np.diff(level.start))
@@ -236,6 +238,7 @@ def _class_sizes(rows: np.ndarray, node: np.ndarray) -> np.ndarray:
     srt, owner = rows[order], node[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (srt[1:] != srt[:-1]).any(axis=1) | (owner[1:] != owner[:-1])
+    del srt, owner
     run = np.cumsum(new)
     run -= 1
     sizes = np.empty(len(rows), dtype=np.intp)
@@ -247,7 +250,8 @@ def _counts(field, level: _Level) -> np.ndarray:
     """The walk's count of X ∩ <P, p_j> for every row j of every prefix P."""
     t = field.tables()
     R = level.rows
-    node = np.repeat(np.arange(len(level.base)), np.diff(level.start))
+    K = len(level.base)
+    node = np.repeat(np.arange(K, dtype=np.min_scalar_type(K)), np.diff(level.start))
     lead = _leads(R)
     zero = lead == 0
     sizes = _class_sizes(table_mul(t, t.inv[lead][:, None], R), node)
@@ -350,9 +354,6 @@ def is_rs_set(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET):
     """
     if r < 1:
         raise ParameterError(f"need r >= 1, got r={r}")
-    _check_dims(X, s)
-    if len(X) <= r:
-        return True, None
     witness = find_violation(X, s, r, budget=budget)
     return witness is None, witness
 

@@ -9,6 +9,7 @@ batch_rref).
 import numpy as np
 import pytest
 
+from evasive import linalg
 from evasive.gf import make_extension, make_field
 from evasive.linalg import (
     batch_residues,
@@ -89,6 +90,23 @@ def test_batch_span_members_matches_scalar_membership(field):
         for j in range(12):
             expect = scalar_rank(field, basis_rows + [tuple(pts[j].tolist())]) == base_rank
             assert members[i, j] == expect, (i, j)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2 * 96, 5 * 96, 2**30])
+def test_batch_span_members_chunks_agree_with_one_pass(monkeypatch, chunk_bytes):
+    # 3 row spaces of width 4 take 96 intp bytes a point: chunks of 1, 2,
+    # 5 and all 23 points
+    field = make_field(7, 1)
+    bases = random_batch(field, 3, 2, 4, seed=5)
+    _, pivot_cols = batch_rref(field, bases)
+    pts = random_batch(field, 1, 23, 4, seed=6)[0]
+    pts[::4] = bases[0, 0]  # members of the first row space
+    expect = (batch_residues(field, bases, pivot_cols, pts) == 0).all(axis=2)
+    monkeypatch.setattr(linalg, "MEMBER_CHUNK_BYTES", chunk_bytes)
+    members = batch_span_members(field, bases, pivot_cols, pts)
+    assert members.shape == (3, 23) and members[0, ::4].all()
+    assert np.array_equal(members, expect)
+    assert batch_span_members(field, bases[:0], pivot_cols[:0], pts).shape == (0, 23)
 
 
 @pytest.mark.parametrize("field", [make_field(2, 8), make_field(257, 1)], ids=repr)

@@ -347,6 +347,18 @@ def test_scan_workspace_bound(name):
     assert peak <= mib * 2**20
 
 
+def test_early_exit_on_16k_points_bounds_its_workspace():
+    # the first child of an s = 1 scan holds all N - 1 rows and the witness
+    # tests all N points for membership, so both bound their workspace
+    X = elliptic_ovoid(make_field(2, 7))
+    ok, peak = traced_peak(X, 1, 1)
+    assert not ok and peak < 1.25 * 2**20
+    # a line meets the ovoid in at most 2 points: the lex-first pair
+    pair = tuple(map(tuple, X.array[:2].tolist()))
+    _, w = is_rs_set(X, 1, 1, budget=10**10)
+    assert (w.generating_points, w.span_dim, w.intersection) == (pair, 1, pair)
+
+
 def test_is_proper_skips_the_point_scan(monkeypatch):
     cases = [(elliptic_ovoid(F3), 2, 1), (THREE_COLLINEAR, 3, 1), (THREE_COLLINEAR, 2, 1),
              (monomial_curve(3, F3), 3, 1), (rational_normal_curve(4, F5), 3, 2),
