@@ -62,6 +62,7 @@ from .errors import ParameterError
 
 ORDER_LIMIT = 2**64  # field orders must fit in 64 bits
 TABLE_LIMIT = 4096   # largest order we materialize lookup tables for
+LOG_BLOCK = 4096     # rows of exp one doubling step of logs() maps at a time
 
 
 class FieldTables(NamedTuple):
@@ -381,6 +382,8 @@ class _TableMixin:
         by g^m is GF(p)-linear on the k base-p digits, so with M its k x k
         matrix, exp[m:2m] is M applied to the digits of exp[:m], and M^2
         is the matrix for the next step.  k scalar products build M for g.
+        Each step maps LOG_BLOCK rows at a time, so its (rows, k) digit
+        temporaries stay small beside exp.
         """
         if self._logs is None:
             q, p, k = self.order, self.p, self.k
@@ -396,8 +399,10 @@ class _TableMixin:
             m = 1
             while m < q - 1:
                 n = min(m, q - 1 - m)
-                digits = exp[:n, None] // weights % p
-                exp[m:m + n] = (digits @ M.T % p) @ weights
+                for lo in range(0, n, LOG_BLOCK):
+                    hi = min(lo + LOG_BLOCK, n)
+                    digits = exp[lo:hi, None] // weights % p
+                    exp[m + lo:m + hi] = (digits @ M.T % p) @ weights
                 M = M @ M % p
                 m += n
             exp[q - 1:2 * (q - 1)] = exp[:q - 1]

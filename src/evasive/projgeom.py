@@ -6,9 +6,10 @@ points as one read-only (N, n+1) int64 array of encodings, deduplicated and
 sorted in ascending lexicographic order, which makes every downstream
 enumeration (and every file the CLI writes) deterministic.  It has two
 constructors: PointSet.from_rows checks that rows are normalized encodings
-of the right width, then sorts and dedupes; PointSet(field, n, array)
-trusts an array that is already all of that.  Tuples of points are built
-only on request (``points``, iteration and ``in``).
+of the right width, then sorts and dedupes them unless they are already
+strictly ascending; PointSet(field, n, array) trusts an array that is
+already all of that.  Tuples of points are built only on request
+(``points``, iteration and ``in``).
 
 Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
@@ -158,14 +159,22 @@ class PointSet:
         """Point set of an (m, n+1) integer array of normalized rows, in any order.
 
         Refuses ragged rows, a zero or unnormalized row, the wrong width
-        and encodings outside [0, q); duplicate rows are dropped.  No
-        field arithmetic is done, so it works at any field order.
+        and encodings outside [0, q); duplicate rows are dropped.  Rows
+        already strictly ascending skip the sort.  No field arithmetic is
+        done, so it works at any field order.
         """
         rows = _matrix(field, rows, n + 1)
         nonzero = rows != 0
         lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
         if not (nonzero.any(axis=1) & (lead == 1)).all():
             raise ParameterError("every row must be nonzero with first nonzero entry 1")
+        # rows already strictly ascending (every valid file's are) need no
+        # sort: each row is above the last at their first differing column,
+        # which for equal rows is column 0, where it is not above
+        first = (rows[1:] != rows[:-1]).argmax(axis=1)
+        step = np.arange(len(first))
+        if (rows[1:][step, first] > rows[:-1][step, first]).all():
+            return cls(field, n, rows)
         rows = rows[np.lexsort(rows.T[::-1])]
         keep = np.ones(len(rows), dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)

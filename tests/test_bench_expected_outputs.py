@@ -1,10 +1,11 @@
 """The benchmark's expected outputs, checked in process.
 
 bench/run.py pins the exit code, stdout and written-file sha256 of every
-CLI call it times.  Here each certify and search call group, and the
-witness-io ``table`` and ``bounds`` calls, run through ``evasive.cli.main``
-and are compared by the benchmark's own ``check``.  Nothing is timed; the
-16k-point witness-io files stay benchmark-only.
+CLI call it times.  Here every call group of every workload, the 16k-point
+witness-io files and the GF(2048) pair included, runs through
+``evasive.cli.main`` and is compared by the benchmark's own ``check``, so
+the bytes the benchmark pins are tested before any benchmark run.  Nothing
+is timed.
 """
 
 import importlib.util
@@ -28,14 +29,15 @@ def _bench():
 
 RUN = _bench()
 
+def _group_id(name, i, group):
+    call = group[0]
+    return f"{name}-{i}-{call.argv[1]}" if call.verb == "construct" else f"{name}-{call.verb}"
+
+
 GROUPS = [
-    pytest.param(group, id=f"{name}-{i}-{group[0].argv[1]}")
-    for name in ("certify", "search")
-    for i, group in enumerate(RUN.WORKLOADS[name])
-] + [
-    pytest.param(group, id=f"witness-io-{group[0].verb}")
-    for group in RUN.WORKLOADS["witness-io"]
-    if group[0].verb in ("table", "bounds")
+    pytest.param(group, id=_group_id(name, i, group))
+    for name, groups in RUN.WORKLOADS.items()
+    for i, group in enumerate(groups)
 ]
 
 

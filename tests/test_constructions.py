@@ -322,7 +322,7 @@ def test_product_builds_no_tables(monkeypatch):
 
 def test_product_q8_bytes_pinned():
     # 65 copies of the GF(8) ovoid in each of the 4097 spread elements of
-    # the conic over GF(8)^4: 266,305 points of PG(15, 8)
+    # the conic over GF(8)^4: 266,305 points of PG(11, 8), rows 12 wide
     base = make_field(2, 3)
     Z = product_construction(elliptic_ovoid(base), 2,
                              rational_normal_curve(2, make_extension(base, 4)), 1,

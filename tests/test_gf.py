@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evasive import gf
 from evasive.errors import ParameterError
 from evasive.gf import (
     TABLE_LIMIT,
@@ -431,6 +432,38 @@ def test_tables_are_read_only():
     assert t.mul[1, 1] == 1 and t.neg[1] == field.neg(1)
 
 
+def _fresh_spec(p, k):
+    """A spec equal to make_field(p, k) with nothing built or cached yet."""
+    cached = make_field(p, k)
+    field = FieldSpec(cached.base, cached.N, cached.modulus, None if cached.base else p)
+    assert field == cached
+    return field
+
+
+def test_logs_peak_is_near_its_kept_size():
+    # one doubling step over all of GF(2^16)'s 2^15 rows would hold (2^15, 16)
+    # int64 digit matrices, 5.6x the kept exp and log; LOG_BLOCK rows do not
+    field = _fresh_spec(2, 16)
+    tracemalloc.start()
+    try:
+        exp, log = field.logs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (exp.nbytes + log.nbytes)
+
+
+@pytest.mark.parametrize("block", [1, 3, 100])
+def test_logs_blocks_agree_with_one_pass(block, monkeypatch):
+    # below q = 2 * LOG_BLOCK every doubling step is one block
+    for p, k in [(2, 10), (3, 6), (5, 4)]:
+        exp, log = make_field(p, k).logs()
+        monkeypatch.setattr(gf, "LOG_BLOCK", block)
+        got = _fresh_spec(p, k).logs()
+        monkeypatch.undo()
+        assert np.array_equal(got[0], exp) and np.array_equal(got[1], log)
+
+
 # up to q = 256 the (q, q) uint16 index or digit sums of the table build
 # outweigh the uint8 tables themselves, so the bound is looser there
 @pytest.mark.parametrize("p,k,ratio", [(2, 11, 3), (4093, 1, 3),
@@ -438,9 +471,7 @@ def test_tables_are_read_only():
 def test_table_build_peak_is_near_final_size(p, k, ratio):
     # tracemalloc sees numpy's buffers; a fresh spec equal to the cached
     # field has no tables yet, so tables() really builds them
-    cached = make_field(p, k)
-    field = FieldSpec(cached.base, cached.N, cached.modulus, None if cached.base else p)
-    assert field == cached
+    field = _fresh_spec(p, k)
     field.logs()
     tracemalloc.start()
     try:

@@ -1,6 +1,7 @@
 """Wire format round-trips and rejection of malformed files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from evasive.constructions import elliptic_ovoid, monomial_curve, rational_normal_curve
 from evasive.errors import ParameterError
 from evasive.gf import make_extension, make_field
-from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
+from evasive.jsonio import ROW_CHUNK, pointset_from_json_bytes, pointset_to_json_bytes
 from evasive.projgeom import PointSet, normalize
 from evasive.verifier import is_rs_set
 
@@ -61,6 +62,13 @@ def reference_parse(data: bytes):
     _require(seen == sorted(set(seen)), "points must be strictly ascending")
     rows = np.array(seen, dtype=np.int64).reshape(len(seen), n + 1)
     return PointSet(field, n, rows), doc["r"], doc["s"]
+
+
+def reference_write(X, r=None, s=None) -> bytes:
+    """The file as json.dumps writes it, with every point as a Python list."""
+    doc = {"p": X.field.p, "k": X.field.k, "modulus": list(X.field.modulus), "n": X.n,
+           "r": r, "s": s, "points": X.array.tolist()}
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
 
 
 def assert_parsed_array(X):
@@ -189,3 +197,53 @@ def test_only_flat_fields_serialize():
         X = PointSet.from_rows(field, 1, [(1, 1)])
         with pytest.raises(ParameterError):
             pointset_to_json_bytes(X)
+
+
+BIG = make_field(2, 63)  # every int64 encoding from 0 to 2^63 - 1 is one of its elements
+
+
+@pytest.mark.parametrize("rows,width", [
+    (0, 2), (1, 2), (1, 13), (ROW_CHUNK - 1, 2), (ROW_CHUNK, 13), (ROW_CHUNK + 1, 2),
+    (ROW_CHUNK + 1, 13), (2 * ROW_CHUNK + 7, 4),
+])
+def test_writer_matches_json_dumps(rows, width):
+    # the trusted constructor takes any int64 cells, sorted or not; the
+    # writer's bytes depend only on them, so each digit count and chunk
+    # boundary is hit with cells of 1 to 19 digits
+    cells = np.array([0, 9, 10, 99, 100, 12345, 10**18 - 1, 10**18, 2**63 - 1], dtype=np.int64)
+    pick = np.random.default_rng(rows * 31 + width).integers(0, len(cells), (rows, width))
+    X = PointSet(BIG, width - 1, cells[pick])
+    for r, s in [(None, None), (0, 7), (2**70, None)]:
+        assert pointset_to_json_bytes(X, r, s) == reference_write(X, r, s)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def ovoid_q128():
+    X = elliptic_ovoid(make_field(2, 7))
+    assert len(X) == 16385
+    return X
+
+
+def test_writing_16k_points_bounds_its_temporaries(ovoid_q128):
+    # 0.21 MiB of text; one list per point and the whole text built by
+    # json.dumps peaked at 4.3 MiB, ROW_CHUNK rows at a time stay near 1.1
+    blob = pointset_to_json_bytes(ovoid_q128, 2, 1)
+    assert blob == reference_write(ovoid_q128, 2, 1)
+    assert _traced_peak(pointset_to_json_bytes, ovoid_q128, 2, 1) < 1.5 * 2**20
+
+
+def test_parsing_16k_points_holds_one_copy(ovoid_q128):
+    # json.loads' lists of lists set the floor near 2 MiB; they are freed
+    # once the int64 array exists, and no flat list or sorted copy is made
+    blob = pointset_to_json_bytes(ovoid_q128, 2, 1)
+    assert pointset_from_json_bytes(blob) == (ovoid_q128, 2, 1)
+    assert _traced_peak(pointset_from_json_bytes, blob) < 2.5 * 2**20

@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_jsonio import assert_parsed_array, reference_parse  # noqa: E402
+from test_jsonio import assert_parsed_array, reference_parse, reference_write  # noqa: E402
 
 from evasive.errors import ParameterError  # noqa: E402
 from evasive.gf import make_field  # noqa: E402
@@ -105,3 +105,9 @@ def test_round_trip_gives_back_the_set_and_bytes(X, r):
     assert Y == X and (r2, s2) == (r, r)
     assert_parsed_array(Y)
     assert pointset_to_json_bytes(Y, r2, s2) == blob
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(point_sets(), st.none() | st.integers(0, 2**64), st.none() | st.integers(0, 2**64))
+def test_writer_matches_json_dumps(X, r, s):
+    assert pointset_to_json_bytes(X, r, s) == reference_write(X, r, s)

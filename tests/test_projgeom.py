@@ -191,6 +191,35 @@ def test_pointset_construction_and_queries():
     assert X != PointSet(field, 2, np.array([[0, 0, 1]], dtype=np.int64))
 
 
+def test_from_rows_matches_sorted_set_of_rows():
+    field = make_field(5, 1)
+    pts = np.array(list(all_points(2, field)), dtype=np.int64)
+    rng = np.random.default_rng(7)
+    inputs = [pts, pts[::-1], pts[rng.permutation(len(pts))], pts[rng.integers(0, 31, 60)],
+              np.sort(rng.integers(0, 31, 40)), pts[[0, 1, 1]], pts[[3, 2]], pts[:1], pts[:0]]
+    for rows in inputs:
+        if rows.ndim == 1:  # sorted indices with repeats: ascending, not strictly
+            rows = pts[rows]
+        want = sorted(set(map(tuple, rows.tolist())))
+        X = PointSet.from_rows(field, 2, rows)
+        assert X.array.tolist() == [list(pt) for pt in want]
+
+
+def test_from_rows_does_not_sort_strictly_ascending_rows(monkeypatch):
+    field = make_field(5, 1)
+    pts = np.array(list(all_points(2, field)), dtype=np.int64)
+
+    def no_sort(keys):
+        raise AssertionError("sorted")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    assert np.array_equal(PointSet.from_rows(field, 2, pts).array, pts)
+    assert len(PointSet.from_rows(field, 2, pts[:1])) == 1
+    for rows in (pts[::-1], pts[[0, 0]]):
+        with pytest.raises(AssertionError, match="sorted"):
+            PointSet.from_rows(field, 2, rows)
+
+
 def scalar_spread(point, ext):
     """The rows beta^i * y, 0 <= i < N, by per-element field calls, reduced
     by the oracle's scalar Gauss-Jordan."""
