@@ -153,6 +153,19 @@ def test_gv_lower_frozen():
     assert abs(entry.value - expect) < 1e-9
 
 
+def test_real_values_carry_30_digits():
+    # binary64 values would agree to about 1e-16 only
+    got = [rao_constant(2, 2, 64), rao_bound(4, 64, 3, 2).value,
+           rao_bound(12, 4096, 8, 6).value, gv_lower_size(6, 4, 3, 2).value]
+    with mpmath.workdps(40):
+        c22 = mpmath.sqrt(mpmath.mpf(11) / 5)
+        want = [c22, c22 * 512 + 2,  # 64^(3/2) = 512, 4096^(10/3) = 2^40
+                mpmath.cbrt(mpmath.mpf(6 * 2 * 4098) / 4090) * 2 ** 40 + 3,
+                mpmath.mpf(5) / 6 * mpmath.cbrt(4 ** 4)]
+        for g, w in zip(got, want):
+            assert abs(mpmath.mpf(str(g)) / w - 1) < 1e-25
+
+
 def test_gv_lower_gate():
     entry = gv_lower_size(6, 4, 5, 2)
     assert not entry.applicable

@@ -413,6 +413,41 @@ def test_bounds_json_output(capsys):
     assert data["lower"]["label"] == "gv"
 
 
+# sha256 of bounds stdout, text then JSON, as computed with mpmath
+PINNED_BOUNDS = [
+    pytest.param("4 64 3 2",
+                 "7c4de19de445bd42e64cbdb7f785f4c4c7b8157cd47457ca74fb1411c509e91b",
+                 "7717dda1aa9df06bc9e3a261e2c7cc7bb592b915459b14019f0c50474ffeef86",
+                 id="rao-best-gv-applies"),
+    pytest.param("6 4 3 2",
+                 "7414c181b081cc2bdcec3aa3ee90790c395a9c85bac278a7980e05752c82ea19",
+                 "78d500239b7de581ae5c8a049e0028b2236199b5264846059d1064a1cbfad125",
+                 id="gv-applies"),
+    pytest.param("12 4096 8 6",
+                 "53f0fa763ea8124b565210541ac9b94afa74d699a2c53b2ca47db0240b97c9d0",
+                 "a03914345bdc3a35d9e6dd168aa991d83fc02b631cea6540f6c72eb33da960aa",
+                 id="rao-e3"),
+    pytest.param("30 7 5 3",
+                 "6be5fea9103298852dc1067b07a4cfe1be324f2977ddb5584da348ea40db42f7",
+                 "d4bac4f216721853d90e7c22e0864c205cc2a35c8b56c44de61464d69fbd3450",
+                 id="projections-past-2^53"),
+    pytest.param("40 4096 23 21",
+                 "322c65c32b5ff263dc801d5ac0f2421ad1ad6e9d7b449ee79279be82b434275e",
+                 "00e530d8db5a9192776116e7502c54250a5a907e3e5cc33fcacd8c8220c052de",
+                 id="rao-and-projections-past-2^53"),
+]
+
+
+@pytest.mark.parametrize("nqrs,text_sha256,json_sha256", PINNED_BOUNDS)
+def test_bounds_prints_pinned_bytes(nqrs, text_sha256, json_sha256, capsys):
+    n, q, r, s = nqrs.split()
+    for fmt, sha256 in (("text", text_sha256), ("json", json_sha256)):
+        code, stdout, _ = run(capsys, "bounds", "--n", n, "--q", q, "--r", r, "--s", s,
+                              "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == sha256
+
+
 def test_bounds_rao_inapplicable_at_small_q(capsys):
     code, stdout, _ = run(capsys, "bounds", "--n", "4", "--q", "4",
                           "--r", "3", "--s", "2", "--format", "json")
