@@ -7,11 +7,11 @@ bound r ([n-s+1 choose 1]_q + 1); and a projection recursion that trades an
 evaluated in one bottom-up walk over the levels, with no cache.
 The lower bound is the random-deletion estimate ((r!-1)/r!) q^(n-s-s(n-s)/r).
 
-Real-valued bounds are computed with mpmath at 30 decimal digits (q-powers
-as exact rationals, e-th roots by mpmath.root), comfortably above the
-12-significant-digit contract.  mpmath is imported by the functions that
-compute a real value, so it loads on the first real-valued bound; the
-exponent table (exact fractions) and the other modules never load it.
+The real values (the Rao constant and bound, the random-deletion estimate)
+are computed in the standard library's decimal at _DPS = 30 digits, q-powers
+as exact integers under the e-th root, comfortably above the
+12-significant-digit contract.  Comparisons between bounds, and each
+projection's +m, run in binary64, the precision the reports are written in.
 Out-of-hypothesis requests yield entries marked inapplicable with a
 reason instead of extrapolated numbers.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -27,7 +28,7 @@ from .errors import ParameterError
 from .gf import factor_prime_power
 from .projgeom import count_points, gaussian_binomial
 
-_DPS = 30
+_DPS = 30  # digits of the real values; comparisons are binary64
 
 # exponent_table walks gap_max * s_max(s_max+1)/2 diagonal steps (1.2 million
 # at s_max = 900, gap_max = 3: about 2 s on a 2-core Xeon); larger tables
@@ -36,24 +37,21 @@ TABLE_GAP_LIMIT = 1000
 TABLE_STEP_LIMIT = 3 * 10**6
 
 
-def _as_mpf(value):
-    import mpmath
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    return mpmath.mpf(value)
+def _binary64(value) -> float:
+    """An entry's value as the float it is compared and projected in; inf
+    past the float range, where float() of an int would raise."""
+    return float(Decimal(value))
 
 
-def _qpow(q: int, exponent: Fraction):
+def _qpow(q: int, exponent: Fraction) -> Decimal:
     """q**exponent with an exact integer power under the e-th root."""
-    import mpmath
-    base = mpmath.mpf(q ** exponent.numerator)
-    return mpmath.root(base, exponent.denominator)
+    return Decimal(q ** exponent.numerator) ** (Decimal(1) / exponent.denominator)
 
 
 @dataclass(frozen=True)
 class BoundEntry:
     label: str
-    value: object            # int, Fraction, or mpmath.mpf; None if inapplicable
+    value: object            # int, Decimal, or float (projections); None if inapplicable
     provenance: str
     params: dict = dc_field(default_factory=dict)
     applicable: bool = True
@@ -74,7 +72,7 @@ class BoundsReport:
     def best(self) -> BoundEntry:
         """The smallest applicable entry; ties break toward the earliest label."""
         live = [e for e in self.entries if e.applicable]
-        return min(live, key=lambda e: (_as_mpf(e.value), e.label))
+        return min(live, key=lambda e: (_binary64(e.value), e.label))
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,14 +111,14 @@ def rao_decomposition(r: int, s: int):
     return (d, e) if e >= 2 else None
 
 
-def rao_constant(d: int, e: int, q: int):
+def rao_constant(d: int, e: int, q: int) -> Decimal:
     """C_{d,e} = (e!(d-1)(1+2/q) / (1-2e/q))^(1/e), defined for q > 2e."""
-    import mpmath
     if q <= 2 * e:
         raise ParameterError(f"need q > 2e, got q={q}, e={e}")
-    radicand = Fraction(math.factorial(e) * (d - 1) * (q + 2), q - 2 * e)
-    with mpmath.workdps(_DPS):
-        return mpmath.root(_as_mpf(radicand), e)
+    with localcontext() as ctx:
+        ctx.prec = _DPS
+        radicand = Decimal(math.factorial(e) * (d - 1) * (q + 2)) / (q - 2 * e)
+        return radicand ** (Decimal(1) / e)
 
 
 def rao_bound(n: int, q: int, r: int, s: int) -> BoundEntry:
@@ -133,8 +131,8 @@ def rao_bound(n: int, q: int, r: int, s: int) -> BoundEntry:
     if q <= 2 * e:
         return BoundEntry("rao", None, "moment bound", params={"d": d, "e": e},
                           applicable=False, reason=f"hypothesis q > 2e fails (q={q}, e={e})")
-    import mpmath
-    with mpmath.workdps(_DPS):
+    with localcontext() as ctx:
+        ctx.prec = _DPS
         value = rao_constant(d, e, q) * _qpow(q, Fraction(n - e + 1, e)) + e
     return BoundEntry("rao", value, "moment bound",
                       params={"d": d, "e": e, "exponent": Fraction(n - e + 1, e)})
@@ -175,7 +173,7 @@ def best_upper_bound(n: int, q: int, r: int, s: int) -> BoundsReport:
         direct = (BoundEntry("pigeonhole", pigeonhole_bound(nk, q, rk, sk), "line pigeonhole"),
                   rao_bound(nk, q, rk, sk),
                   BoundEntry("trivial", count_points(nk, q), "all points of PG(n,q)"))
-        best[k] = min([(_as_mpf(e.value), e.label) for e in direct if e.applicable]
+        best[k] = min([(_binary64(e.value), e.label) for e in direct if e.applicable]
                       + [(best[k + m][0] + m, labels[m]) for m in range(1, sk)])
     projections = [  # the last pass (k = 0) left the top level's direct entries
         BoundEntry(labels[m], best[m][0] + m,
@@ -203,11 +201,12 @@ def gv_lower_size(n: int, q: int, r: int, s: int) -> BoundEntry:
     if not (s + 1 >= r >= 3):
         return BoundEntry("gv", None, "random deletion", applicable=False,
                           reason=f"hypothesis s+1 >= r >= 3 fails (r={r}, s={s})")
-    import mpmath
-    with mpmath.workdps(_DPS):
-        value = _as_mpf(gv_constant(r)) * _qpow(q, gv_exponent(n, r, s))
+    c = gv_constant(r)
+    with localcontext() as ctx:
+        ctx.prec = _DPS
+        value = Decimal(c.numerator) / c.denominator * _qpow(q, gv_exponent(n, r, s))
     return BoundEntry("gv", value, "random deletion",
-                      params={"constant": gv_constant(r),
+                      params={"constant": c,
                               "exponent": gv_exponent(n, r, s)},
                       reason="asymptotic leading term")
 

@@ -185,8 +185,11 @@ def cmd_construct(args) -> int:
         ok, _ = is_rs_set(X, r, s, budget=args.budget)
         verified = "yes" if ok else "no"
     out = args.out or _default_out(kind, args, X)
-    with open(out, "wb") as fh:
-        fh.write(pointset_to_json_bytes(X, r, s))
+    try:
+        with open(out, "wb") as fh:
+            fh.write(pointset_to_json_bytes(X, r, s))
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc}") from exc
     print(f"{kind} {X.n} {X.field.order} {len(X)} {r} {s} {verified}")
     return 1 if verified == "no" else 0
 
@@ -215,7 +218,7 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     report = best_upper_bound(args.n, args.q, args.r, args.s)
     lower = gv_lower_size(args.n, args.q, args.r, args.s)
-    try:  # float() of a large int or Fraction raises, of a large mpf gives inf
+    try:  # float() of a large int raises, of a large Decimal gives inf
         printable = all(math.isfinite(e.value_float())
                         for e in (*report.entries, lower) if e.applicable)
     except OverflowError:

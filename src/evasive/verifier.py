@@ -405,13 +405,13 @@ def _scalar_rref(field, vectors):
 
 
 @functools.lru_cache(maxsize=32)
-def _all_s_spaces(field, n: int, s: int, cap: int):
+def _all_s_spaces(field, n: int, s: int):
     """Every s-space as a frozenset of points: the union of its spanning
     (s+1)-subsets, grouped by RREF, since each of its points lies in one."""
     q = field.order
     nspaces = gaussian_binomial(n + 1, s + 1, q)
-    if nspaces > cap:
-        raise BudgetExceeded(f"{nspaces} s-spaces exceed oracle cap {cap}")
+    if nspaces > ORACLE_SPACE_CAP:
+        raise BudgetExceeded(f"{nspaces} s-spaces exceed oracle cap {ORACLE_SPACE_CAP}")
     pts = list(all_points(n, field))
     if comb(len(pts), s + 1) > ORACLE_SUBSET_CAP:
         raise BudgetExceeded("oracle subset enumeration too large")
@@ -425,10 +425,10 @@ def _all_s_spaces(field, n: int, s: int, cap: int):
     return tuple(frozenset(members) for members in spaces.values())
 
 
-def oracle_max_in_s_space(X: PointSet, s: int, *, cap: int = ORACLE_SPACE_CAP) -> int:
+def oracle_max_in_s_space(X: PointSet, s: int) -> int:
     """max |X ∩ S| by explicit enumeration of every s-space (tiny instances)."""
     _check_dims(X, s)
     if len(X) == 0:
         raise ParameterError("point set is empty")
     points = set(X.points)
-    return max(len(points & space) for space in _all_s_spaces(X.field, X.n, s, cap))
+    return max(len(points & space) for space in _all_s_spaces(X.field, X.n, s))

@@ -189,7 +189,7 @@ def test_criterion_08_bounds_match_closed_forms(graph_sets, quadric_runs,
                                                 cubic_runs, gv_runs,
                                                 product_sets):
     assert pigeonhole_bound(4, 3, 9, 2) == 126
-    assert abs(rao_constant(2, 2, 64) - mpmath.sqrt(Fraction(11, 5))) < 1e-12
+    assert abs(mpmath.mpf(str(rao_constant(2, 2, 64))) - mpmath.sqrt(Fraction(11, 5))) < 1e-12
 
     for n in (20, 21):
         t = exponent_table(n, 6, 6)

@@ -40,6 +40,14 @@ def test_construct_graph32_summary(tmp_path, capsys):
     assert stdout.strip() == "graph32 6 4 8 3 2 yes"
 
 
+@pytest.mark.parametrize("out", [".", "missing/x.json"], ids=["directory", "missing-parent"])
+def test_construct_unwritable_out_is_exit_2(out, tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "construct", "ovoid", "--q", "4",
+                               "--out", str(tmp_path / out))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: cannot write ")
+
+
 def test_construct_default_filename(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, stdout, _ = run(capsys, "construct", "rnc", "--c", "3", "--q", "4")
@@ -507,15 +515,18 @@ def test_deep_table_runs_without_recursion(capsys):
     assert stdout.splitlines()[-1].split() == ["s=900", "1350/451", "1500/301", "1575/226"]
 
 
-def test_only_bounds_imports_mpmath(tmp_path):
-    # a fresh interpreter, since this one may have loaded mpmath already
+def test_no_verb_imports_mpmath(tmp_path):
+    # a fresh interpreter, since this one has loaded mpmath for the tests
     script = textwrap.dedent("""
         import sys
         from evasive import cli
         for argv in (["construct", "ovoid", "--q", "4", "--out", "o.json"],
                      ["verify", "o.json"],
                      ["table", "--n", "4", "--smax", "1", "--gapmax", "1"],
-                     ["bounds", "--n", "4", "--q", "7", "--r", "9", "--s", "2"]):
+                     ["bounds", "--n", "4", "--q", "7", "--r", "9", "--s", "2"],
+                     ["bounds", "--n", "4", "--q", "64", "--r", "3", "--s", "2"],
+                     ["bounds", "--n", "6", "--q", "4", "--r", "3", "--s", "2",
+                      "--format", "json"]):
             code = cli.main(argv)
             print("LOADED", argv[0], code, "mpmath" in sys.modules)
     """)
@@ -527,4 +538,4 @@ def test_only_bounds_imports_mpmath(tmp_path):
     loaded = [line.split()[1:] for line in done.stdout.splitlines()
               if line.startswith("LOADED")]
     assert loaded == [["construct", "0", "False"], ["verify", "0", "False"],
-                      ["table", "0", "False"], ["bounds", "0", "True"]]
+                      ["table", "0", "False"], *[["bounds", "0", "False"]] * 3]
