@@ -24,9 +24,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
 
+from .arith import count_points, factor_prime_power, gaussian_binomial
 from .errors import ParameterError
-from .gf import factor_prime_power
-from .projgeom import count_points, gaussian_binomial
 
 _DPS = 30  # digits of the real values; comparisons are binary64
 
@@ -44,8 +43,11 @@ def _binary64(value) -> float:
 
 
 def _qpow(q: int, exponent: Fraction) -> Decimal:
-    """q**exponent with an exact integer power under the e-th root."""
-    return Decimal(q ** exponent.numerator) ** (Decimal(1) / exponent.denominator)
+    """q**exponent with an exact integer power under the e-th root; a negative
+    power is divided out in Decimal, where a float q**-k would underflow."""
+    k, e = exponent.numerator, exponent.denominator
+    power = Decimal(q ** k) if k >= 0 else 1 / Decimal(q ** -k)
+    return power ** (Decimal(1) / e)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import factor_prime_power
 from .errors import BudgetExceeded, ParameterError
-from .gf import array_add, array_mul, factor_prime_power, make_field
+from .gf import array_add, array_mul, make_field
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array
 from .verifier import is_proper, is_rs_set
 

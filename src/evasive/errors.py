@@ -1,4 +1,4 @@
-"""Shared exception types, mapped to CLI exit codes in evasive.cli."""
+"""Shared exception types, mapped to CLI exit codes in evasive.__main__."""
 
 
 class ParameterError(ValueError):

@@ -38,8 +38,9 @@ import json
 
 import numpy as np
 
+from .arith import is_int
 from .errors import ParameterError
-from .gf import is_int, make_field
+from .gf import make_field
 from .projgeom import PointSet
 
 MAX_N = 2**31  # far above any n whose points fit in a file

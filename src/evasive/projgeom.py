@@ -22,14 +22,13 @@ and encoding range before they are eliminated.
 
 from __future__ import annotations
 
-from math import floor, log10, prod
+from math import floor, log10
 
 import numpy as np
 
+from .arith import DEFAULT_BUDGET, count_points, gaussian_binomial
 from .errors import BudgetExceeded, ParameterError
 from . import linalg
-
-DEFAULT_BUDGET = 10**8
 
 ProjPoint = tuple[int, ...]
 
@@ -49,10 +48,6 @@ def normalize(field, vec) -> ProjPoint:
 def all_points(n: int, field, budget: int = DEFAULT_BUDGET):
     """Every point of PG(n, field) as tuples, in ascending lexicographic order."""
     return map(tuple, _points_array(field, n, budget).tolist())
-
-
-def count_points(n: int, q: int) -> int:
-    return (q ** (n + 1) - 1) // (q - 1)
 
 
 def require_points(n: int, q: int, budget: int) -> int:
@@ -236,13 +231,3 @@ def span_count(basis_points, X: PointSet):
     """
     members = X.array[span_mask(basis_points, X)]
     return len(members), tuple(map(tuple, members.tolist()))
-
-
-def gaussian_binomial(a: int, b: int, q: int) -> int:
-    """Number of b-dimensional linear subspaces of GF(q)^a, exact."""
-    if b < 0 or b > a:
-        return 0
-    num = prod(q**(a - i) - 1 for i in range(b))
-    den = prod(q**(b - i) - 1 for i in range(b))
-    assert num % den == 0
-    return num // den

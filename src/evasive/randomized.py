@@ -18,8 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import is_int
 from .errors import ParameterError
-from .gf import is_int, make_field, table_add, table_mul
+from .gf import make_field, table_add, table_mul
 from .jsonio import require_flat_field
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, require_points, span_mask
 from .verifier import is_rs_set

@@ -166,6 +166,19 @@ def test_real_values_carry_30_digits():
             assert abs(mpmath.mpf(str(g)) / w - 1) < 1e-25
 
 
+@pytest.mark.parametrize("n,q,r,s", [
+    (400, 2, 3, 300),  # q^-9900 is far below the float range
+    (10, 3, 3, 8),     # q^(-10/3): 3^-10 is inexact in binary64
+])
+def test_gv_negative_exponent_keeps_30_digits(n, q, r, s):
+    got = gv_lower_size(n, q, r, s).value
+    assert got > 0
+    x = gv_exponent(n, r, s)
+    with mpmath.workdps(40):
+        want = mpmath.mpf(5) / 6 * mpmath.mpf(q) ** (mpmath.mpf(x.numerator) / x.denominator)
+        assert abs(mpmath.mpf(str(got)) / want - 1) < 1e-25
+
+
 def test_gv_lower_gate():
     entry = gv_lower_size(6, 4, 5, 2)
     assert not entry.applicable

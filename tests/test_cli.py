@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import evasive
-from evasive import cli
 from evasive.cli import main
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
 from evasive.verifier import is_rs_set
@@ -289,7 +288,7 @@ def test_randomized_construct_is_scanned_once(kind, tmp_path, capsys, monkeypatc
     def second_scan(*args, **kwargs):
         raise AssertionError(f"construct {kind} scanned its set a second time")
 
-    monkeypatch.setattr(cli, "is_rs_set", second_scan)
+    monkeypatch.setattr("evasive.verifier.is_rs_set", second_scan)
     out = tmp_path / "x.json"
     code, stdout, _ = run(capsys, "construct", kind, *RANDOMIZED_ARGS[kind],
                           "--out", str(out))
@@ -308,7 +307,7 @@ def test_deterministic_construct_is_verified(tmp_path, capsys, monkeypatch):
         scans.append((len(X), r, s))
         return is_rs_set(X, r, s, **kwargs)
 
-    monkeypatch.setattr(cli, "is_rs_set", counting_scan)
+    monkeypatch.setattr("evasive.verifier.is_rs_set", counting_scan)
     code, stdout, _ = run(capsys, "construct", "ovoid", "--q", "3",
                           "--out", str(tmp_path / "o.json"))
     assert code == 0 and stdout.split()[-1] == "yes"
