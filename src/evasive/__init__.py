@@ -34,7 +34,6 @@ _EXPORTS = {
         "monomial_curve",
         "monomial_curve_affine_variant",
         "product_construction",
-        "product_recipe",
         "rational_normal_curve",
         "trimmed_incidence_graph",
     ),

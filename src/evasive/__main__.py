@@ -233,12 +233,8 @@ def cmd_bounds(args) -> int:
 
     report = best_upper_bound(args.n, args.q, args.r, args.s)
     lower = gv_lower_size(args.n, args.q, args.r, args.s)
-    try:  # float() of a large int raises, of a large Decimal gives inf
-        printable = all(math.isfinite(e.value_float())
-                        for e in (*report.entries, lower) if e.applicable)
-    except OverflowError:
-        printable = False
-    if not printable:
+    if not all(math.isfinite(e.value_float())
+               for e in (*report.entries, lower) if e.applicable):
         raise ParameterError("a bound exceeds the float range it is printed in")
     if args.format == "json":
         import json

@@ -19,10 +19,11 @@ reason instead of extrapolated numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Mapping
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 from .arith import count_points, factor_prime_power, gaussian_binomial
 from .errors import ParameterError
@@ -50,21 +51,19 @@ def _qpow(q: int, exponent: Fraction) -> Decimal:
     return power ** (Decimal(1) / e)
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     label: str
     value: object            # int, Decimal, or float (projections); None if inapplicable
     provenance: str
-    params: dict = dc_field(default_factory=dict)
+    params: Mapping = MappingProxyType({})  # read-only, since every entry shares it
     applicable: bool = True
     reason: Optional[str] = None
 
     def value_float(self) -> Optional[float]:
-        return None if self.value is None else float(self.value)
+        return None if self.value is None else _binary64(self.value)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     n: int
     q: int
     r: int

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .arith import factor_prime_power
 from .errors import BudgetExceeded, ParameterError
 from .gf import array_add, array_mul, make_field
-from .projgeom import DEFAULT_BUDGET, PointSet, _points_array
+from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _log10_power, _points_array,
+                       _scientific, _shown)
 from .verifier import is_proper, is_rs_set
 
 
@@ -40,12 +40,16 @@ def _monomial_points(n: int, field, budget: int, columns) -> PointSet:
     if n < 2:
         raise ParameterError(f"need n >= 2, got n={n}")
     q = field.order
-    size = (q - 1) ** (n - 1)
-    if size > budget:
-        raise BudgetExceeded(f"(q-1)^(n-1) = {size} exceeds budget {budget}")
+    # a size far past the budget is refused from its logarithm, as
+    # require_points does: (q-1)^(n-1) takes seconds to build at n = 10^9
+    log_size = _log10_power(q - 1, n - 1)
+    size = None if _far_past(log_size, budget) else (q - 1) ** (n - 1)
+    if size is None or size > budget:
+        shown = _scientific(log_size) if size is None else _shown(size)
+        raise BudgetExceeded(f"(q-1)^(n-1) = {shown} exceeds budget {budget}")
     if size * (n + 1) > budget:
-        raise BudgetExceeded(
-            f"(q-1)^(n-1) * (n+1) = {size * (n + 1)} coordinates exceed budget {budget}")
+        raise BudgetExceeded(f"(q-1)^(n-1) * (n+1) = {_shown(size * (n + 1))} coordinates "
+                             f"exceed budget {budget}")
     exp, _ = field.logs()
     # e_i is base-(q-1) digit i of the point's index
     e = np.arange(size)[:, None] // (q - 1) ** np.arange(n - 1) % (q - 1)
@@ -84,8 +88,8 @@ def rational_normal_curve(c: int, field, budget: int = DEFAULT_BUDGET) -> PointS
     if q + 1 > budget:
         raise BudgetExceeded(f"q + 1 = {q + 1} points exceed budget {budget}")
     if (q + 1) * (c + 1) > budget:
-        raise BudgetExceeded(
-            f"(q + 1) * (c + 1) = {(q + 1) * (c + 1)} coordinates exceed budget {budget}")
+        raise BudgetExceeded(f"(q + 1) * (c + 1) = {_shown((q + 1) * (c + 1))} coordinates "
+                             f"exceed budget {budget}")
     rows = np.zeros((q + 1, c + 1), dtype=np.int64)
     rows[:q] = array_mul(field, 1, np.arange(q)[:, None], np.arange(c + 1))
     rows[q, c] = 1
@@ -303,59 +307,3 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
         raise RuntimeError("product size is not multiplicative; spread embedding collapsed")
     return Z
 
-
-@dataclass(frozen=True)
-class ProductRecipe:
-    """Dimensions of an iterated spread product, computed from N and M."""
-
-    kind: str
-    factors: tuple[str, ...]
-    n: int                    # ambient projective dimension of the result
-    r: int
-    s: int
-    size_exponent: Fraction   # |Z| grows like q**size_exponent
-
-
-def product_recipe(kind: str, m: int, c: int = 4) -> ProductRecipe:
-    """Iterated-product bookkeeping for the stock recipes.
-
-    kind 'caps' multiplies m elliptic ovoids ((2,1)-sets, N=4 each);
-    'rnc' multiplies m rational normal curves of PG(c, q) ((c-1, c-2)-sets
-    read as proper factors, N=c+1 each); 'graph-rnc' starts from the graph
-    curve in PG(6, q) (a (3,2)-set, N=7) and multiplies m-1 curves of
-    PG(4, q^...).  Ambient dimensions follow N*M-1 at every step; sizes are
-    reported as q-exponents of the leading term.
-    """
-    if m < 1:
-        raise ParameterError("need m >= 1 factors")
-    if kind == "caps":
-        dims = [4] * m
-        r, s = 2, 1
-        exps = [Fraction(2)] * m   # an ovoid of PG(3, Q) has Q^2 + 1 points
-        names = tuple(f"ovoid(PG(3, q^{4**i}))" for i in range(m))
-    elif kind == "rnc":
-        if c < 3:
-            raise ParameterError("rnc recipe needs c >= 3")
-        dims = [c + 1] * m
-        r, s = c - 1, c - 2
-        exps = [Fraction(1)] * m   # a rational normal curve has q + 1 points
-        names = tuple(f"rnc({c}, q^{(c + 1) ** i})" for i in range(m))
-    elif kind == "graph-rnc":
-        dims = [7] + [5] * (m - 1)
-        r, s = 3, 2
-        exps = [Fraction(3, 2)] + [Fraction(1)] * (m - 1)
-        names = ("graph_curve(PG(6, q))",) + tuple(
-            f"rnc(4, q^{7 * 5 ** i})" for i in range(m - 1)
-        )
-    else:
-        raise ParameterError(f"unknown recipe kind {kind!r}")
-    total_dim = 1
-    size_exp = Fraction(0)
-    scale = 1  # current extension degree over the ground field
-    for N, e in zip(dims, exps):
-        total_dim *= N
-        size_exp += e * scale
-        scale *= N
-    return ProductRecipe(
-        kind=kind, factors=names, n=total_dim - 1, r=r, s=s, size_exponent=size_exp
-    )

@@ -22,7 +22,7 @@ and encoding range before they are eliminated.
 
 from __future__ import annotations
 
-from math import floor, log10
+from math import floor, inf, log10
 
 import numpy as np
 
@@ -56,20 +56,45 @@ def require_points(n: int, q: int, budget: int) -> int:
     A count of 16 digits or more is written as (q^(n+1) - 1)/(q - 1) and
     in scientific notation, so the message stays one short line.
     """
-    log_total = (n + 1) * log10(q) - log10(q - 1)
+    log_total = _log10_power(q, n + 1) - log10(q - 1)
     # a count that far past the budget is refused from its logarithm,
     # before q^(n+1) is built: at n = 10^8 that alone takes minutes
-    far = log_total >= 16 and log_total > log10(max(budget, 1)) + 1
+    far = _far_past(log_total, budget)
     total = None if far else count_points(n, q)
     if far or total > budget:
         shown = str(total) if not far and total < 10**15 else \
-            f"({q}^{n + 1} - 1)/{q - 1}, about {_scientific(log_total)},"
-        raise BudgetExceeded(f"PG({n},{q}) has {shown} points, budget is {budget}")
+            f"({q}^{_shown(n + 1)} - 1)/{q - 1}, about {_scientific(log_total)},"
+        raise BudgetExceeded(f"PG({_shown(n)},{q}) has {shown} points, budget is {budget}")
     return total
 
 
+def _log10_power(base: int, exponent: int) -> float:
+    """log10(base ** exponent) without building the power; inf past the float range."""
+    try:
+        return exponent * log10(base)
+    except OverflowError:  # the exponent itself is past the float range
+        return inf if base > 1 else 0.0
+
+
+def _far_past(log_count: float, budget: int) -> bool:
+    """Whether a count of log10 log_count is refused before it is built."""
+    return log_count >= 16 and log_count > log10(max(budget, 1)) + 1
+
+
+def _shown(x: int) -> str:
+    """x in full below 10^15, else as _scientific writes it."""
+    return str(x) if x < 10**15 else _scientific(log10(x))
+
+
 def _scientific(log_x: float) -> str:
-    """The number whose log10 is log_x, as d.de+N: str() of a huge int is slow or refused."""
+    """The number whose log10 is log_x, as d.de+N: str() of a huge int is slow or refused.
+
+    From N = 10^15 on the exponent is written the same way, as 10^d.de+N.
+    """
+    if log_x == inf:
+        return "10^10^308 or more"
+    if log_x >= 1e15:
+        return f"10^{_scientific(log10(log_x))}"
     e = floor(log_x)
     mantissa = f"{10 ** (log_x - e):.1f}"
     if mantissa == "10.0":

@@ -20,8 +20,7 @@ import numpy as np
 
 from .arith import is_int
 from .errors import ParameterError
-from .gf import make_field, table_add, table_mul
-from .jsonio import require_flat_field
+from .gf import table_add, table_mul
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, require_points, span_mask
 from .verifier import is_rs_set
 
@@ -50,9 +49,11 @@ class Prng:
         return (self.next_u64() >> 11) / 9007199254740992.0
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection."""
+        """Uniform integer in [0, n), unbiased via rejection; n is at most 2^64."""
         if n <= 0:
             raise ParameterError(f"need n >= 1, got {n}")
+        if n > 1 << 64:  # limit would be 0, and every draw rejected
+            raise ParameterError("need n <= 2^64, the range of one draw")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()
@@ -118,31 +119,6 @@ class HomogeneousForm:
                     term = table_mul(t, term, vectors[:, i])
             acc = table_add(t, acc, term)
         return acc
-
-    def to_json_dict(self) -> dict:
-        require_flat_field(self.field)
-        return {
-            "p": self.field.p,
-            "k": self.field.k,
-            "n": self.n,
-            "degree": self.degree,
-            "coefficients": {
-                ",".join(map(str, exps)): c
-                for exps, c in sorted(self.coefficients.items())
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HomogeneousForm":
-        try:
-            field = make_field(data["p"], data["k"])
-            coeffs = {
-                tuple(int(x) for x in key.split(",")): c
-                for key, c in data["coefficients"].items()
-            }
-            return cls(field, data["n"], data["degree"], coeffs)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParameterError(f"malformed form data: {exc!r}") from exc
 
 
 def hypersurface_points(*forms: HomogeneousForm, budget: int = DEFAULT_BUDGET) -> PointSet:
@@ -241,6 +217,7 @@ def gv_construction(n: int, field, r: int, s: int, rng: Prng, *,
             "regime s+1 >= r >= 3; the output is still a valid (r, s)-set",
             r, s,
         )
+    require_points(n, field.order, budget)  # before a huge n reaches the float exponent
     p = gv_keep_probability(n, field.order, r, s)
     pts = _points_array(field, n, budget)
     # one draw per point of PG(n, q), in its sorted order

@@ -3,6 +3,7 @@
 import functools
 import gc
 import inspect
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -130,6 +131,16 @@ def test_best_tie_break_is_label_lex():
     )
     rep = BoundsReport(n=3, q=2, r=2, s=1, entries=entries)
     assert rep.best().label == "alpha"
+
+
+def test_entry_default_params_are_shared_read_only():
+    a, b = BoundEntry("a", 1, "x"), BoundEntry("b", 2, "x")
+    assert a.params == {} and a.applicable and a.reason is None
+    with pytest.raises(TypeError):
+        a.params["k"] = 1
+    assert b.params == {}
+    # a huge int converts like a huge Decimal, to inf, where float() raises
+    assert BoundEntry("big", 10**400, "x").value_float() == math.inf
 
 
 def test_report_json_shape():

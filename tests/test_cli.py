@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,29 @@ def test_construct_huge_n_refused_before_counting(tmp_path):
     assert "PG(100000000,3) has (3^100000001 - 1)/2, about 4.4e+47712125, points, " \
            "budget is 10" in done.stderr
     assert not (tmp_path / "gv.json").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["monomial", "--n", "100000000", "--q", "3"], "(q-1)^(n-1) = 1.8e+30102999 exceeds"),
+    (["monomial-affine", "--n", "1000000000", "--q", "3"], "(q-1)^(n-1) = 2.3e+301029995"),
+    (["rnc", "--c", "9" * 4300, "--q", "3"], "(q + 1) * (c + 1) = 4.0e+4300 coordinates"),
+    (["gv", "--n", "9" * 4299, "--q", "3", "--r", "3", "--s", "2", "--seed", "1"],
+     "PG(1.0e+4299,3) has (3^1.0e+4299 - 1)/2, about 10^10^308 or more, points"),
+    (["quadrics", "--m", "9" * 4299, "--q", "3", "--seed", "1"], "PG(2.0e+4299,3) has"),
+], ids=["monomial-n1e8", "monomial-affine-n1e9", "rnc-c4300-digits", "gv-n4299-digits",
+        "quadrics-m4299-digits"])
+def test_construct_huge_parameter_exits_3_at_once(args, message, tmp_path, capsys):
+    # counts far past the budget are refused from their logarithm, and
+    # numbers past 15 digits are printed in scientific notation: str() of
+    # an int past 4300 digits raises, and (q-1)^(n-1) at n = 10^9 takes seconds
+    out = tmp_path / "x.json"
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "construct", *args, "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and stdout == ""
+    assert message in stderr
+    assert stderr.count("\n") == 1 and len(stderr) < 120
+    assert not out.exists()
 
 
 RANDOMIZED_ARGS = {

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from evasive.constructions import (
     monomial_curve,
     monomial_curve_affine_variant,
     product_construction,
-    product_recipe,
     rational_normal_curve,
     trimmed_incidence_graph,
 )
@@ -320,6 +318,18 @@ def test_product_builds_no_tables(monkeypatch):
     assert product_construction(X, 2, Y, 1, validate=False) == Z
 
 
+def test_monomial_size_compared_exactly_near_the_budget():
+    # only a size ten times past the budget is refused from its logarithm
+    F3 = make_field(3, 1)
+    with pytest.raises(BudgetExceeded, match=r"\(q-1\)\^\(n-1\) = 549755813888 exceeds"):
+        monomial_curve(40, F3, budget=2**39 - 1)
+    for budget in (2**59 - 1, 10**16):
+        with pytest.raises(BudgetExceeded, match=r"= 5\.8e\+17 exceeds budget"):
+            monomial_curve(60, F3, budget=budget)
+    with pytest.raises(BudgetExceeded, match=r"\* \(n\+1\) = 3\.5e\+19 coordinates"):
+        monomial_curve(60, F3, budget=2**59)
+
+
 def test_product_q8_bytes_pinned():
     # 65 copies of the GF(8) ovoid in each of the 4097 spread elements of
     # the conic over GF(8)^4: 266,305 points of PG(11, 8), rows 12 wide
@@ -330,27 +340,6 @@ def test_product_q8_bytes_pinned():
     assert len(Z) == 266305
     assert hashlib.sha256(pointset_to_json_bytes(Z, 2, 1)).hexdigest() == \
         "d8b0e67a3fce99ef63a8880e26945841de2a7c605e1ad96367e047e49c19c46a"
-
-
-def test_product_recipes_frozen():
-    caps = product_recipe("caps", 2)
-    assert (caps.n, caps.r, caps.s) == (15, 2, 1)
-    assert caps.size_exponent == Fraction(10)
-
-    rnc = product_recipe("rnc", 2, c=4)
-    assert (rnc.n, rnc.r, rnc.s) == (24, 3, 2)
-    assert rnc.size_exponent == Fraction(6)
-
-    graph = product_recipe("graph-rnc", 2, c=4)
-    assert (graph.n, graph.r, graph.s) == (34, 3, 2)
-    assert graph.size_exponent == Fraction(17, 2)
-
-    with pytest.raises(ParameterError):
-        product_recipe("caps", 0)
-    with pytest.raises(ParameterError):
-        product_recipe("rnc", 2, c=2)
-    with pytest.raises(ParameterError):
-        product_recipe("nope", 2)
 
 
 # ---------------------------------------------------------------------------

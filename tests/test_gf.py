@@ -22,7 +22,6 @@ from evasive.gf import (
     table_mul,
     table_sub_mul,
 )
-from evasive.randomized import HomogeneousForm
 
 
 def naive_smallest_irreducible(F, degree):
@@ -269,9 +268,8 @@ def test_parameter_validation():
 def test_field_parameters_must_be_plain_ints():
     # 5.0 == 5 and hashes alike, so an untyped cache would hand GF(5.0) to
     # every later make_field(5, 1); refusing it keeps the cache clean
-    form = {"p": 5.0, "k": 1, "n": 2, "degree": 2, "coefficients": {"2,0,0": 1}}
     with pytest.raises(ParameterError, match="integer"):
-        HomogeneousForm.from_json_dict(form)
+        make_field(5.0, 1)
     F5 = make_field(5, 1)
     assert type(F5.order) is int and F5.order == 5
     assert F5.tables().add.shape == (5, 5)

@@ -77,3 +77,9 @@ def test_public_names_resolve_to_their_definitions():
 def test_unknown_public_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         evasive.no_such_name
+
+
+def test_randomized_loads_no_file_format(tmp_path):
+    code, modules = _loaded(tmp_path, "-c", "import evasive.randomized")
+    assert code == 0
+    assert "evasive.randomized" in modules and "evasive.jsonio" not in modules

@@ -11,6 +11,9 @@ from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_extension, make_field
 from evasive.projgeom import (
     PointSet,
+    _log10_power,
+    _scientific,
+    _shown,
     all_points,
     count_points,
     gaussian_binomial,
@@ -90,6 +93,20 @@ def test_require_points_at_the_budget():
         for budget in (total - 1, total // 10, 1, 0):
             with pytest.raises(BudgetExceeded, match=f"PG\\({n},{q}\\) has"):
                 require_points(n, q, budget)
+
+
+def test_huge_counts_are_written_short():
+    # str() of an int past 4300 digits raises, so counts past 15 digits are
+    # written from their logarithm, and a logarithm past 15 digits likewise
+    assert _shown(10**15 - 1) == "999999999999999"
+    assert _shown(10**15) == "1.0e+15" and _shown(4 * 10**4300 + 1) == "4.0e+4300"
+    assert _scientific(math.log10(38146972656)) == "3.8e+10"
+    assert _scientific(math.log10(9.96)) == "1.0e+1"
+    assert _scientific(3.0103e15) == "10^3.0e+15"
+    assert _scientific(math.inf) == "10^10^308 or more"
+    assert _log10_power(3, 10**8) == 10**8 * math.log10(3)
+    assert _log10_power(3, 10**4299) == math.inf
+    assert _log10_power(1, 10**4299) == 0.0
 
 
 def test_rank_examples():
