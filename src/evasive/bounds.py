@@ -25,7 +25,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .arith import count_points, factor_prime_power, gaussian_binomial
+from .arith import count_points, factor_prime_power, gaussian_binomial, is_int
 from .errors import ParameterError
 
 _DPS = 30  # digits of the real values; comparisons are binary64
@@ -140,11 +140,13 @@ def rao_bound(n: int, q: int, r: int, s: int) -> BoundEntry:
 
 
 def _check_space(n: int, q: int) -> None:
-    """Refuse a q that is not a prime power, and a PG(n, q) with more points
-    (the trivial bound) than a float, the form reports are written in, holds."""
+    """Refuse a PG(n, q) with more points (the trivial bound) than a float,
+    the form reports are written in, holds, and then a q that is not a prime
+    power: factoring costs more with q's digits, the range check does not."""
+    # n + 1 is compared as an int, which a float product could not hold
+    if is_int(q) and q > 1 and n + 1 >= 1023 / math.log2(q):
+        raise ParameterError("PG(n,q) has more points than a float can hold")
     factor_prime_power(q)
-    if (n + 1) * math.log2(q) >= 1023:
-        raise ParameterError(f"PG({n},{q}) has more points than a float can hold")
 
 
 def pigeonhole_bound(n: int, q: int, r: int, s: int) -> int:

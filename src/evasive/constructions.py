@@ -20,15 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factor_prime_power
+from .arith import factor_prime_power, is_int
 from .errors import BudgetExceeded, ParameterError
-from .gf import array_add, array_mul, make_field
+from .gf import ORDER_LIMIT, array_add, array_mul, make_field
 from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _log10_power, _points_array,
                        _scientific, _shown)
 from .verifier import is_proper, is_rs_set
 
 
 def field_of_order(q: int):
+    """GF(q) for a prime power q below gf.ORDER_LIMIT, which is checked
+    first: factoring costs more with q's digits."""
+    if is_int(q) and q >= ORDER_LIMIT:
+        raise ParameterError(f"q has {q.bit_length()} bits; field orders must fit in 64 bits")
     p, k = factor_prime_power(q)
     return make_field(p, k)
 
@@ -53,7 +57,7 @@ def _monomial_points(n: int, field, budget: int, columns) -> PointSet:
     exp, _ = field.logs()
     # e_i is base-(q-1) digit i of the point's index
     e = np.arange(size)[:, None] // (q - 1) ** np.arange(n - 1) % (q - 1)
-    rows = np.ones((size, n + 1), dtype=np.int64)
+    rows = np.ones((size, n + 1), dtype=field.dtype)
     rows[:, 1:] = exp[columns(e, e.sum(axis=1, keepdims=True)) % (q - 1)]
     return PointSet.from_rows(field, n, rows)
 
@@ -90,7 +94,7 @@ def rational_normal_curve(c: int, field, budget: int = DEFAULT_BUDGET) -> PointS
     if (q + 1) * (c + 1) > budget:
         raise BudgetExceeded(f"(q + 1) * (c + 1) = {_shown((q + 1) * (c + 1))} coordinates "
                              f"exceed budget {budget}")
-    rows = np.zeros((q + 1, c + 1), dtype=np.int64)
+    rows = np.zeros((q + 1, c + 1), dtype=field.dtype)
     rows[:q] = array_mul(field, 1, np.arange(q)[:, None], np.arange(c + 1))
     rows[q, c] = 1
     return PointSet.from_rows(field, c, rows)
@@ -127,7 +131,7 @@ def elliptic_ovoid(field, budget: int = DEFAULT_BUDGET) -> PointSet:
     # f(s, t) = s*s + (b s + c t)*t
     bs_ct = array_add(field, array_mul(field, b, s), array_mul(field, c, t))
     f = array_add(field, array_mul(field, s, s), array_mul(field, bs_ct, t))
-    rows = np.empty((q * q + 1, 4), dtype=np.int64)
+    rows = np.empty((q * q + 1, 4), dtype=field.dtype)
     rows[0] = (0, 1, 0, 0)
     rows[1:] = np.stack([np.ones_like(s), f, s, t], axis=1)
     out = PointSet.from_rows(field, 3, rows)
@@ -209,7 +213,8 @@ def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
     # scaled to a leading 1 by the inverse of x, else of y, else of z = 1
     w = array_mul(field, 1, np.where(x != 0, x, np.where(y != 0, y, 1)), -1)
     key = (array_mul(field, x, w) * q0 + array_mul(field, y, w)) * q0 + w
-    i = np.searchsorted((keep_pts[:, 0] * q0 + keep_pts[:, 1]) * q0 + keep_pts[:, 2], key)
+    # widened first: in the points' own dtype the keys would wrap
+    i = np.searchsorted(keep_pts.astype(np.int64) @ [q0 * q0, q0, 1], key)
     j = np.broadcast_to(np.arange(q0 * q0)[:, None], i.shape)
     return BipartiteGraph.from_edges(q0 * q0, np.column_stack((i.ravel(), j.ravel())))
 
@@ -240,10 +245,9 @@ def graph_curve_32(graph: BipartiteGraph, field, budget: int = DEFAULT_BUDGET) -
 
 def graph_curve_for_prime_power(q0: int, budget: int = DEFAULT_BUDGET) -> PointSet:
     """The q0^3-point (3, 2)-set in PG(6, q0^2) built on the trimmed graph."""
-    p, k = factor_prime_power(q0)
+    field = field_of_order(q0 * q0)
     if q0**3 > budget:
         raise BudgetExceeded(f"{q0**3} edges exceed budget {budget}")
-    field = make_field(p, 2 * k)
     return graph_curve_32(trimmed_incidence_graph(q0), field, budget=budget)
 
 
@@ -295,8 +299,9 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
     # and the copy of x in y's spread element is x~ * y: coordinate c of y
     # gives the N digits of x~ * y_c, in columns c*N to c*N + N - 1
     q = X.field.order
-    xt = X.array @ q ** np.arange(N)
-    images = np.empty((len(X), len(Y), M, N), dtype=np.min_scalar_type(q - 1))
+    # widened first: a uint64 array times int64 powers would give floats
+    xt = X.array.astype(np.int64) @ q ** np.arange(N)
+    images = np.empty((len(X), len(Y), M, N), dtype=X.field.dtype)
     for c in range(M):
         prod = array_mul(ext, xt[:, None], Y.array[:, c])
         for j in range(N):

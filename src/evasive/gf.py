@@ -33,8 +33,9 @@ Lookup tables
 ``tables()`` materializes numpy arrays so that bulk code can run field
 arithmetic through fancy indexing.  Tables are built lazily, cached on the
 spec, read-only, and only for orders up to ``TABLE_LIMIT``.  Their dtype
-is the smallest unsigned one that holds every encoding, chosen from the
-order alone: uint8 for q <= 256, uint16 above.  Kernels multiply only
+is the field's ``dtype``, the smallest unsigned one that holds every
+encoding: uint8 for q <= 256, uint16 above.  Point arrays and point files
+store encodings in that same dtype at every order.  Kernels multiply only
 through ``table_mul`` (a * b), add through ``table_add`` (a + b) and
 subtract through ``table_sub_mul`` (x - f*y).  Every product derives from
 one log layout, ``logs()``, whose log[0] points into a zero tail of exp,
@@ -67,7 +68,7 @@ LOG_BLOCK = 4096     # rows of exp one doubling step of logs() maps at a time
 
 
 class FieldTables(NamedTuple):
-    """Read-only arrays, all uint8 for q <= 256 and uint16 above.
+    """Read-only arrays in the field's dtype: uint8 for q <= 256, uint16 above.
 
     The q x q tables exist only up to q = 256 and the log pair only above
     it; a slot a field does not use is an empty array, so every slot is
@@ -182,13 +183,12 @@ def _lex_smallest_irreducible(F, L: int) -> tuple[int, ...]:
 # Lazy table construction, one path for every field.
 
 def _build_tables(F) -> FieldTables:
-    q, p = F.order, F.p
+    q, p, dtype = F.order, F.p, F.dtype
     if q > TABLE_LIMIT:
         raise ParameterError(
             f"field order {q} exceeds TABLE_LIMIT={TABLE_LIMIT}; "
             "bulk operations are not available for fields this large"
         )
-    dtype = np.dtype(np.uint8 if q <= 256 else np.uint16)
     # log[a] + log[b] <= 4(q-1) < 2^16 up to TABLE_LIMIT: uint16 index sums
     exp, log = F.logs()
     exp, log = exp.astype(dtype), log.astype(np.uint16)
@@ -376,7 +376,9 @@ class FieldSpec(_TableMixin):
     """GF(p) when ``base`` is None, else base[X]/(modulus), on integer encodings.
 
     ``p`` is the characteristic, ``k`` the degree over GF(p), ``N`` the
-    degree over ``base`` and ``order`` = p^k.  Construct through
+    degree over ``base`` and ``order`` = p^k.  ``dtype`` is the smallest
+    unsigned numpy dtype that holds every encoding, the one tables, point
+    arrays and parsed files store encodings in.  Construct through
     ``make_field`` or ``make_extension``; instances are cached and immutable.
     """
 
@@ -388,6 +390,7 @@ class FieldSpec(_TableMixin):
         self.p = p if base is None else base.p
         self.k = N if base is None else base.k * N
         self.order = self.p**self.k
+        self.dtype = np.min_scalar_type(self.order - 1)
         self._q = self.p if base is None else base.order
         self._tables = None
         self._logs = None

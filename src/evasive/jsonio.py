@@ -7,28 +7,28 @@ are null when the file does not advertise parameters.  No floats anywhere,
 so byte-identical round-trips are guaranteed.
 
 The writer keeps json.dumps for the header scalars and formats the
-points straight from the set's int64 array, ROW_CHUNK rows at a time:
-each cell's digit count comes from comparing it with powers of ten, one
-cumsum over the cell and row sizes gives every byte offset, and the
-digits, brackets and commas are filled into a uint8 buffer at those
-offsets.  The bytes equal json.dumps(X.array.tolist(), separators=(",",
-":")); no Python list per point is built and the temporaries stay
-bounded by the chunk, not the set.
+points straight from the set's array, ROW_CHUNK rows at a time: each
+cell's digit count comes from comparing it with powers of ten, one cumsum
+over the cell and row sizes gives every byte offset, and the digits,
+brackets and commas are filled into a uint8 buffer at those offsets.
+The bytes equal json.dumps(X.array.tolist(), separators=(",", ":")); no
+Python list per point is built and the temporaries stay bounded by the
+chunk, not the set.
 
 A file is parsed in this order.  The header scalars come first, one by
 one: p and k (the field must exist), the canonical modulus, n (below
 MAX_N, as n+1 becomes an array dimension), r and s.  The points list is
 then checked in one pass over all its coordinates: every entry is a list
 of n+1 plain integers (no bool, no float) in [0, q).  Encodings become
-one int64 (N, n+1) array, so each must also fit in 64 bits; only fields
-of order above 2^63 can hold one that does not, and such a file is
-refused.  The parsed lists are dropped once the array holds the points,
-so the parse keeps one copy of them at a time.  The array goes to
-PointSet.from_rows, which refuses zero and unnormalized rows and keeps
-the array, read-only, as the set's ``array``.  from_rows sorts and
-dedupes rows that are not already strictly ascending, so the file is
-accepted only if it gives back exactly the file's rows in the file's
-order: that is the strictly ascending rule.
+one (N, n+1) array in the field's dtype, which holds every encoding of
+every field, 20-digit ones below 2^64 included.  The parsed lists are
+dropped once the array holds the points, so the parse keeps one copy of
+them at a time.  The array goes to PointSet.from_rows, which refuses
+zero and unnormalized rows and keeps the array, read-only, as the set's
+``array``.  from_rows sorts and dedupes rows that are not already
+strictly ascending, so the file is accepted only if it gives back
+exactly the file's rows in the file's order: that is the strictly
+ascending rule.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .projgeom import PointSet
 
 MAX_N = 2**31  # far above any n whose points fit in a file
 ROW_CHUNK = 4096  # rows the writer formats at a time, bounding its temporaries
-# a cell of d digits passes d - 1 of these; int64 cells have at most 19 digits
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+# a cell of d digits passes d - 1 of these; uint64 cells have at most 20 digits
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def require_flat_field(field) -> None:
@@ -59,9 +59,9 @@ def require_flat_field(field) -> None:
 def _json_rows(a: np.ndarray):
     """json.dumps(a.tolist(), separators=(",", ":")) as UTF-8 pieces, ROW_CHUNK rows each.
 
-    a is a 2-D array of nonnegative int64 cells.  Each row is laid out as
-    its cells, each a lead byte ("[" for the first, "," after) followed
-    by its digits, then "]" and a row separator ",", which the last row
+    a is a 2-D array of unsigned cells.  Each row is laid out as its
+    cells, each a lead byte ("[" for the first, "," after) followed by
+    its digits, then "]" and a row separator ",", which the last row
     turns into the list's closing "]".
     """
     yield b"["
@@ -109,19 +109,18 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _points_array(pts, width: int, order: int) -> np.ndarray:
-    """The points list as an int64 (N, width) array of encodings in [0, order)."""
+def _points_array(pts, width: int, field) -> np.ndarray:
+    """The points list as an (N, width) array of encodings in [0, q), in field.dtype."""
     _require(isinstance(pts, list), "points must be a list")
     _require(set(map(type, pts)) <= {list} and set(map(len, pts)) <= {width},
              f"each point needs {width} coordinates")
     flat = itertools.chain.from_iterable
     # type(c) is int rules out bool (JSON true and false) and float alike
-    in_range = f"coordinates must be encodings in [0, {order})"
+    in_range = f"coordinates must be encodings in [0, {field.order})"
     _require(set(map(type, flat(pts))) <= {int}, in_range)
     lo, hi = (min(flat(pts)), max(flat(pts))) if pts else (0, 0)
-    _require(lo >= 0 and hi < order, in_range)
-    _require(hi < 2**63, f"encoding {hi} of GF({order}) does not fit in 64 bits")
-    return np.fromiter(flat(pts), dtype=np.int64, count=len(pts) * width).reshape(len(pts), width)
+    _require(lo >= 0 and hi < field.order, in_range)
+    return np.fromiter(flat(pts), dtype=field.dtype, count=len(pts) * width).reshape(-1, width)
 
 
 def pointset_from_json_bytes(data: bytes):
@@ -153,7 +152,7 @@ def pointset_from_json_bytes(data: bytes):
         _require(doc[name] is None or (is_int(doc[name]) and doc[name] >= 0),
                  f"{name} must be null or a nonnegative integer")
     # popped, so the parsed lists are freed once the array holds the points
-    rows = _points_array(doc.pop("points"), n + 1, field.order)
+    rows = _points_array(doc.pop("points"), n + 1, field)
     X = PointSet.from_rows(field, n, rows)
     _require(np.array_equal(X.array, rows), "points must be strictly ascending")
     return X, doc["r"], doc["s"]

@@ -2,14 +2,17 @@
 
 A projective point of PG(n, q) is a normalized homogeneous coordinate tuple
 of length n+1: the first nonzero coordinate equals 1.  A PointSet stores its
-points as one read-only (N, n+1) int64 array of encodings, deduplicated and
-sorted in ascending lexicographic order, which makes every downstream
-enumeration (and every file the CLI writes) deterministic.  It has two
-constructors: PointSet.from_rows checks that rows are normalized encodings
-of the right width, then sorts and dedupes them unless they are already
-strictly ascending; PointSet(field, n, array) trusts an array that is
-already all of that.  Tuples of points are built only on request
-(``points``, iteration and ``in``).
+points as one read-only (N, n+1) array of encodings in the field's
+``dtype`` (uint8 up to q = 256, uint16 up to 65536, and so on up to
+uint64), deduplicated and sorted in ascending lexicographic order, which
+makes every downstream enumeration (and every file the CLI writes)
+deterministic.  It has two constructors: PointSet.from_rows checks that
+rows are normalized encodings of the right width, then sorts and dedupes
+them unless they are already strictly ascending; PointSet(field, n, array)
+trusts an array that is already all of that, and casts it to the field's
+dtype (no copy when it is in it already).  Code that combines encodings
+into larger integers widens them first.  Tuples of points are built only
+on request (``points``, iteration and ``in``).
 
 Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
@@ -103,7 +106,7 @@ def _scientific(log_x: float) -> str:
 
 
 def _points_array(field, n: int, budget: int) -> np.ndarray:
-    """PG(n, field) as an (N, n+1) int64 array, in ascending lexicographic order.
+    """PG(n, field) as an (N, n+1) array in field.dtype, in ascending lexicographic order.
 
     Rows come out normalized: for each position of the leading 1, all tails
     over the field follow as base-q digits in encoding order, and later
@@ -111,7 +114,7 @@ def _points_array(field, n: int, budget: int) -> np.ndarray:
     """
     q = field.order
     total = require_points(n, q, budget)
-    out = np.zeros((total, n + 1), dtype=np.int64)
+    out = np.zeros((total, n + 1), dtype=field.dtype)
     start = 0
     for t in range(n + 1):  # the leading 1 at n - t, then t free coordinates
         block = out[start:start + q**t]
@@ -124,11 +127,11 @@ def _points_array(field, n: int, budget: int) -> np.ndarray:
 
 
 def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
-    """vectors as a fresh (m, w) int64 array, checked before any use.
+    """vectors as a fresh (m, w) array in field.dtype, checked before any use.
 
     Refuses ragged rows, entries of a non-integer dtype (floats are not
     truncated), a width other than ``width`` (when given) and encodings
-    outside [0, q); no rows at all give an (0, width) array.
+    outside [0, q), then narrows; no rows at all give an (0, width) array.
     """
     try:
         mat = np.array(vectors)
@@ -136,14 +139,13 @@ def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
         mat = None
     if mat is None or mat.size and mat.dtype.kind not in "iu":
         raise ParameterError("vectors must be integer rows of one length")
-    mat = mat.astype(np.int64, copy=False)
     if mat.shape == (0,):
         mat = mat.reshape(0, width or 0)
     if mat.ndim != 2 or (width is not None and mat.shape[1] != width):
         raise ParameterError("vector length does not match ambient dimension")
     if mat.size and (mat.min() < 0 or int(mat.max()) >= field.order):
         raise ParameterError(f"coordinates must be encodings in [0, {field.order})")
-    return mat
+    return mat.astype(field.dtype, copy=False)
 
 
 def rank(field, vectors) -> int:
@@ -167,10 +169,10 @@ class PointSet:
     __slots__ = ("field", "n", "array", "_points", "_index")
 
     def __init__(self, field, n: int, array: np.ndarray):
-        array.setflags(write=False)
+        self.array = np.asarray(array, dtype=field.dtype)
+        self.array.setflags(write=False)
         self.field = field
         self.n = n
-        self.array = array
         self._points = None
         self._index = None
 

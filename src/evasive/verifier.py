@@ -286,8 +286,7 @@ def _span_counts(X: PointSet, m: int, budget: int):
             f"subset scan needs C({N}, {m}) = {total} spans, budget is {budget}"
         )
     root = _Level(prefix=np.empty((1, 0), dtype=np.intp), base=np.zeros(1, dtype=np.intp),
-                  start=np.array([0, N]),
-                  rows=np.ascontiguousarray(X.array, dtype=X.field.tables().neg.dtype))
+                  start=np.array([0, N]), rows=X.array)
     return _walk(X.field, root, m, N, [0])
 
 

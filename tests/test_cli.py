@@ -142,7 +142,9 @@ def test_verify_rejects_corrupt_file(tmp_path, capsys):
 
 
 def test_verify_refuses_encodings_past_64_bits(tmp_path, capsys):
-    # GF(p) for a prime above 2^63 holds encodings no int64 array can
+    # GF(p) for a prime above 2^63 holds encodings no int64 array can; the
+    # file parses into the field's uint64 dtype, and the scan refuses it
+    # because the field is above TABLE_LIMIT, still with exit 2
     p = 9223372036854775837
     big = tmp_path / "big.json"
     big.write_bytes(b'{"p":%d,"k":1,"modulus":[0,1],"n":1,"r":1,"s":0,'
@@ -295,6 +297,41 @@ def test_construct_huge_parameter_exits_3_at_once(args, message, tmp_path, capsy
     assert time.perf_counter() - start < 1.0
     assert code == 3 and stdout == ""
     assert message in stderr
+    assert stderr.count("\n") == 1 and len(stderr) < 120
+    assert not out.exists()
+
+
+HUGE = "9" * 4300  # the most digits int() parses
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["construct", "monomial", "--n", "3", "--q", HUGE], "q has 14285 bits"),
+    (["construct", "monomial-affine", "--n", "3", "--q", HUGE], "q has 14285 bits"),
+    (["construct", "rnc", "--c", "3", "--q", HUGE], "q has 14285 bits"),
+    (["construct", "ovoid", "--q", HUGE], "q has 14285 bits"),
+    (["construct", "ovoid", "--q", str(2**64)], "q has 65 bits; field orders must fit in 64 bits"),
+    (["construct", "graph32", "--q0", HUGE], "q has 28569 bits"),
+    (["construct", "graph32", "--q0", str(2**32)], "q has 65 bits"),
+    (["construct", "gv", "--n", "3", "--q", HUGE, "--r", "3", "--s", "2", "--seed", "1"],
+     "q has 14285 bits"),
+    (["construct", "quadrics", "--m", "2", "--q", HUGE, "--seed", "1"], "q has 14285 bits"),
+    (["construct", "cubics", "--q", HUGE, "--seed", "1"], "q has 14285 bits"),
+    (["construct", "product", "--q", HUGE, "--r", "2", "--s", "1"], "q has 14285 bits"),
+    (["bounds", "--n", "2", "--q", HUGE, "--r", "3", "--s", "1"], "than a float can hold"),
+    (["bounds", "--n", "1" + "0" * 400, "--q", "2", "--r", "3", "--s", "1"],
+     "than a float can hold"),
+], ids=["monomial", "monomial-affine", "rnc", "ovoid", "ovoid-q2^64", "graph32",
+        "graph32-q0-2^32", "gv", "quadrics", "cubics", "product", "bounds", "bounds-n1e400"])
+def test_huge_field_order_exits_2_at_once(argv, message, tmp_path, capsys):
+    # factoring a q of thousands of digits takes many seconds, so orders
+    # from 2^64 on (and PG(n, q) past the float range) are refused first
+    out = tmp_path / "x.json"
+    extra = ["--out", str(out)] if argv[0] == "construct" else []
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, *argv, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and message in stderr
     assert stderr.count("\n") == 1 and len(stderr) < 120
     assert not out.exists()
 

@@ -24,6 +24,8 @@ from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import FieldSpec, _TableMixin, make_extension, make_field
 from evasive.jsonio import pointset_to_json_bytes
 from evasive.projgeom import PointSet, all_points, rank
+from evasive.randomized import (Prng, cleanup, cubic_92_construction, gv_construction,
+                                quadric_42_construction)
 from evasive.verifier import is_proper, is_rs_set, max_in_s_space
 
 
@@ -139,9 +141,46 @@ def scalar_trimmed_graph(q0):
     return BipartiteGraph.from_edges(q0 * q0, edges)
 
 
-@pytest.mark.parametrize("q0", [2, 3, 4, 5, 7, 8, 9])
+# from q0 = 13 the keys (u q0 + v) q0 + w no longer fit in the points' uint8
+@pytest.mark.parametrize("q0", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_trimmed_incidence_graph_matches_scalar_scan(q0):
     assert trimmed_incidence_graph(q0) == scalar_trimmed_graph(q0)
+
+
+def _cleaned_line_and_point():
+    rows = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0)]
+    return cleanup(PointSet.from_rows(make_field(3, 1), 2, rows), 2, 1)
+
+
+def _product_q2():
+    # construct product --q 2 --r 2 --s 1: an ovoid over GF(2) times a conic over GF(16)
+    base = make_field(2, 1)
+    return product_construction(elliptic_ovoid(base), 2,
+                                rational_normal_curve(2, make_extension(base, 4)), 1)
+
+
+EVERY_KIND = {
+    "monomial": lambda: monomial_curve(3, make_field(3, 1)),
+    "monomial-affine": lambda: monomial_curve_affine_variant(3, make_field(2, 2)),
+    "monomial-q257": lambda: monomial_curve(2, make_field(257, 1)),
+    "monomial-q65537": lambda: monomial_curve(2, make_field(65537, 1)),
+    "rnc": lambda: rational_normal_curve(3, make_field(5, 1)),
+    "ovoid": lambda: elliptic_ovoid(make_field(2, 3)),
+    "graph32": lambda: graph_curve_for_prime_power(3),
+    "gv": lambda: gv_construction(4, make_field(2, 1), 3, 2, Prng(1)),
+    "quadrics": lambda: quadric_42_construction(2, make_field(5, 1), Prng(7)),
+    "cubics": lambda: cubic_92_construction(make_field(3, 1), Prng(1)),
+    "product": _product_q2,
+    "cleanup": _cleaned_line_and_point,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+def test_every_kind_keeps_the_field_dtype(kind):
+    X = EVERY_KIND[kind]()
+    assert len(X) and X.array.dtype == X.field.dtype and not X.array.flags.writeable
+    expected = {"monomial-q257": np.uint16, "monomial-q65537": np.uint32}.get(kind, np.uint8)
+    assert X.field.dtype == expected
 
 
 def test_complete_bipartite_has_c4():

@@ -332,6 +332,18 @@ def test_modulus_is_first_irreducible_in_product_order(field):
 DTYPE_BOUNDARY_FIELDS = [make_field(2, 8), make_field(257, 1), make_field(2, 12)]
 
 
+@pytest.mark.parametrize("field,dtype", [
+    (make_field(2, 1), np.uint8), (make_field(2, 8), np.uint8), (make_field(257, 1), np.uint16),
+    (make_field(2, 16), np.uint16), (make_field(65537, 1), np.uint32),
+    (make_field(2, 32), np.uint32), (make_field(2, 33), np.uint64),
+    (make_field(18446744073709551557, 1), np.uint64),  # the largest prime below 2^64
+], ids=repr)
+def test_field_dtype_holds_every_encoding(field, dtype):
+    assert field.dtype == dtype == np.min_scalar_type(field.order - 1)
+    if field.order <= gf.TABLE_LIMIT:
+        assert {table.dtype for table in field.tables()} == {field.dtype}
+
+
 def assert_table_layout(field, t):
     """q x q tables up to q = 256; above, the casts of logs() and no q x q array."""
     q = field.order

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evasive.arith import _is_prime
 from evasive.constructions import elliptic_ovoid, monomial_curve, rational_normal_curve
 from evasive.errors import ParameterError
 from evasive.gf import make_extension, make_field
@@ -72,8 +73,9 @@ def reference_write(X, r=None, s=None) -> bytes:
 
 
 def assert_parsed_array(X):
-    assert np.array_equal(X.array, np.asarray(X.points, dtype=np.int64).reshape(len(X), X.n + 1))
-    assert X.array.dtype == np.int64 and not X.array.flags.writeable
+    points = np.asarray(X.points, dtype=X.field.dtype).reshape(len(X), X.n + 1)
+    assert np.array_equal(X.array, points)
+    assert X.array.dtype == X.field.dtype and not X.array.flags.writeable
 
 
 FROZEN = (b'{"p":3,"k":1,"modulus":[0,1],"n":3,"r":3,"s":1,'
@@ -215,6 +217,23 @@ def test_writer_matches_json_dumps(rows, width):
     X = PointSet(BIG, width - 1, cells[pick])
     for r, s in [(None, None), (0, 7), (2**70, None)]:
         assert pointset_to_json_bytes(X, r, s) == reference_write(X, r, s)
+
+
+def test_twenty_digit_encodings_round_trip():
+    # GF(p) for a prime between 10^19 and 2^64: the field dtype is uint64,
+    # encodings from 2^63 on do not fit in int64, and 10^19 on have 20 digits
+    p = next(c for c in range(10**19 + 1, 2**64, 2) if _is_prime(c))
+    field = make_field(p, 1)
+    assert field.dtype == np.uint64
+    rows = np.array([[0, 1], [1, 0], [1, 9], [1, 2**63], [1, 10**19 - 1], [1, 10**19],
+                     [1, p - 1]], dtype=np.uint64)
+    X = PointSet.from_rows(field, 1, rows)
+    blob = pointset_to_json_bytes(X, 1, 0)
+    assert blob == reference_write(X, 1, 0)
+    assert b"[1,%d]]}" % (p - 1) in blob
+    Y, r, s = pointset_from_json_bytes(blob)
+    assert (Y, r, s) == (X, 1, 0)
+    assert_parsed_array(Y)
 
 
 def _traced_peak(fn, *args):

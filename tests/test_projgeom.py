@@ -222,6 +222,18 @@ def test_from_rows_matches_sorted_set_of_rows():
         assert X.array.tolist() == [list(pt) for pt in want]
 
 
+def test_pointsets_keep_the_field_dtype():
+    F3 = make_field(3, 1)
+    wide = np.array([[1, 2, 0], [0, 0, 1]], dtype=np.int64)
+    for X in (PointSet.from_rows(F3, 2, wide), PointSet.from_rows(F3, 2, wide.tolist()),
+              PointSet(F3, 2, wide[::-1])):
+        for Y in (X, X.truncated(1)):
+            assert Y.array.dtype == F3.dtype == np.uint8 and not Y.array.flags.writeable
+    assert wide.flags.writeable  # the trusted constructor cast a copy
+    narrow = wide[::-1].astype(np.uint8)
+    assert PointSet(F3, 2, narrow).array is narrow  # already in the field dtype: no copy
+
+
 def test_from_rows_does_not_sort_strictly_ascending_rows(monkeypatch):
     field = make_field(5, 1)
     pts = np.array(list(all_points(2, field)), dtype=np.int64)
