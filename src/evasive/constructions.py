@@ -4,10 +4,12 @@ Everything here is deterministic: point sets come out normalized, deduped,
 and sorted, so repeated runs produce identical objects and files.
 
 The curve, ovoid and graph families are computed as whole numpy arrays of
-encodings: products and powers go through the field's discrete logs
-(``gf.array_mul``), sums through ``gf.array_add``, and the rows go to
-``PointSet.from_rows``.  No q x q table is built, so these work above
-``TABLE_LIMIT``; each family checks its budget before it allocates.
+encodings in the field's dtype: products go through ``gf.array_mul``,
+powers and inverses through ``gf.array_pow``, sums through
+``gf.array_add``, and the rows go to ``PointSet.from_rows``.  Above
+q = 256 these read the field's O(q) discrete logs and no table, so the
+families work above ``TABLE_LIMIT``; each family checks its budget
+before it allocates.
 Products use the same arithmetic over the extension field: field reduction
 sends x to the element x~ whose base-q digits are x's coordinates, and its
 copy in the spread element of y is x~ * y, coordinate by coordinate.
@@ -22,7 +24,7 @@ import numpy as np
 
 from .arith import factor_prime_power, is_int
 from .errors import BudgetExceeded, ParameterError
-from .gf import ORDER_LIMIT, array_add, array_mul, make_field
+from .gf import ORDER_LIMIT, array_add, array_mul, array_pow, make_field
 from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _log10_power, _points_array,
                        _scientific, _shown)
 from .verifier import is_proper, is_rs_set
@@ -95,7 +97,7 @@ def rational_normal_curve(c: int, field, budget: int = DEFAULT_BUDGET) -> PointS
         raise BudgetExceeded(f"(q + 1) * (c + 1) = {_shown((q + 1) * (c + 1))} coordinates "
                              f"exceed budget {budget}")
     rows = np.zeros((q + 1, c + 1), dtype=field.dtype)
-    rows[:q] = array_mul(field, 1, np.arange(q)[:, None], np.arange(c + 1))
+    rows[:q] = array_pow(field, np.arange(q)[:, None], np.arange(c + 1))
     rows[q, c] = 1
     return PointSet.from_rows(field, c, rows)
 
@@ -209,11 +211,11 @@ def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
     a, b, c = keep_lines.T[:, :, None]
     x = np.arange(q0)
     y = array_mul(field, field.p - 1, array_add(field, array_mul(field, a, x), c))
-    y = array_mul(field, y, b, -1)
+    y = array_mul(field, y, array_pow(field, b, -1))
     # scaled to a leading 1 by the inverse of x, else of y, else of z = 1
-    w = array_mul(field, 1, np.where(x != 0, x, np.where(y != 0, y, 1)), -1)
-    key = (array_mul(field, x, w) * q0 + array_mul(field, y, w)) * q0 + w
-    # widened first: in the points' own dtype the keys would wrap
+    w = array_pow(field, np.where(x != 0, x, np.where(y != 0, y, 1)), -1)
+    # widened first: in the field's own dtype the keys would wrap
+    key = (array_mul(field, x, w).astype(np.int64) * q0 + array_mul(field, y, w)) * q0 + w
     i = np.searchsorted(keep_pts.astype(np.int64) @ [q0 * q0, q0, 1], key)
     j = np.broadcast_to(np.arange(q0 * q0)[:, None], i.shape)
     return BipartiteGraph.from_edges(q0 * q0, np.column_stack((i.ravel(), j.ravel())))
@@ -238,8 +240,8 @@ def graph_curve_32(graph: BipartiteGraph, field, budget: int = DEFAULT_BUDGET) -
         raise BudgetExceeded(f"field order {field.order} exceeds budget {budget}")
     edges = graph.edges.reshape(-1, 2, 1)
     # (x, x^2, x^3, y, y^2, y^3) per edge, after a leading 1
-    powers = array_mul(field, 1, edges, np.arange(1, 4)).reshape(-1, 6)
-    rows = np.hstack([np.ones((len(powers), 1), dtype=np.int64), powers])
+    powers = array_pow(field, edges, np.arange(1, 4)).reshape(-1, 6)
+    rows = np.hstack([np.ones((len(powers), 1), dtype=field.dtype), powers])
     return PointSet.from_rows(field, 6, rows)
 
 

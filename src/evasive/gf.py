@@ -28,27 +28,33 @@ parameters therefore produce bit-identical field specs.
 Polynomials in this module are tuples of coefficient encodings, constant term
 first, with trailing (high-degree) zeros trimmed; the zero polynomial is ().
 
-Lookup tables
--------------
-``tables()`` materializes numpy arrays so that bulk code can run field
-arithmetic through fancy indexing.  Tables are built lazily, cached on the
-spec, read-only, and only for orders up to ``TABLE_LIMIT``.  Their dtype
-is the field's ``dtype``, the smallest unsigned one that holds every
-encoding: uint8 for q <= 256, uint16 above.  Point arrays and point files
-store encodings in that same dtype at every order.  Kernels multiply only
-through ``table_mul`` (a * b), add through ``table_add`` (a + b) and
-subtract through ``table_sub_mul`` (x - f*y).  Every product derives from
-one log layout, ``logs()``, whose log[0] points into a zero tail of exp,
-so exp[log a + log b] is a * b for every a and b.  Up to q = 256 the mul
-table is that gather over the q x q grid and, for odd p, the add table is
-the digit-wise sum mod p (``_digit_add``) over it, each read through
-``lookup``, one 1-D index into the table's flat view.  Above 256 no q x q
-array exists: the tables hold exp and log cast to uint16, and sums run
-``_digit_add`` directly.  In characteristic 2 the base-2 digits of an
-encoding are its coordinates, so a + b is a ^ b and -f is f at every
-order; odd p subtracts as x + (-f)*y.  ``array_mul`` and ``array_add`` do
-elementwise arithmetic on arrays of encodings at any order.  ``logs()``
-has no limit of its own, so callers bound q first.
+Elementwise arithmetic
+----------------------
+Bulk code does field arithmetic on numpy arrays of encodings through one
+function per operation, each taking the field: ``array_mul`` (a * b),
+``array_add`` (a + b), ``array_sub_mul`` (x - f*y) and ``array_pow``
+(b^e, inverses included).  Arguments broadcast and results come out in
+the field's ``dtype``, the smallest unsigned one that holds every
+encoding: uint8 for q <= 256, uint16 to 65536, and so on.  Point arrays
+and point files store encodings in that same dtype at every order.
+
+Every product derives from one log layout, ``logs()``: exp, in the
+field's dtype, holds two periods of g^i and then zeros; log, in the
+smallest dtype that holds 4(q-1), maps each unit to its exponent and 0 to
+2(q-1), which points into the zero tail, so exp[log a + log b] is a * b
+for every a and b.  ``logs()`` has no limit of its own, so callers bound
+q first.  In characteristic 2 the base-2 digits of an encoding are its
+coordinates, so a + b is a ^ b and -f is f at every order.  Odd p adds
+digit-wise mod p over the base-p digits.
+
+``tables()`` materializes read-only lookup tables from the logs, built
+lazily, cached on the spec, and only for orders up to ``TABLE_LIMIT``.
+Up to q = 256 they hold the q x q mul table and, for odd p, the add
+table, which the ops read through ``lookup``, one 1-D index into the
+table's flat view; above 256 the ops read ``logs()`` or add digit-wise.
+At every order the tables hold neg, which ``array_sub_mul`` reads up to
+256, and inv, which the elimination kernels read; a kernel that needs
+them thereby refuses an order above ``TABLE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -64,24 +70,21 @@ from .errors import ParameterError
 
 ORDER_LIMIT = 2**64  # field orders must fit in 64 bits
 TABLE_LIMIT = 4096   # largest order we materialize lookup tables for
-LOG_BLOCK = 4096     # rows of exp one doubling step of logs() maps at a time
+LOG_BLOCK = 1024     # cells of the log layout a step of logs() or tables() maps at a time
 
 
 class FieldTables(NamedTuple):
     """Read-only arrays in the field's dtype: uint8 for q <= 256, uint16 above.
 
-    The q x q tables exist only up to q = 256 and the log pair only above
-    it; a slot a field does not use is an empty array, so every slot is
-    an array at every order.  Read them through table_mul, table_add and
-    table_sub_mul.
+    The q x q tables exist only up to q = 256; a slot a field does not use
+    is an empty array, so every slot is an array at every order.  The
+    elementwise ops read add, mul and neg; kernels read inv.
     """
 
     add: np.ndarray   # (q, q)  add[a, b] = a + b for odd p and q <= 256, else (0, 0)
     mul: np.ndarray   # (q, q)  mul[a, b] = exp[log a + log b] for q <= 256, else (0, 0)
-    neg: np.ndarray   # (q,)    neg[a] = -a, so neg[1] + 1 is p
+    neg: np.ndarray   # (q,)    neg[a] = -a
     inv: np.ndarray   # (q,)    inv[a] = a**-1, with inv[0] = 0 as a sentinel
-    exp: np.ndarray   # (4q-3,) logs()'s exp cast, for q > 256; else (0,)
-    log: np.ndarray   # (q,)    logs()'s log cast, log[0] = 2(q-1), for q > 256; else (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +192,22 @@ def _build_tables(F) -> FieldTables:
             f"field order {q} exceeds TABLE_LIMIT={TABLE_LIMIT}; "
             "bulk operations are not available for fields this large"
         )
-    # log[a] + log[b] <= 4(q-1) < 2^16 up to TABLE_LIMIT: uint16 index sums
     exp, log = F.logs()
-    exp, log = exp.astype(dtype), log.astype(np.uint16)
-    neg = exp[log + log[p - 1]]  # the encoding p - 1 is -1 in every field
-    inv = np.zeros(q, dtype=dtype)  # inv[0] = 0 is a sentinel
-    inv[exp[:q - 1]] = exp[q - 1:0:-1]  # g^i * g^(q-1-i) = 1
-    square, flat = np.empty((0, 0), dtype=dtype), np.empty(0, dtype=dtype)
+    h = int(log[p - 1])  # the encoding p - 1 is -1 = g^h in every field
+    neg, inv = np.zeros((2, q), dtype=dtype)  # inv[0] = 0 is a sentinel
+    # -g^i = g^(i+h) and g^-i = g^(q-1-i), scattered LOG_BLOCK units at a
+    # time, so that the scatter's intp index stays small beside neg and inv
+    for lo in range(0, q - 1, LOG_BLOCK):
+        hi = min(lo + LOG_BLOCK, q - 1)
+        neg[exp[lo:hi]] = exp[lo + h:hi + h]
+        inv[exp[lo:hi]] = exp[q - 1 - lo:q - 1 - hi:-1]
+    add = mul = np.empty((0, 0), dtype=dtype)
     if q <= 256:
         mul = exp[log[:, None] + log[None, :]]
-        # p = 2 adds by XOR; odd p adds digit-wise, in uint16 since a digit
-        # sum reaches 2(p-1)
-        a = np.arange(q, dtype=np.uint16)
-        add = square if p == 2 else _digit_add(a[:, None], a, p, q, np.uint16).astype(dtype)
-        out = FieldTables(add=add, mul=mul, neg=neg, inv=inv, exp=flat, log=flat)
-    else:
-        out = FieldTables(add=square, mul=square, neg=neg, inv=inv, exp=exp, log=log)
+        if p != 2:  # p = 2 adds by XOR
+            a = np.arange(q, dtype=dtype)
+            add = _digit_add(F, a[:, None], a)
+    out = FieldTables(add=add, mul=mul, neg=neg, inv=inv)
     for table in out:
         table.setflags(write=False)
     return out
@@ -222,56 +225,6 @@ def lookup(table: np.ndarray, a, b) -> np.ndarray:
     inplace = np.ndim(idx) and idx.shape == np.broadcast_shapes(idx.shape, np.shape(b))
     idx = np.add(idx, b, out=idx if inplace else None, dtype=np.uint16, casting="unsafe")
     return np.take(table.ravel(), idx)
-
-
-def table_mul(t: FieldTables, a, b) -> np.ndarray:
-    """a * b elementwise through the tables, in their dtype; arguments broadcast.
-
-    Above q = 256 it reads exp[log a + log b], where a zero factor's
-    sentinel log lands in exp's zero tail.
-    """
-    if t.mul.size:
-        return lookup(t.mul, a, b)
-    return np.take(t.exp, np.take(t.log, a) + np.take(t.log, b))
-
-
-def _digit_add(a, b, p: int, q: int, dtype) -> np.ndarray:
-    """a + b in dtype for odd p: digit-wise mod p over the base-p digits
-    of encodings below q, which is one remainder when q = p."""
-    a = np.asarray(a).astype(dtype, copy=False)
-    b = np.asarray(b).astype(dtype, copy=False)
-    if q == p:
-        return (a + b) % p
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
-    w = 1
-    while w < q:
-        out += (a // w % p + b // w % p) % p * w
-        w *= p
-    return out
-
-
-def table_add(t: FieldTables, a, b) -> np.ndarray:
-    """a + b elementwise through the tables, in their dtype; arguments broadcast.
-
-    Characteristic 2 XORs; odd p reads the add table up to q = 256 and
-    adds digit-wise above it.
-    """
-    if t.add.size:
-        return lookup(t.add, a, b)
-    p = int(t.neg[1]) + 1  # -1 is the encoding p - 1
-    if p == 2:
-        return np.bitwise_xor(a, b, dtype=t.neg.dtype, casting="unsafe")
-    return _digit_add(a, b, p, len(t.neg), t.neg.dtype)
-
-
-def table_sub_mul(t: FieldTables, x, f, y) -> np.ndarray:
-    """x - f*y elementwise through the tables, in their dtype; arguments broadcast.
-
-    In characteristic 2, -f is f, so the neg gather is skipped.
-    """
-    if t.neg[1] == 1:  # characteristic 2
-        return np.bitwise_xor(x, table_mul(t, f, y), dtype=t.neg.dtype, casting="unsafe")
-    return table_add(t, x, table_mul(t, t.neg[f], y))
 
 
 def _find_generator(F) -> int:
@@ -295,30 +248,34 @@ class _TableMixin:
         return self._tables
 
     def logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exp, log) of the cyclic unit group, as read-only int64 arrays.
+        """(exp, log) of the cyclic unit group, as read-only arrays.
 
-        exp has 4q - 3 cells: exp[i] = g^i for a fixed generator g and
-        0 <= i < 2(q-1), two periods, so a sum of two unit logs needs no
-        reduction, and zeros from 2(q-1) on.  log[x] is the discrete log of
-        x != 0, and log[0] = 2(q-1), so exp[log a + log b] is a * b for
-        every a and b: a zero factor's sum lands in the zero tail.  Built
-        by doubling with no TABLE_LIMIT, so callers bound q: multiplication
-        by g^m is GF(p)-linear on the k base-p digits, so with M its k x k
-        matrix, exp[m:2m] is M applied to the digits of exp[:m], and M^2
-        is the matrix for the next step.  k scalar products build M for g.
-        Each step maps LOG_BLOCK rows at a time, so its (rows, k) digit
-        temporaries stay small beside exp.
+        exp has 4q - 3 cells in the field's dtype: exp[i] = g^i for a fixed
+        generator g and 0 <= i < 2(q-1), two periods, so a sum of two unit
+        logs needs no reduction, and zeros from 2(q-1) on.  log[x] is the
+        discrete log of x != 0, and log[0] = 2(q-1), so exp[log a + log b]
+        is a * b for every a and b: a zero factor's sum lands in the zero
+        tail.  log's dtype is the smallest unsigned one that holds 4(q-1),
+        so such a sum never wraps.  Built by doubling with no TABLE_LIMIT,
+        so callers bound q: multiplication by g^m is GF(p)-linear on the k
+        base-p digits, so with M its k x k matrix, exp[m:2m] is M applied
+        to the digits of exp[:m], and M^2 is the matrix for the next step.
+        k scalar products build M for g.  Each step maps LOG_BLOCK rows at
+        a time, so its (rows, k) digit temporaries stay small beside exp.
         """
         if self._logs is None:
             q, p, k = self.order, self.p, self.k
             g = _find_generator(self)
-            weights = p ** np.arange(k, dtype=np.int64)
-            # column j holds the digits of g * p^j; the sums of k products
-            # of digits stay below k*p^2, in int64 for every q below 2^31,
-            # where exp alone would already take 32 GiB
+            # the digit work runs in a dtype that holds an encoding and a
+            # sum of k products of digits, unsigned like exp, so that no
+            # division turns to floats; uint64 holds both for every q
+            # below 2^32, where exp alone would already take 32 GiB
+            work = np.promote_types(self.dtype, np.min_scalar_type(k * (p - 1) ** 2))
+            weights = np.array([p**j for j in range(k)], dtype=work)
+            # column j holds the digits of g * p^j
             M = np.array([[self.mul(g, p**j) // p**i % p for j in range(k)]
-                          for i in range(k)], dtype=np.int64)
-            exp = np.zeros(4 * q - 3, dtype=np.int64)
+                          for i in range(k)], dtype=work)
+            exp = np.zeros(4 * q - 3, dtype=self.dtype)
             exp[0] = 1
             m = 1
             while m < q - 1:
@@ -330,9 +287,9 @@ class _TableMixin:
                 M = M @ M % p
                 m += n
             exp[q - 1:2 * (q - 1)] = exp[:q - 1]
-            log = np.empty(q, dtype=np.int64)
+            log = np.empty(q, dtype=np.min_scalar_type(4 * (q - 1)))
             log[0] = 2 * (q - 1)
-            log[exp[:q - 1]] = np.arange(q - 1)
+            log[exp[:q - 1]] = np.arange(q - 1, dtype=log.dtype)
             exp.setflags(write=False)
             log.setflags(write=False)
             self._logs = (exp, log)
@@ -340,33 +297,75 @@ class _TableMixin:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise arithmetic on arrays of encodings, with no q x q tables.
+# Elementwise arithmetic on arrays of encodings, one function per operation.
+# Arguments are ints or integer arrays of encodings that broadcast, and
+# results come out in the field's dtype.
 
-def array_mul(F, a, b=1, e=1) -> np.ndarray:
-    """a * b^e elementwise, through F.logs(); arguments broadcast.
-
-    b^e is ``array_mul(F, 1, b, e)`` and b^-1 is ``array_mul(F, 1, b, -1)``.
-    A zero factor gives 0, b^0 = 1 for every b (0 included) and, as in the
-    inv table, 0^-1 gives 0.
-    """
+def array_mul(F, a, b) -> np.ndarray:
+    """a * b elementwise: the mul table up to q = 256, else exp[log a + log b],
+    where a zero factor's sentinel log lands in exp's zero tail."""
+    if F.order <= 256:
+        return lookup(F.tables().mul, a, b)
     exp, log = F.logs()
-    q1 = F.order - 1
-    b = np.asarray(b, dtype=np.int64)
-    e = np.asarray(e, dtype=np.int64)
-    # a zero a's log lands in exp's zero tail; reducing e * log b mod q - 1
-    # drops a zero b's sentinel, so that case is masked
-    out = exp[log[np.asarray(a, dtype=np.int64)] + log[b] * (e % q1) % q1]
-    return np.where((b == 0) & (e != 0), 0, out)
+    return np.take(exp, np.take(log, a) + np.take(log, b))
 
 
 def array_add(F, a, b) -> np.ndarray:
-    """a + b elementwise: digit-wise mod p over the k base-p digits, which
-    for p = 2 is a ^ b."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    """a + b elementwise: XOR in characteristic 2, else the add table up to
+    q = 256 and the digit-wise sum above it."""
     if F.p == 2:
-        return a ^ b
-    return _digit_add(a, b, F.p, F.order, np.int64)
+        return np.bitwise_xor(a, b, dtype=F.dtype, casting="unsafe")
+    if F.order <= 256:
+        return lookup(F.tables().add, a, b)
+    return _digit_add(F, a, b)
+
+
+def array_sub_mul(F, x, f, y) -> np.ndarray:
+    """x - f*y elementwise: in characteristic 2, -f is f, so x ^ f*y; else
+    x + (-f)*y through the tables up to q = 256 and the digit-wise
+    difference above it."""
+    if F.p == 2:
+        return np.bitwise_xor(x, array_mul(F, f, y), dtype=F.dtype, casting="unsafe")
+    if F.order <= 256:
+        return array_add(F, x, array_mul(F, F.tables().neg[f], y))
+    return _digit_add(F, x, array_mul(F, f, y), -1)
+
+
+def array_pow(F, b, e) -> np.ndarray:
+    """b^e elementwise for integer exponents e, through F.logs().
+
+    A negative e inverts: b^-1 is ``array_pow(F, b, -1)``.  b^0 = 1 for
+    every b, 0 included, and, as in the inv table, 0^e = 0 for every other
+    e, so 0^-1 gives 0.
+    """
+    exp, log = F.logs()
+    q1 = F.order - 1
+    # e * log b is reduced mod q - 1 in int64, which holds it for every q
+    # whose logs fit in memory; the reduction drops a zero b's sentinel, so
+    # that case is masked
+    out = exp[log[b].astype(np.int64) * (e % q1) % q1]
+    return np.where((np.asarray(b) == 0) & (e != 0), 0, out)
+
+
+def _digit_add(F, a, b, sign: int = 1) -> np.ndarray:
+    """a + sign*b, for sign = 1 or -1, digit-wise mod p over the base-p
+    digits of encodings for odd p, which is one remainder when q = p.
+
+    A digit sum reaches 2p - 1, past the field's dtype when p is above
+    half its range (65521 in uint16), so the sums run in a dtype that
+    holds 2p.
+    """
+    p = F.p
+    work = np.promote_types(F.dtype, np.min_scalar_type(2 * p))
+    a = np.asarray(a).astype(work, copy=False)
+    b = np.asarray(b).astype(work, copy=False)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=work)
+    w = 1
+    while w < F.order:
+        db = b // w % p
+        out += (a // w % p + (db if sign > 0 else p - db)) % p * w
+        w *= p
+    return out.astype(F.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,22 @@
 """Batched exact Gaussian elimination over small finite fields.
 
 Matrices are numpy arrays of field-element encodings in any integer dtype,
-and every arithmetic step goes through the field's tables, so the same
+and every arithmetic step goes through gf's elementwise ops, so the same
 code path serves prime fields, prime-power fields, and towers.  Products
-go through gf.table_mul and each x - f*y through gf.table_sub_mul: up to
+go through gf.array_mul and each x - f*y through gf.array_sub_mul: up to
 q = 256 they read q x q tables, above it the field's O(q) logs, and in
-characteristic 2 the subtraction is an XOR.  Results, residues included,
-come out in the tables' dtype.  Batches are eliminated in lock step: one
-pass over the columns, with per-matrix pivot bookkeeping carried in index
-arrays.
+characteristic 2 the subtraction is an XOR.  Pivots are inverted through
+the field's inv table, so elimination needs the field's tables (orders up
+to gf.TABLE_LIMIT).  Results, residues included, come out in the field's
+dtype.  Batches are eliminated in lock step: one pass over the columns,
+with per-matrix pivot bookkeeping carried in index arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gf import table_mul, table_sub_mul
+from .gf import array_mul, array_sub_mul
 
 
 def batch_rref(field, mats: np.ndarray):
@@ -25,7 +26,7 @@ def batch_rref(field, mats: np.ndarray):
     (B,) and pivot_cols is (B, m) holding the pivot column of each nonzero
     row in order, -1 past the rank.
     """
-    t = field.tables()
+    inv = field.tables().inv
     B, m, w = mats.shape
     row = np.zeros(B, dtype=np.int64)
     pivot_cols = np.full((B, m), -1, dtype=np.int64)
@@ -47,10 +48,11 @@ def batch_rref(field, mats: np.ndarray):
             mats[ssel, sr] = mats[ssel, sp]
             mats[ssel, sp] = tmp
         pv = mats[sel, rsel, col]
-        mats[sel, rsel] = table_mul(t, t.inv[pv][:, None], mats[sel, rsel])
+        mats[sel, rsel] = array_mul(field, inv[pv][:, None], mats[sel, rsel])
         factors = mats[sel, :, col]
         factors[np.arange(len(sel)), rsel] = 0  # leave the pivot row itself alone
-        mats[sel] = table_sub_mul(t, mats[sel], factors[:, :, None], mats[sel, rsel][:, None, :])
+        mats[sel] = array_sub_mul(field, mats[sel], factors[:, :, None],
+                                  mats[sel, rsel][:, None, :])
         pivot_cols[sel, rsel] = col
         row[has] += 1
         if (row == m).all():
@@ -62,16 +64,15 @@ def batch_residues(field, rref_mats, pivot_cols, points):
     """Residue of each point modulo each row space of an RREF batch.
 
     rref_mats (B, m, w) must be output of batch_rref; points (N, w).
-    Returns a (B, N, w) array, in the tables' dtype, holding each point
+    Returns a (B, N, w) array, in the field's dtype, holding each point
     minus its combination of the RREF rows that clears the pivot columns.
     The residue is zero exactly when the point lies in the row space, and
     two points have proportional residues exactly when they span the same
     space together with the rows.
     """
-    t = field.tables()
     B, m, w = rref_mats.shape
     N = points.shape[0]
-    V = np.empty((B, N, w), dtype=t.neg.dtype)
+    V = np.empty((B, N, w), dtype=field.dtype)
     V[...] = points
     for step in range(m):
         cols = pivot_cols[:, step]
@@ -81,7 +82,7 @@ def batch_residues(field, rref_mats, pivot_cols, points):
         c = np.where(live, cols, 0)
         f = np.take_along_axis(V, c[:, None, None], axis=2)[:, :, 0]
         rrow = np.where(live[:, None], rref_mats[:, step, :], 0)
-        V = table_sub_mul(t, V, f[:, :, None], rrow[:, None, :])
+        V = array_sub_mul(field, V, f[:, :, None], rrow[:, None, :])
     return V
 
 

@@ -132,12 +132,19 @@ def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
     Refuses ragged rows, entries of a non-integer dtype (floats are not
     truncated), a width other than ``width`` (when given) and encodings
     outside [0, q), then narrows; no rows at all give an (0, width) array.
+    Rows of Python ints are read exactly at any size.
     """
     try:
         mat = np.array(vectors)
+        if mat.dtype.kind in "fO" and not isinstance(vectors, np.ndarray):
+            # numpy infers float64 for ints from 2^63 on beside smaller
+            # ones, and object past 2^64; object keeps every int exact
+            mat = np.array(vectors, dtype=object)
+            if not all(type(x) is int or isinstance(x, np.integer) for x in mat.flat):
+                mat = None  # floats, bools, or the lists of ragged rows
     except (TypeError, ValueError, OverflowError):
         mat = None
-    if mat is None or mat.size and mat.dtype.kind not in "iu":
+    if mat is None or mat.size and mat.dtype.kind not in "iuO":
         raise ParameterError("vectors must be integer rows of one length")
     if mat.shape == (0,):
         mat = mat.reshape(0, width or 0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import is_int
 from .errors import ParameterError
-from .gf import table_add, table_mul
+from .gf import array_add, array_mul
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, require_points, span_mask
 from .verifier import is_rs_set
 
@@ -109,15 +109,15 @@ class HomogeneousForm:
         object.__setattr__(self, "coefficients", cleaned)
 
     def evaluate(self, vectors: np.ndarray) -> np.ndarray:
-        """Values at each row of an integer-encoded (m, n+1) array, in the tables' dtype."""
-        t = self.field.tables()
-        acc = np.zeros(len(vectors), dtype=t.neg.dtype)
+        """Values at each row of an integer-encoded (m, n+1) array, in the field's dtype."""
+        F = self.field
+        acc = np.zeros(len(vectors), dtype=F.dtype)
         for exps, c in sorted(self.coefficients.items()):
-            term = np.full(len(vectors), c, dtype=t.neg.dtype)
+            term = np.full(len(vectors), c, dtype=F.dtype)
             for i, e in enumerate(exps):
                 for _ in range(e):
-                    term = table_mul(t, term, vectors[:, i])
-            acc = table_add(t, acc, term)
+                    term = array_mul(F, term, vectors[:, i])
+            acc = array_add(F, acc, term)
         return acc
 
 

@@ -74,8 +74,11 @@ WORKSPACE_BYTES; the first batch of a scan is one prefix, and the size
 doubles from there, so a scan that stops at its first subset pays for
 little more than that subset.  That first batch can hold all N rows, so
 per-row columns, prefix indices and zero counts take the smallest dtype
-that holds them.  Rows are gathered with np.take along axis 0, and every
-product goes through gf.table_mul.
+that holds them.  Rows are gathered with np.take along axis 0.  Field
+arithmetic goes through gf's elementwise ops, array_mul and
+array_sub_mul, in the field's dtype; leads are inverted through the
+field's inv table, so a scan needs the field's tables (orders up to
+gf.TABLE_LIMIT).
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import table_mul, table_sub_mul
+from .gf import array_mul, array_sub_mul
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
@@ -144,7 +147,7 @@ class _Level(NamedTuple):
     prefix: np.ndarray  # (K, d) point indices, in lex order
     base: np.ndarray    # (K,)
     start: np.ndarray   # (K+1,)
-    rows: np.ndarray    # (T, width) in the tables' dtype
+    rows: np.ndarray    # (T, width) in the field's dtype
 
 
 def _subset(level: _Level, row: int, N: int) -> tuple:
@@ -169,13 +172,12 @@ def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
     and full[i] is False when row a[i] is zero (the point lies in <P>
     already), in which case its rows are R's unchanged.
     """
-    t = field.tables()
     width = R.shape[1]
     piv = R[a]
     col = (piv != 0).argmax(axis=1)
     lead = piv[np.arange(len(a)), col]
     full = lead != 0
-    unit = table_mul(t, t.inv[lead][:, None], piv)  # zero rows stay zero
+    unit = array_mul(field, field.tables().inv[lead][:, None], piv)  # zero rows stay zero
     start = np.zeros(len(a) + 1, dtype=np.intp)
     np.cumsum(L, out=start[1:])
     src = np.repeat(a + 1 - start[:-1], L)
@@ -187,7 +189,7 @@ def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
     at += cols
     f = np.take(S.ravel(), at)
     del at
-    rows = table_sub_mul(t, S, f[:, None], np.repeat(unit, L, axis=0))
+    rows = array_sub_mul(field, S, f[:, None], np.repeat(unit, L, axis=0))
     del S, f
     if not full.all():
         return start, rows, full
@@ -248,13 +250,12 @@ def _class_sizes(rows: np.ndarray, node: np.ndarray) -> np.ndarray:
 
 def _counts(field, level: _Level) -> np.ndarray:
     """The walk's count of X ∩ <P, p_j> for every row j of every prefix P."""
-    t = field.tables()
     R = level.rows
     K = len(level.base)
     node = np.repeat(np.arange(K, dtype=np.min_scalar_type(K)), np.diff(level.start))
     lead = _leads(R)
     zero = lead == 0
-    sizes = _class_sizes(table_mul(t, t.inv[lead][:, None], R), node)
+    sizes = _class_sizes(array_mul(field, field.tables().inv[lead][:, None], R), node)
     sizes[zero] = 0
     sizes += (level.base + np.add.reduceat(zero, level.start[:-1], dtype=np.intp))[node]
     return sizes

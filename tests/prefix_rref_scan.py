@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from evasive import linalg
-from evasive.gf import table_mul
+from evasive.gf import array_mul
 
 BATCH = 64  # prefixes per batch
 
@@ -24,7 +24,7 @@ def class_sizes(field, R):
     t = field.tables()
     B, N, _ = R.shape
     lead = np.take_along_axis(R, (R != 0).argmax(axis=2)[:, :, None], axis=2)
-    R = table_mul(t, R, t.inv[lead])
+    R = array_mul(field, R, t.inv[lead])
     order = np.lexsort(np.moveaxis(R, 2, 0))
     sR = np.take_along_axis(R, order[:, :, None], axis=1)
     new = np.ones((B, N), dtype=bool)

@@ -346,9 +346,15 @@ def test_product_field_order_refused_before_logs(monkeypatch):
 
 
 def test_product_builds_no_tables(monkeypatch):
-    # products multiply in the extension through its discrete logs; only
-    # validate=True, which runs the verifier, needs q x q tables
-    X, Y, Z = build_85_point_product()
+    # above q = 256 products multiply in the extension through its discrete
+    # logs alone (up to 256 through its q x q tables); only validate=True,
+    # which runs the verifier, needs the tables there: a conic over GF(7)
+    # times a conic over GF(7^3)
+    base = make_field(7, 1)
+    X = rational_normal_curve(2, base)
+    Y = rational_normal_curve(2, make_extension(base, 3))
+    Z = product_construction(X, 2, Y, 1)
+    assert len(Z) == 8 * 344
 
     def no_tables(self):
         raise AssertionError("tables were built")

@@ -14,13 +14,12 @@ from evasive.gf import (
     _is_irreducible,
     array_add,
     array_mul,
+    array_pow,
+    array_sub_mul,
     factor_prime_power,
     lookup,
     make_extension,
     make_field,
-    table_add,
-    table_mul,
-    table_sub_mul,
 )
 
 
@@ -129,7 +128,7 @@ AXIOM_FIELDS = [
 @pytest.mark.parametrize("field", AXIOM_FIELDS, ids=repr)
 def test_field_axioms_exhaustive(field):
     # table-level checks cover all q^3 triples at numpy speed; addition is
-    # read through table_add and table_sub_mul, as the kernels read it, so
+    # read through array_add and array_sub_mul, as the kernels read it, so
     # characteristic 2 (which has no add table) is covered too
     q = field.order
     t = field.tables()
@@ -137,7 +136,7 @@ def test_field_axioms_exhaustive(field):
     x, y, z = a[:, None, None], a[None, :, None], a[None, None, :]
 
     def add(u, v):
-        return table_add(t, u, v)
+        return array_add(field, u, v)
 
     assert np.array_equal(add(a[:, None], a[None, :]), add(a[None, :], a[:, None]))
     assert np.array_equal(t.mul, t.mul.T)
@@ -149,8 +148,8 @@ def test_field_axioms_exhaustive(field):
     assert np.array_equal(add(add(x, y), z), add(x, add(y, z)))
     assert np.array_equal(t.mul[t.mul[x, y], z], t.mul[x, t.mul[y, z]])
     assert np.array_equal(t.mul[x, add(y, z)], add(t.mul[x, y], t.mul[x, z]))
-    assert np.array_equal(table_sub_mul(t, x, y, z), add(x, t.neg[t.mul[y, z]]))
-    assert np.array_equal(add(table_sub_mul(t, a[:, None], 1, a[None, :]), a[None, :]),
+    assert np.array_equal(array_sub_mul(field, x, y, z), add(x, t.neg[t.mul[y, z]]))
+    assert np.array_equal(add(array_sub_mul(field, a[:, None], 1, a[None, :]), a[None, :]),
                           np.broadcast_to(a[:, None], (q, q)))
 
 
@@ -162,8 +161,8 @@ def test_scalar_ops_agree_with_tables(field):
     for a in elems:
         assert field.neg(a) == t.neg[a]
         for b in elems:
-            assert field.add(a, b) == table_add(t, a, b)
-            assert field.sub(a, b) == table_sub_mul(t, a, 1, b)
+            assert field.add(a, b) == array_add(field, a, b)
+            assert field.sub(a, b) == array_sub_mul(field, a, 1, b)
             assert field.mul(a, b) == t.mul[a, b]
     for a in range(1, q):
         assert field.inv(a) == t.inv[a]
@@ -345,17 +344,14 @@ def test_field_dtype_holds_every_encoding(field, dtype):
 
 
 def assert_table_layout(field, t):
-    """q x q tables up to q = 256; above, the casts of logs() and no q x q array."""
+    """q x q tables up to q = 256; above, only neg and inv, no q x q array."""
     q = field.order
-    assert {table.dtype for table in t} == {np.dtype(np.uint8 if q <= 256 else np.uint16)}
+    assert {table.dtype for table in t} == {field.dtype}
+    assert t.neg.shape == t.inv.shape == (q,)
     if q <= 256:
         assert t.mul.shape == (q, q) and t.add.shape == ((0, 0) if field.p == 2 else (q, q))
-        assert t.exp.shape == t.log.shape == (0,)
-        return
-    assert t.add.shape == t.mul.shape == (0, 0)
-    exp, log = field.logs()
-    assert t.exp.shape == exp.shape and t.log.shape == log.shape
-    assert np.array_equal(t.exp, exp) and np.array_equal(t.log, log)
+    else:
+        assert t.add.shape == t.mul.shape == (0, 0)
 
 
 @pytest.mark.parametrize("field", AXIOM_FIELDS + DTYPE_BOUNDARY_FIELDS, ids=repr)
@@ -365,23 +361,68 @@ def test_logs_and_array_ops_agree_with_tables(field):
     exp, log = field.logs()
     a = np.arange(q)
     assert_table_layout(field, t)
-    # two periods of g^i, then zeros up to index 4(q-1) = log[0] + log[0]
+    # two periods of g^i, then zeros up to index 4(q-1) = log[0] + log[0],
+    # which log's dtype holds
     assert exp.shape == (4 * q - 3,) and log.shape == (q,)
+    assert exp.dtype == field.dtype and log.dtype == np.min_scalar_type(4 * (q - 1))
     assert np.array_equal(exp[:q - 1], exp[q - 1:2 * (q - 1)]) and not exp[2 * (q - 1):].any()
     assert sorted(exp[:q - 1]) == list(range(1, q))
     assert log[0] == 2 * (q - 1) and np.array_equal(exp[log[1:]], a[1:])
-    # a full check takes seconds at q = 4096, so above 256 every 15th row is
-    # checked, counting back from the last; blocks keep the int64 references small
-    checked = a if q <= 256 else a[::-15]
-    for rows in np.array_split(checked, -(-len(checked) // 256)):
-        assert np.array_equal(array_mul(field, rows[:, None], a[None, :]),
-                              table_mul(t, rows[:, None], a[None, :]))
-        assert np.array_equal(array_add(field, rows[:, None], a[None, :]),
-                              table_add(t, rows[:, None], a[None, :]))
-    assert array_mul(field, 1, checked[:, None], np.arange(4)).tolist() \
-        == [[field.pow(int(x), e) for e in range(4)] for x in checked]
-    assert np.array_equal(array_mul(field, 1, a, -1), t.inv)
+    assert np.array_equal(array_pow(field, a, -1), t.inv)
     assert np.array_equal(array_mul(field, field.p - 1, a), t.neg)
+
+
+# each path of the elementwise ops: q x q tables (p = 2, odd p, a tower),
+# logs and digits above q = 256, and q = p = 65521, whose digit sums pass
+# uint16; then every field the axiom and dtype tests use
+OP_FIELDS = [make_field(2, 1), make_field(3, 5), make_field(2, 8), make_field(257, 1),
+             make_field(2, 11), make_field(4093, 1), make_field(65521, 1),
+             make_extension(make_field(2, 2), 2)]
+OP_FIELDS += [F for F in AXIOM_FIELDS + DTYPE_BOUNDARY_FIELDS if F not in OP_FIELDS]
+
+
+def op_operands(field):
+    """(a, b): every encoding up to q = 256, else 0, 1, q - 1 and a spread
+    between, as an (n, 1) array in the field's dtype and an int64 row."""
+    q = field.order
+    a = np.arange(q) if q <= 256 else np.unique(np.r_[0, 1, 2, q - 1, np.arange(3, q, q // 61)])
+    return a[:, None].astype(field.dtype), a[::-1].astype(np.int64)
+
+
+def scalar_grid(op, *args):
+    return np.array([[op(int(x), int(y)) for y in row_b] for x, row_b in zip(*args)])
+
+
+@pytest.mark.parametrize("field", OP_FIELDS, ids=repr)
+def test_mul_add_and_sub_mul_match_scalar_ops(field):
+    a, b = op_operands(field)
+    rows_b = np.broadcast_to(b, (len(a), len(b)))
+    c = np.roll(a, 1)  # a third operand for x - f*y, one per row
+    products = scalar_grid(field.mul, a[:, 0], rows_b)
+    cases = [(array_mul(field, a, b), products),
+             (array_add(field, a, b), scalar_grid(field.add, a[:, 0], rows_b)),
+             (array_sub_mul(field, c, a, b), scalar_grid(field.sub, c[:, 0], products))]
+    for got, want in cases:
+        assert got.dtype == field.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    q = field.order
+    for x, y in [(0, 0), (0, q - 1), (q - 1, q - 1), (1, q - 1)]:  # plain ints
+        assert array_mul(field, x, y) == field.mul(x, y)
+        assert array_add(field, x, y) == field.add(x, y)
+        assert array_sub_mul(field, x, x, y) == field.sub(x, field.mul(x, y))
+
+
+@pytest.mark.parametrize("field", OP_FIELDS, ids=repr)
+def test_pow_matches_scalar_ops(field):
+    a, _ = op_operands(field)
+    q = field.order
+    e = np.array([-2, -1, 0, 1, 2, 3, q - 1, q])
+    got = array_pow(field, a, e)  # broadcast to (n, len(e))
+    want = [[field.pow(int(x), int(k)) if x or k >= 0 else 0 for k in e] for x in a[:, 0]]
+    assert got.dtype == field.dtype and got.tolist() == want
+    assert got[0].tolist() == [0, 0, 1, 0, 0, 0, 0, 0]  # 0^-1 = 0 and 0^0 = 1
+    assert (got[:, 2] == 1).all()  # b^0 = 1 for every b
+    assert array_pow(field, 0, -1) == 0 and array_pow(field, q - 1, 0) == 1
 
 
 @pytest.mark.parametrize("field", [make_field(2, 11), make_field(3, 7), make_field(5, 5),
@@ -401,23 +442,15 @@ def test_logs_match_scalar_powers(field):
 @pytest.mark.parametrize("p,k", [(7, 1), (2, 8), (257, 1), (2, 11)])
 def test_lookup_matches_2d_index(p, k):
     # q = 256 is the last order with q x q tables, read through one uint16
-    # flat index; at 257 and 2^11 table_mul reads the logs and table_add
-    # the digits, against the same 2-D references, array_mul and array_add
+    # flat index; above it there are none
     field = make_field(p, k)
     t = field.tables()
     q = field.order
     rng = np.random.default_rng(q)
-    a = rng.integers(0, q, (50, 6)).astype(t.neg.dtype)
+    a = rng.integers(0, q, (50, 6)).astype(field.dtype)
     b = rng.integers(0, q, (50, 6)).astype(np.int64)
     a[0], b[0] = q - 1, q - 1
-    a[1, :3], b[2, 3:] = 0, 0  # zero factors, whose logs are sentinels above 256
-    for op, ref in [(table_mul, array_mul), (table_add, array_add)]:
-        assert np.array_equal(op(t, a, b), ref(field, a, b))
-        assert np.array_equal(op(t, a[:, :1], b), ref(field, a[:, :1], b))  # broadcast
-        assert np.array_equal(op(t, a, b[0]), ref(field, a, b[0]))
-        assert op(t, q - 1, q - 1) == ref(field, q - 1, q - 1)
-        assert op(t, 0, 0) == ref(field, 0, 0)
-        assert op(t, a, b).dtype == t.neg.dtype
+    a[1, :3], b[2, 3:] = 0, 0
     tables = [table for table in (t.add, t.mul) if table.size]  # no add table for p = 2
     assert len(tables) == (0 if q > 256 else 1 if p == 2 else 2)
     for table in tables:
@@ -492,8 +525,8 @@ def test_table_build_peak_is_near_final_size(p, k, ratio):
     final = sum(table.nbytes for table in t)
     q = field.order
     if q > 256:
-        # uint16 exp of 4q - 3 cells, then log, neg and inv of q each
-        assert final == 2 * ((4 * q - 3) + 3 * q)
+        # uint16 neg and inv of q cells each
+        assert final == 2 * 2 * q
     else:
         # uint8 mul, add for odd p, then neg and inv
         assert final == (1 if p == 2 else 2) * q * q + 2 * q
@@ -503,10 +536,10 @@ def test_table_build_peak_is_near_final_size(p, k, ratio):
 def test_table_memory_is_pinned():
     # above q = 256 no table has q^2 cells, so the tables are O(q): a q x q
     # uint16 table of GF(2^12) alone would be 32 MiB
-    for p, k, nbytes in [(2, 11, 28_666), (2, 12, 57_338), (3, 7, 30_612)]:
+    for p, k, nbytes in [(2, 11, 8_192), (2, 12, 16_384), (3, 7, 8_748)]:
         t = make_field(p, k).tables()
         q = p**k
-        assert max(table.size for table in t) == 4 * q - 3
+        assert max(table.size for table in t) == q
         assert sum(table.nbytes for table in t) == nbytes
     assert sum(table.nbytes for table in make_field(2, 11).tables()) <= 64 * 2**10
     # q = 256 keeps its q x q tables: a uint8 mul table, and add for odd p

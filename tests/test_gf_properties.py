@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from evasive.gf import make_extension, make_field, table_add, table_sub_mul  # noqa: E402
+from evasive.gf import array_add, array_sub_mul, make_extension, make_field  # noqa: E402
 from evasive.jsonio import pointset_to_json_bytes  # noqa: E402
 from evasive.projgeom import PointSet, normalize  # noqa: E402
 
@@ -54,7 +54,7 @@ def test_scalar_ops_are_field_ops_and_match_tables(case):
     assert F.pow(a, F.order) == a
     assert F.from_coords(F.coords(a)) == a
     t = F.tables()
-    assert (table_add(t, a, b), table_sub_mul(t, a, 1, b), t.mul[a, b]) \
+    assert (array_add(F, a, b), array_sub_mul(F, a, 1, b), t.mul[a, b]) \
         == (add(a, b), F.sub(a, b), mul(a, b))
     assert t.neg[a] == F.neg(a) and t.inv[a] == (F.inv(a) if a else 0)
 

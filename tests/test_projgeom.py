@@ -411,7 +411,7 @@ def test_non_integer_coordinates_refused_not_truncated():
     # an int64 cast would read (1.5, 0, 0) as (1, 0, 0)
     F3 = make_field(3, 1)
     for rows in ([(1.5, 0, 0)], [(1.0, 0, 0)], np.array([[1.7, 2.2, 0]]),
-                 np.array([[True, False, False]]), [(1, 0, 2**70)]):
+                 np.array([[True, False, False]]), [(1, 0, 2.0**70)], [(True, 0, 2**70)]):
         for call in (lambda: rank(F3, rows), lambda: rref(F3, rows),
                      lambda: PointSet.from_rows(F3, 2, rows)):
             with pytest.raises(ParameterError, match="integer rows"):
@@ -425,7 +425,18 @@ def test_non_integer_coordinates_refused_not_truncated():
     (make_field(2, 8), (1, -1, 0)),
     (make_field(2, 8), (1, 256, 0)),
     (make_field(3, 1), (1, 7, 0)),
+    (make_field(7, 1), (1, 2**70, 0)),  # numpy infers object for it
+    (make_field(7, 1), (1, 2**63, 0)),  # and float64 for this one
 ])
 def test_from_rows_refuses_out_of_range_encodings(field, row):
     with pytest.raises(ParameterError, match="encodings in"):
         PointSet.from_rows(field, 2, [(0, 0, 1), row])
+
+
+def test_from_rows_reads_python_ints_past_int64():
+    # beside a small int, numpy infers float64 for 2^63, which cannot hold
+    # 2^63 + 1; the rows are read as exact ints instead
+    field = make_field(18446744073709551557, 1)  # the largest prime below 2^64
+    for big in (2**63, 2**63 + 1, field.order - 1):
+        X = PointSet.from_rows(field, 1, [[1, big], [0, 1]])
+        assert X.array.dtype == np.uint64 and X.array.tolist() == [[0, 1], [1, big]]
