@@ -268,9 +268,10 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
 
     With validate=True (the default) both preconditions are checked by the
     verifier and reported with witnesses; validate=False trusts the caller
-    and builds no q x q table.  BudgetExceeded is raised when the product's
-    |X| * |Y| * N * M coordinates, or the order of Y's field, whose discrete
-    logs the multiplication reads, exceed the budget.
+    and, when Y's field is above order 256, builds no table.  BudgetExceeded
+    is raised when the product's |X| * |Y| * N * M coordinates, or the order
+    of Y's field, whose discrete logs the multiplication reads, exceed the
+    budget.
     """
     if r < 2:
         raise ParameterError(
