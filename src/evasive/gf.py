@@ -52,9 +52,8 @@ lazily, cached on the spec, and only for orders up to ``TABLE_LIMIT``.
 Up to q = 256 they hold the q x q mul table and, for odd p, the add
 table, which the ops read through ``lookup``, one 1-D index into the
 table's flat view; above 256 the ops read ``logs()`` or add digit-wise.
-At every order the tables hold neg, which ``array_sub_mul`` reads up to
-256, and inv, which the elimination kernels read; a kernel that needs
-them thereby refuses an order above ``TABLE_LIMIT``.
+At every order the tables hold neg and inv; the elimination kernels read
+inv, and thereby refuse an order above ``TABLE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -321,14 +320,9 @@ def array_add(F, a, b) -> np.ndarray:
 
 
 def array_sub_mul(F, x, f, y) -> np.ndarray:
-    """x - f*y elementwise: in characteristic 2, -f is f, so x ^ f*y; else
-    x + (-f)*y through the tables up to q = 256 and the digit-wise
-    difference above it."""
-    if F.p == 2:
-        return np.bitwise_xor(x, array_mul(F, f, y), dtype=F.dtype, casting="unsafe")
-    if F.order <= 256:
-        return array_add(F, x, array_mul(F, F.tables().neg[f], y))
-    return _digit_add(F, x, array_mul(F, f, y), -1)
+    """x - f*y elementwise, as x + (-f)*y with -f = (p-1)*f; in
+    characteristic 2, -f is f, so that product is skipped."""
+    return array_add(F, x, array_mul(F, f if F.p == 2 else array_mul(F, F.p - 1, f), y))
 
 
 def array_pow(F, b, e) -> np.ndarray:
@@ -347,9 +341,9 @@ def array_pow(F, b, e) -> np.ndarray:
     return np.where((np.asarray(b) == 0) & (e != 0), 0, out)
 
 
-def _digit_add(F, a, b, sign: int = 1) -> np.ndarray:
-    """a + sign*b, for sign = 1 or -1, digit-wise mod p over the base-p
-    digits of encodings for odd p, which is one remainder when q = p.
+def _digit_add(F, a, b) -> np.ndarray:
+    """a + b digit-wise mod p over the base-p digits of encodings for odd
+    p, which is one remainder when q = p.
 
     A digit sum reaches 2p - 1, past the field's dtype when p is above
     half its range (65521 in uint16), so the sums run in a dtype that
@@ -362,10 +356,9 @@ def _digit_add(F, a, b, sign: int = 1) -> np.ndarray:
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=work)
     w = 1
     while w < F.order:
-        db = b // w % p
-        out += (a // w % p + (db if sign > 0 else p - db)) % p * w
+        out += (a // w % p + b // w % p) % p * w
         w *= p
-    return out.astype(F.dtype)
+    return out.astype(F.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,10 @@ def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
     """
     try:
         mat = np.array(vectors)
-        if mat.dtype.kind in "fO" and not isinstance(vectors, np.ndarray):
+        if mat.dtype.kind in "fO":
             # numpy infers float64 for ints from 2^63 on beside smaller
-            # ones, and object past 2^64; object keeps every int exact
+            # ones, and object past 2^64; object keeps every int exact,
+            # and a float array read as object still holds floats
             mat = np.array(vectors, dtype=object)
             if not all(type(x) is int or isinstance(x, np.integer) for x in mat.flat):
                 mat = None  # floats, bools, or the lists of ragged rows

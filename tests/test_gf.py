@@ -425,6 +425,60 @@ def test_pow_matches_scalar_ops(field):
     assert array_pow(field, 0, -1) == 0 and array_pow(field, q - 1, 0) == 1
 
 
+def plain_mul(field, a, b):
+    """a * b on int64 operands without the field's logs or tables: mod p
+    when q = p; in characteristic 2 a carry-less product reduced by the
+    modulus, whose bits are the encoding's coordinates."""
+    if field.k == 1:
+        return a * b % field.p
+    assert field.p == 2 and field.N == field.k  # a quotient of GF(2)[X]
+    k = field.k
+    m = sum(c << i for i, c in enumerate(field.modulus))
+    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
+    for i in range(k):
+        out ^= np.where(b >> i & 1, a << i, 0)
+    for i in range(2 * k - 2, k - 1, -1):
+        out ^= np.where(out >> i & 1, m << (i - k), 0)
+    return out
+
+
+def plain_add(field, a, b, sign=1):
+    """a + sign*b on int64 operands: XOR in characteristic 2, else mod p."""
+    return a ^ b if field.p == 2 else (a + sign * b) % field.p
+
+
+@pytest.mark.parametrize("field", [make_field(257, 1), make_field(2, 11), make_field(2, 12),
+                                   make_field(4093, 1)], ids=repr)
+def test_ops_above_256_match_plain_arithmetic(field):
+    # above q = 256 the scalar ops are too slow for a dense grid, so every
+    # 15th row, counting back from the last, meets all q columns here, and
+    # random (50, 6) grids check broadcasting, zeros and q - 1
+    q = field.order
+    a = np.arange(q, dtype=np.int64)
+    rows = a[::-15]
+    for block in np.array_split(rows, -(-len(rows) // 64)):
+        x, c = block[:, None], np.roll(block, 1)[:, None]
+        prod = plain_mul(field, x, a)
+        for got, want in [(array_mul(field, x.astype(field.dtype), a), prod),
+                          (array_add(field, x, a), plain_add(field, x, a)),
+                          (array_sub_mul(field, c, x, a), plain_add(field, c, prod, -1))]:
+            assert got.dtype == field.dtype and np.array_equal(got, want)
+    assert array_pow(field, rows[:, None], np.arange(4)).tolist() \
+        == [[field.pow(int(x), e) for e in range(4)] for x in rows]
+    rng = np.random.default_rng(q)
+    u = rng.integers(0, q, (50, 6))
+    v = rng.integers(0, q, (50, 6))
+    u[0], v[0] = q - 1, q - 1
+    u[1, :3], v[2, 3:] = 0, 0
+    uf = u.astype(field.dtype)
+    for op, ref in [(array_mul, plain_mul), (array_add, plain_add)]:
+        assert np.array_equal(op(field, uf, v), ref(field, u, v))
+        assert np.array_equal(op(field, uf[:, :1], v), ref(field, u[:, :1], v))  # broadcast
+        assert np.array_equal(op(field, uf, v[0]), ref(field, u, v[0]))
+        assert op(field, q - 1, q - 1) == ref(field, q - 1, q - 1)
+        assert op(field, 0, 0) == 0 and op(field, uf, v).dtype == field.dtype
+
+
 @pytest.mark.parametrize("field", [make_field(2, 11), make_field(3, 7), make_field(5, 5),
                                    make_field(7, 1), make_field(3, 2), make_field(2, 1),
                                    make_extension(make_field(2, 3), 4)], ids=repr)

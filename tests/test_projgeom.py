@@ -411,7 +411,9 @@ def test_non_integer_coordinates_refused_not_truncated():
     # an int64 cast would read (1.5, 0, 0) as (1, 0, 0)
     F3 = make_field(3, 1)
     for rows in ([(1.5, 0, 0)], [(1.0, 0, 0)], np.array([[1.7, 2.2, 0]]),
-                 np.array([[True, False, False]]), [(1, 0, 2.0**70)], [(True, 0, 2**70)]):
+                 np.array([[True, False, False]]), [(1, 0, 2.0**70)], [(True, 0, 2**70)],
+                 np.array([[1.5, 0, 0]], dtype=object), np.array([[True, 0, 0]], dtype=object),
+                 np.array([[1, "0", 0]], dtype=object)):
         for call in (lambda: rank(F3, rows), lambda: rref(F3, rows),
                      lambda: PointSet.from_rows(F3, 2, rows)):
             with pytest.raises(ParameterError, match="integer rows"):
