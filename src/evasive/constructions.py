@@ -7,8 +7,8 @@ The curve, ovoid and graph families are computed as whole numpy arrays of
 encodings in the field's dtype: products go through ``gf.array_mul``,
 powers and inverses through ``gf.array_pow``, sums through
 ``gf.array_add``, and the rows go to ``PointSet.from_rows``.  Above
-q = 256 these read the field's O(q) discrete logs and no table, so the
-families work above ``TABLE_LIMIT``; each family checks its budget
+q = 256 these read the field's O(q) discrete logs and no table, as the
+verifier's scan does at every order; each family checks its budget
 before it allocates.
 Products use the same arithmetic over the extension field: field reduction
 sends x to the element x~ whose base-q digits are x's coordinates, and its

@@ -47,13 +47,13 @@ q first.  In characteristic 2 the base-2 digits of an encoding are its
 coordinates, so a + b is a ^ b and -f is f at every order.  Odd p adds
 digit-wise mod p over the base-p digits.
 
-``tables()`` materializes read-only lookup tables from the logs, built
-lazily, cached on the spec, and only for orders up to ``TABLE_LIMIT``.
-Up to q = 256 they hold the q x q mul table and, for odd p, the add
-table, which the ops read through ``lookup``, one 1-D index into the
-table's flat view; above 256 the ops read ``logs()`` or add digit-wise.
-At every order the tables hold neg and inv; the elimination kernels read
-inv, and thereby refuse an order above ``TABLE_LIMIT``.
+``tables()`` materializes read-only q x q lookup tables from the logs,
+built lazily, cached on the spec, and only up to q = 256: the mul table
+and, for odd p, the add table, which the ops read through ``lookup``, one
+1-D index into the table's flat view.  Above 256 the ops read ``logs()``
+or add digit-wise, so no op needs a table there.  Inverses, the
+elimination kernels' pivots and leads included, go through
+``array_pow(F, b, -1)``, which reads ``logs()`` at every order.
 """
 
 from __future__ import annotations
@@ -68,22 +68,18 @@ from .arith import _is_prime, _prime_factors, _require_ints, factor_prime_power
 from .errors import ParameterError
 
 ORDER_LIMIT = 2**64  # field orders must fit in 64 bits
-TABLE_LIMIT = 4096   # largest order we materialize lookup tables for
-LOG_BLOCK = 1024     # cells of the log layout a step of logs() or tables() maps at a time
+LOG_BLOCK = 1024     # rows a step of logs() or array_pow maps at a time
 
 
 class FieldTables(NamedTuple):
-    """Read-only arrays in the field's dtype: uint8 for q <= 256, uint16 above.
+    """Read-only uint8 q x q tables of a field of order q <= 256.
 
-    The q x q tables exist only up to q = 256; a slot a field does not use
-    is an empty array, so every slot is an array at every order.  The
-    elementwise ops read add, mul and neg; kernels read inv.
+    Characteristic 2 adds by XOR, so its add slot is an empty (0, 0) array;
+    every slot is an array at every such order.
     """
 
-    add: np.ndarray   # (q, q)  add[a, b] = a + b for odd p and q <= 256, else (0, 0)
-    mul: np.ndarray   # (q, q)  mul[a, b] = exp[log a + log b] for q <= 256, else (0, 0)
-    neg: np.ndarray   # (q,)    neg[a] = -a
-    inv: np.ndarray   # (q,)    inv[a] = a**-1, with inv[0] = 0 as a sentinel
+    add: np.ndarray   # (q, q)  add[a, b] = a + b for odd p, else (0, 0)
+    mul: np.ndarray   # (q, q)  mul[a, b] = exp[log a + log b]
 
 
 # ---------------------------------------------------------------------------
@@ -182,31 +178,19 @@ def _lex_smallest_irreducible(F, L: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Lazy table construction, one path for every field.
+# Lazy q x q tables, up to q = 256.
 
 def _build_tables(F) -> FieldTables:
     q, p, dtype = F.order, F.p, F.dtype
-    if q > TABLE_LIMIT:
-        raise ParameterError(
-            f"field order {q} exceeds TABLE_LIMIT={TABLE_LIMIT}; "
-            "bulk operations are not available for fields this large"
-        )
+    if q > 256:
+        raise ParameterError(f"field order {q} has no q x q tables; they stop at 256")
     exp, log = F.logs()
-    h = int(log[p - 1])  # the encoding p - 1 is -1 = g^h in every field
-    neg, inv = np.zeros((2, q), dtype=dtype)  # inv[0] = 0 is a sentinel
-    # -g^i = g^(i+h) and g^-i = g^(q-1-i), scattered LOG_BLOCK units at a
-    # time, so that the scatter's intp index stays small beside neg and inv
-    for lo in range(0, q - 1, LOG_BLOCK):
-        hi = min(lo + LOG_BLOCK, q - 1)
-        neg[exp[lo:hi]] = exp[lo + h:hi + h]
-        inv[exp[lo:hi]] = exp[q - 1 - lo:q - 1 - hi:-1]
-    add = mul = np.empty((0, 0), dtype=dtype)
-    if q <= 256:
-        mul = exp[log[:, None] + log[None, :]]
-        if p != 2:  # p = 2 adds by XOR
-            a = np.arange(q, dtype=dtype)
-            add = _digit_add(F, a[:, None], a)
-    out = FieldTables(add=add, mul=mul, neg=neg, inv=inv)
+    mul = exp[log[:, None] + log[None, :]]
+    add = np.empty((0, 0), dtype=dtype)
+    if p != 2:  # p = 2 adds by XOR
+        a = np.arange(q, dtype=dtype)
+        add = _digit_add(F, a[:, None], a)
+    out = FieldTables(add=add, mul=mul)
     for table in out:
         table.setflags(write=False)
     return out
@@ -241,7 +225,7 @@ class _TableMixin:
     _logs: tuple[np.ndarray, np.ndarray] | None
 
     def tables(self) -> FieldTables:
-        """Dense numpy operation tables (built lazily, cached, immutable)."""
+        """The q x q operation tables, for q <= 256 (built lazily, cached, immutable)."""
         if self._tables is None:
             self._tables = _build_tables(self)
         return self._tables
@@ -255,7 +239,7 @@ class _TableMixin:
         discrete log of x != 0, and log[0] = 2(q-1), so exp[log a + log b]
         is a * b for every a and b: a zero factor's sum lands in the zero
         tail.  log's dtype is the smallest unsigned one that holds 4(q-1),
-        so such a sum never wraps.  Built by doubling with no TABLE_LIMIT,
+        so such a sum never wraps.  Built by doubling with no limit on q,
         so callers bound q: multiplication by g^m is GF(p)-linear on the k
         base-p digits, so with M its k x k matrix, exp[m:2m] is M applied
         to the digits of exp[:m], and M^2 is the matrix for the next step.
@@ -298,13 +282,15 @@ class _TableMixin:
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic on arrays of encodings, one function per operation.
 # Arguments are ints or integer arrays of encodings that broadcast, and
-# results come out in the field's dtype.
+# results come out in the field's dtype.  The ops read a field's cached
+# tables directly and call tables() only to build them, so that a wrapper
+# around tables() sees each build once.
 
 def array_mul(F, a, b) -> np.ndarray:
     """a * b elementwise: the mul table up to q = 256, else exp[log a + log b],
     where a zero factor's sentinel log lands in exp's zero tail."""
     if F.order <= 256:
-        return lookup(F.tables().mul, a, b)
+        return lookup((F._tables or F.tables()).mul, a, b)
     exp, log = F.logs()
     return np.take(exp, np.take(log, a) + np.take(log, b))
 
@@ -315,7 +301,7 @@ def array_add(F, a, b) -> np.ndarray:
     if F.p == 2:
         return np.bitwise_xor(a, b, dtype=F.dtype, casting="unsafe")
     if F.order <= 256:
-        return lookup(F.tables().add, a, b)
+        return lookup((F._tables or F.tables()).add, a, b)
     return _digit_add(F, a, b)
 
 
@@ -329,16 +315,30 @@ def array_pow(F, b, e) -> np.ndarray:
     """b^e elementwise for integer exponents e, through F.logs().
 
     A negative e inverts: b^-1 is ``array_pow(F, b, -1)``.  b^0 = 1 for
-    every b, 0 included, and, as in the inv table, 0^e = 0 for every other
-    e, so 0^-1 gives 0.
+    every b, 0 included, and 0^e = 0 for every other e, so 0^-1 gives 0.
     """
     exp, log = F.logs()
     q1 = F.order - 1
+    if np.ndim(e) == 0 and e == -1:
+        # b^-1 = exp[(q-1) - log b], in a signed dtype that holds every
+        # log; a zero b's sentinel 2(q-1) gives -(q-1), which counts back
+        # from exp's end into its zero tail
+        k = np.subtract(q1, np.take(log, b), dtype=np.min_scalar_type(-2 * F.order))
+        return np.take(exp, k)
     # e * log b is reduced mod q - 1 in int64, which holds it for every q
     # whose logs fit in memory; the reduction drops a zero b's sentinel, so
-    # that case is masked
-    out = exp[log[b].astype(np.int64) * (e % q1) % q1]
-    return np.where((np.asarray(b) == 0) & (e != 0), 0, out)
+    # that case is masked.  LOG_BLOCK rows at a time keep those int64
+    # temporaries small beside the result
+    shape = np.broadcast_shapes(np.shape(b), np.shape(e))
+    b, e = (np.broadcast_to(x, shape or (1,)) for x in (b, e))
+    out = np.empty(b.shape, dtype=F.dtype)
+    for lo in range(0, len(out), LOG_BLOCK):
+        bs, es = b[lo:lo + LOG_BLOCK], e[lo:lo + LOG_BLOCK]
+        k = np.take(log, bs).astype(np.int64)
+        k *= es % q1
+        k %= q1
+        out[lo:lo + LOG_BLOCK] = np.where((bs == 0) & (es != 0), 0, np.take(exp, k))
+    return out.reshape(shape)
 
 
 def _digit_add(F, a, b) -> np.ndarray:
@@ -369,8 +369,8 @@ class FieldSpec(_TableMixin):
 
     ``p`` is the characteristic, ``k`` the degree over GF(p), ``N`` the
     degree over ``base`` and ``order`` = p^k.  ``dtype`` is the smallest
-    unsigned numpy dtype that holds every encoding, the one tables, point
-    arrays and parsed files store encodings in.  Construct through
+    unsigned numpy dtype that holds every encoding, the one logs, tables,
+    point arrays and parsed files store encodings in.  Construct through
     ``make_field`` or ``make_extension``; instances are cached and immutable.
     """
 

@@ -1,22 +1,23 @@
-"""Batched exact Gaussian elimination over small finite fields.
+"""Batched exact Gaussian elimination over finite fields of any order.
 
 Matrices are numpy arrays of field-element encodings in any integer dtype,
 and every arithmetic step goes through gf's elementwise ops, so the same
 code path serves prime fields, prime-power fields, and towers.  Products
-go through gf.array_mul and each x - f*y through gf.array_sub_mul: up to
-q = 256 they read q x q tables, above it the field's O(q) logs, and in
-characteristic 2 the subtraction is an XOR.  Pivots are inverted through
-the field's inv table, so elimination needs the field's tables (orders up
-to gf.TABLE_LIMIT).  Results, residues included, come out in the field's
-dtype.  Batches are eliminated in lock step: one pass over the columns,
-with per-matrix pivot bookkeeping carried in index arrays.
+go through gf.array_mul, each x - f*y through gf.array_sub_mul and pivot
+inverses through gf.array_pow(field, pivots, -1): up to q = 256 products
+read q x q tables, above it the field's O(q) logs, which inverses read at
+every order, and in characteristic 2 the subtraction is an XOR.  Like
+gf's ops, these functions build the field's logs with no limit on q, so
+callers bound q first.  Results, residues included, come out in the
+field's dtype.  Batches are eliminated in lock step: one pass over the
+columns, with per-matrix pivot bookkeeping carried in index arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gf import array_mul, array_sub_mul
+from .gf import array_mul, array_pow, array_sub_mul
 
 
 def batch_rref(field, mats: np.ndarray):
@@ -26,7 +27,6 @@ def batch_rref(field, mats: np.ndarray):
     (B,) and pivot_cols is (B, m) holding the pivot column of each nonzero
     row in order, -1 past the rank.
     """
-    inv = field.tables().inv
     B, m, w = mats.shape
     row = np.zeros(B, dtype=np.int64)
     pivot_cols = np.full((B, m), -1, dtype=np.int64)
@@ -48,7 +48,7 @@ def batch_rref(field, mats: np.ndarray):
             mats[ssel, sr] = mats[ssel, sp]
             mats[ssel, sp] = tmp
         pv = mats[sel, rsel, col]
-        mats[sel, rsel] = array_mul(field, inv[pv][:, None], mats[sel, rsel])
+        mats[sel, rsel] = array_mul(field, array_pow(field, pv, -1)[:, None], mats[sel, rsel])
         factors = mats[sel, :, col]
         factors[np.arange(len(sel)), rsel] = 0  # leave the pivot row itself alone
         mats[sel] = array_sub_mul(field, mats[sel], factors[:, :, None],

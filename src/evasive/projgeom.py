@@ -18,9 +18,10 @@ Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
 Two subspaces are equal iff their RREF rows are equal, so the basis doubles
 as a canonical form.  Every rank, RREF and span test here runs
-linalg.batch_rref on a batch of one matrix, so they need the field's
-tables (orders up to gf.TABLE_LIMIT); input vectors are checked for shape
-and encoding range before they are eliminated.
+linalg.batch_rref on a batch of one matrix, at every field order; input
+vectors are checked for shape and encoding range before they are
+eliminated.  Like gf's ops, elimination builds the field's O(q) logs with
+no limit on q, so callers bound q first.
 """
 
 from __future__ import annotations

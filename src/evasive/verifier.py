@@ -76,9 +76,10 @@ little more than that subset.  That first batch can hold all N rows, so
 per-row columns, prefix indices and zero counts take the smallest dtype
 that holds them.  Rows are gathered with np.take along axis 0.  Field
 arithmetic goes through gf's elementwise ops, array_mul and
-array_sub_mul, in the field's dtype; leads are inverted through the
-field's inv table, so a scan needs the field's tables (orders up to
-gf.TABLE_LIMIT).
+array_sub_mul, in the field's dtype, and leads are inverted through
+array_pow(field, leads, -1), which reads the field's O(q) logs.  So a
+scan works at every field order, and it raises BudgetExceeded before it
+starts when the order is above the budget, as it does when C(N, m) is.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
-from .gf import array_mul, array_sub_mul
+from .gf import array_mul, array_pow, array_sub_mul
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
@@ -177,7 +178,7 @@ def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
     col = (piv != 0).argmax(axis=1)
     lead = piv[np.arange(len(a)), col]
     full = lead != 0
-    unit = array_mul(field, field.tables().inv[lead][:, None], piv)  # zero rows stay zero
+    unit = array_mul(field, array_pow(field, lead, -1)[:, None], piv)  # zero rows stay zero
     start = np.zeros(len(a) + 1, dtype=np.intp)
     np.cumsum(L, out=start[1:])
     src = np.repeat(a + 1 - start[:-1], L)
@@ -255,7 +256,7 @@ def _counts(field, level: _Level) -> np.ndarray:
     node = np.repeat(np.arange(K, dtype=np.min_scalar_type(K)), np.diff(level.start))
     lead = _leads(R)
     zero = lead == 0
-    sizes = _class_sizes(array_mul(field, field.tables().inv[lead][:, None], R), node)
+    sizes = _class_sizes(array_mul(field, array_pow(field, lead, -1)[:, None], R), node)
     sizes[zero] = 0
     sizes += (level.base + np.add.reduceat(zero, level.start[:-1], dtype=np.intp))[node]
     return sizes
@@ -286,6 +287,9 @@ def _span_counts(X: PointSet, m: int, budget: int):
         raise BudgetExceeded(
             f"subset scan needs C({N}, {m}) = {total} spans, budget is {budget}"
         )
+    # the scan inverts through the field's logs, which cost O(q)
+    if X.field.order > budget:
+        raise BudgetExceeded(f"field order {X.field.order} exceeds budget {budget}")
     root = _Level(prefix=np.empty((1, 0), dtype=np.intp), base=np.zeros(1, dtype=np.intp),
                   start=np.array([0, N]), rows=X.array)
     return _walk(X.field, root, m, N, [0])

@@ -14,17 +14,16 @@ import itertools
 import numpy as np
 
 from evasive import linalg
-from evasive.gf import array_mul
+from evasive.gf import array_mul, array_pow
 
 BATCH = 64  # prefixes per batch
 
 
 def class_sizes(field, R):
     """For residues R (B, N, w): how many rows of R[b] are proportional to R[b, j]."""
-    t = field.tables()
     B, N, _ = R.shape
     lead = np.take_along_axis(R, (R != 0).argmax(axis=2)[:, :, None], axis=2)
-    R = array_mul(field, R, t.inv[lead])
+    R = array_mul(field, R, array_pow(field, lead, -1))
     order = np.lexsort(np.moveaxis(R, 2, 0))
     sR = np.take_along_axis(R, order[:, :, None], axis=1)
     new = np.ones((B, N), dtype=bool)
@@ -39,7 +38,7 @@ def span_counts(X, m):
     """Yield (prefixes (B, m-1), counts (B, N)); counts is -1 where j <= max(P)."""
     N = len(X)
     field = X.field
-    arr = X.array.astype(field.tables().neg.dtype)
+    arr = X.array
     cols = np.arange(N)
     combos = itertools.combinations(range(N - 1), m - 1)
     while chunk := list(itertools.islice(combos, BATCH)):

@@ -47,7 +47,7 @@ def test_field_class_inherits_traced_tables():
     assert FieldSpec.tables is _TableMixin.tables
 
 
-@pytest.mark.parametrize("p,k", [(2, 11), (3, 2)])
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 2)])
 def test_tracer_counts_table_bytes(p, k):
     # the traced gf.tables span sums nbytes over FieldTables, so every slot
     # must stay an array, the empty add table of characteristic 2 included

@@ -144,14 +144,26 @@ def test_verify_rejects_corrupt_file(tmp_path, capsys):
 def test_verify_refuses_encodings_past_64_bits(tmp_path, capsys):
     # GF(p) for a prime above 2^63 holds encodings no int64 array can; the
     # file parses into the field's uint64 dtype, and the scan refuses it
-    # because the field is above TABLE_LIMIT, still with exit 2
+    # with exit 3 before it builds the field's O(p) logs: the order is
+    # above the budget
     p = 9223372036854775837
     big = tmp_path / "big.json"
     big.write_bytes(b'{"p":%d,"k":1,"modulus":[0,1],"n":1,"r":1,"s":0,'
                     b'"points":[[0,1],[1,%d]]}\n' % (p, p - 1))
+    start = time.perf_counter()
     code, _, stderr = run(capsys, "verify", str(big))
-    assert code == 2
-    assert "error:" in stderr and str(p) in stderr
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "budget" in stderr and str(p) in stderr
+
+
+def test_construct_certifies_past_order_4096(tmp_path, capsys):
+    # elimination once stopped at order 4096, and this call exited 2
+    out = tmp_path / "r.json"
+    code, stdout, _ = run(capsys, "construct", "rnc", "--c", "2", "--q", "4099",
+                          "--out", str(out))
+    assert code == 0
+    assert stdout.strip() == "rnc 2 4099 4100 2 1 yes"
 
 
 def test_verify_budget_exhaustion_is_exit_3(tmp_path, capsys):

@@ -347,9 +347,9 @@ def test_product_field_order_refused_before_logs(monkeypatch):
 
 def test_product_builds_no_tables(monkeypatch):
     # above q = 256 products multiply in the extension through its discrete
-    # logs alone (up to 256 through its q x q tables); only validate=True,
-    # which runs the verifier, needs the tables there: a conic over GF(7)
-    # times a conic over GF(7^3)
+    # logs alone (up to 256 through its q x q tables); validate=True runs
+    # the verifier, which builds GF(7)'s tables: a conic over GF(7) times a
+    # conic over GF(7^3)
     base = make_field(7, 1)
     X = rational_normal_curve(2, base)
     Y = rational_normal_curve(2, make_extension(base, 3))

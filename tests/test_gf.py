@@ -9,7 +9,6 @@ import pytest
 from evasive import gf
 from evasive.errors import ParameterError
 from evasive.gf import (
-    TABLE_LIMIT,
     FieldSpec,
     _is_irreducible,
     array_add,
@@ -129,11 +128,14 @@ AXIOM_FIELDS = [
 def test_field_axioms_exhaustive(field):
     # table-level checks cover all q^3 triples at numpy speed; addition is
     # read through array_add and array_sub_mul, as the kernels read it, so
-    # characteristic 2 (which has no add table) is covered too
+    # characteristic 2 (which has no add table) is covered too; negatives
+    # come from the scalar op and inverses from array_pow, as the kernels
+    # invert
     q = field.order
     t = field.tables()
     a = np.arange(q)
     x, y, z = a[:, None, None], a[None, :, None], a[None, None, :]
+    neg = np.array([field.neg(int(v)) for v in a])
 
     def add(u, v):
         return array_add(field, u, v)
@@ -143,12 +145,12 @@ def test_field_axioms_exhaustive(field):
     assert np.array_equal(add(a, 0), a)
     assert np.array_equal(t.mul[a, 1], a)
     assert np.array_equal(t.mul[a, 0], np.zeros(q, dtype=np.int64))
-    assert np.array_equal(add(a, t.neg[a]), np.zeros(q, dtype=np.int64))
-    assert np.array_equal(t.mul[a[1:], t.inv[a[1:]]], np.ones(q - 1, dtype=np.int64))
+    assert np.array_equal(add(a, neg), np.zeros(q, dtype=np.int64))
+    assert np.array_equal(t.mul[a[1:], array_pow(field, a[1:], -1)], np.ones(q - 1, dtype=np.int64))
     assert np.array_equal(add(add(x, y), z), add(x, add(y, z)))
     assert np.array_equal(t.mul[t.mul[x, y], z], t.mul[x, t.mul[y, z]])
     assert np.array_equal(t.mul[x, add(y, z)], add(t.mul[x, y], t.mul[x, z]))
-    assert np.array_equal(array_sub_mul(field, x, y, z), add(x, t.neg[t.mul[y, z]]))
+    assert np.array_equal(array_sub_mul(field, x, y, z), add(x, neg[t.mul[y, z]]))
     assert np.array_equal(add(array_sub_mul(field, a[:, None], 1, a[None, :]), a[None, :]),
                           np.broadcast_to(a[:, None], (q, q)))
 
@@ -159,13 +161,13 @@ def test_scalar_ops_agree_with_tables(field):
     t = field.tables()
     elems = range(q) if q <= 16 else range(0, q, 5)
     for a in elems:
-        assert field.neg(a) == t.neg[a]
+        assert field.neg(a) == array_sub_mul(field, 0, 1, a)
         for b in elems:
             assert field.add(a, b) == array_add(field, a, b)
             assert field.sub(a, b) == array_sub_mul(field, a, 1, b)
             assert field.mul(a, b) == t.mul[a, b]
     for a in range(1, q):
-        assert field.inv(a) == t.inv[a]
+        assert field.inv(a) == array_pow(field, a, -1)
         assert field.mul(a, field.inv(a)) == 1
 
 
@@ -285,12 +287,13 @@ def test_field_parameters_must_be_plain_ints():
 
 
 def test_tables_refused_above_limit():
-    big = make_field(5, 6)  # order 15625
-    assert big.order > TABLE_LIMIT
-    with pytest.raises(ParameterError):
-        big.tables()
-    # scalar arithmetic still works
-    assert big.mul(big.inv(1234), 1234) == 1
+    # q x q tables stop at q = 256; above it the ops read the logs
+    for big in (make_field(257, 1), make_field(5, 6)):
+        with pytest.raises(ParameterError, match="256"):
+            big.tables()
+        # scalar and elementwise arithmetic still work
+        assert big.mul(big.inv(234), 234) == 1
+        assert array_mul(big, array_pow(big, 234, -1), 234) == 1
 
 
 def test_extension_spec_identity():
@@ -326,8 +329,8 @@ def test_modulus_is_first_irreducible_in_product_order(field):
     assert field.modulus == reference
 
 
-# GF(2^8) and GF(257) sit on either side of the uint8/uint16 boundary, and
-# GF(2^12) has order TABLE_LIMIT, the largest with tables
+# GF(2^8) and GF(257) sit on either side of the uint8/uint16 boundary and
+# of the last order with tables; GF(2^12) is a larger uint16 field
 DTYPE_BOUNDARY_FIELDS = [make_field(2, 8), make_field(257, 1), make_field(2, 12)]
 
 
@@ -339,28 +342,28 @@ DTYPE_BOUNDARY_FIELDS = [make_field(2, 8), make_field(257, 1), make_field(2, 12)
 ], ids=repr)
 def test_field_dtype_holds_every_encoding(field, dtype):
     assert field.dtype == dtype == np.min_scalar_type(field.order - 1)
-    if field.order <= gf.TABLE_LIMIT:
+    if field.order <= 256:
         assert {table.dtype for table in field.tables()} == {field.dtype}
 
 
-def assert_table_layout(field, t):
-    """q x q tables up to q = 256; above, only neg and inv, no q x q array."""
+def assert_table_layout(field):
+    """q x q tables in the field's dtype up to q = 256, none above."""
     q = field.order
+    if q > 256:
+        with pytest.raises(ParameterError):
+            field.tables()
+        return
+    t = field.tables()
     assert {table.dtype for table in t} == {field.dtype}
-    assert t.neg.shape == t.inv.shape == (q,)
-    if q <= 256:
-        assert t.mul.shape == (q, q) and t.add.shape == ((0, 0) if field.p == 2 else (q, q))
-    else:
-        assert t.add.shape == t.mul.shape == (0, 0)
+    assert t.mul.shape == (q, q) and t.add.shape == ((0, 0) if field.p == 2 else (q, q))
 
 
 @pytest.mark.parametrize("field", AXIOM_FIELDS + DTYPE_BOUNDARY_FIELDS, ids=repr)
 def test_logs_and_array_ops_agree_with_tables(field):
     q = field.order
-    t = field.tables()
     exp, log = field.logs()
     a = np.arange(q)
-    assert_table_layout(field, t)
+    assert_table_layout(field)
     # two periods of g^i, then zeros up to index 4(q-1) = log[0] + log[0],
     # which log's dtype holds
     assert exp.shape == (4 * q - 3,) and log.shape == (q,)
@@ -368,8 +371,11 @@ def test_logs_and_array_ops_agree_with_tables(field):
     assert np.array_equal(exp[:q - 1], exp[q - 1:2 * (q - 1)]) and not exp[2 * (q - 1):].any()
     assert sorted(exp[:q - 1]) == list(range(1, q))
     assert log[0] == 2 * (q - 1) and np.array_equal(exp[log[1:]], a[1:])
-    assert np.array_equal(array_pow(field, a, -1), t.inv)
-    assert np.array_equal(array_mul(field, field.p - 1, a), t.neg)
+    # inverses and negatives, checked through the product and the
+    # digit-wise sum, which reads no logs
+    inv = array_pow(field, a, -1)
+    assert inv[0] == 0 and (array_mul(field, a[1:], inv[1:]) == 1).all()
+    assert not array_add(field, a, array_mul(field, field.p - 1, a)).any()
 
 
 # each path of the elementwise ops: q x q tables (p = 2, odd p, a tower),
@@ -423,6 +429,22 @@ def test_pow_matches_scalar_ops(field):
     assert got[0].tolist() == [0, 0, 1, 0, 0, 0, 0, 0]  # 0^-1 = 0 and 0^0 = 1
     assert (got[:, 2] == 1).all()  # b^0 = 1 for every b
     assert array_pow(field, 0, -1) == 0 and array_pow(field, q - 1, 0) == 1
+
+
+def test_pow_peak_is_near_its_result():
+    # e * log b is reduced in int64, LOG_BLOCK rows at a time, so the
+    # temporaries stay small beside the result
+    field = make_field(65537, 1)
+    field.logs()
+    b, e = np.arange(field.order)[:, None], np.arange(3)
+    tracemalloc.start()
+    try:
+        out = array_pow(field, b, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (field.order, 3) and out[2].tolist() == [1, 2, 4]
+    assert peak < 2 * out.nbytes
 
 
 def plain_mul(field, a, b):
@@ -496,16 +518,20 @@ def test_logs_match_scalar_powers(field):
 @pytest.mark.parametrize("p,k", [(7, 1), (2, 8), (257, 1), (2, 11)])
 def test_lookup_matches_2d_index(p, k):
     # q = 256 is the last order with q x q tables, read through one uint16
-    # flat index; above it there are none
+    # flat index; above it tables() refuses
     field = make_field(p, k)
-    t = field.tables()
     q = field.order
     rng = np.random.default_rng(q)
     a = rng.integers(0, q, (50, 6)).astype(field.dtype)
     b = rng.integers(0, q, (50, 6)).astype(np.int64)
     a[0], b[0] = q - 1, q - 1
     a[1, :3], b[2, 3:] = 0, 0
-    tables = [table for table in (t.add, t.mul) if table.size]  # no add table for p = 2
+    if q > 256:
+        with pytest.raises(ParameterError):
+            field.tables()
+        tables = []
+    else:
+        tables = [table for table in field.tables() if table.size]  # no add table for p = 2
     assert len(tables) == (0 if q > 256 else 1 if p == 2 else 2)
     for table in tables:
         assert np.array_equal(lookup(table, a, b), table[a, b])
@@ -524,9 +550,9 @@ def test_tables_are_read_only():
     with pytest.raises(ValueError):
         t.mul[1, 1] = 0
     with pytest.raises(ValueError):
-        t.neg[...] = 0
+        t.add[...] = 0
     assert field.tables() is t
-    assert t.mul[1, 1] == 1 and t.neg[1] == field.neg(1)
+    assert t.mul[1, 1] == 1 and t.add[1, 1] == field.add(1, 1)
 
 
 def _fresh_spec(p, k):
@@ -561,8 +587,8 @@ def test_logs_blocks_agree_with_one_pass(block, monkeypatch):
         assert np.array_equal(got[0], exp) and np.array_equal(got[1], log)
 
 
-# up to q = 256 the (q, q) uint16 index or digit sums of the table build
-# outweigh the uint8 tables themselves, so the bound is looser there
+# the (q, q) uint16 index or digit sums of the table build outweigh the
+# uint8 tables themselves; above q = 256 tables() refuses the field
 @pytest.mark.parametrize("p,k,ratio", [(2, 11, 3), (4093, 1, 3),
                                        (2, 8, 5), (251, 1, 5), (3, 5, 5)])
 def test_table_build_peak_is_near_final_size(p, k, ratio):
@@ -570,32 +596,35 @@ def test_table_build_peak_is_near_final_size(p, k, ratio):
     # field has no tables yet, so tables() really builds them
     field = _fresh_spec(p, k)
     field.logs()
+    q = field.order
     tracemalloc.start()
     try:
-        t = field.tables()
+        if q > 256:
+            with pytest.raises(ParameterError):
+                field.tables()
+        else:
+            t = field.tables()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    final = sum(table.nbytes for table in t)
-    q = field.order
     if q > 256:
-        # uint16 neg and inv of q cells each
-        assert final == 2 * 2 * q
-    else:
-        # uint8 mul, add for odd p, then neg and inv
-        assert final == (1 if p == 2 else 2) * q * q + 2 * q
+        # refused before anything of q cells is allocated
+        assert field._tables is None and peak < q
+        return
+    final = sum(table.nbytes for table in t)
+    # uint8 mul, and add for odd p
+    assert final == (1 if p == 2 else 2) * q * q
     assert peak <= ratio * final
 
 
 def test_table_memory_is_pinned():
-    # above q = 256 no table has q^2 cells, so the tables are O(q): a q x q
-    # uint16 table of GF(2^12) alone would be 32 MiB
-    for p, k, nbytes in [(2, 11, 8_192), (2, 12, 16_384), (3, 7, 8_748)]:
-        t = make_field(p, k).tables()
-        q = p**k
-        assert max(table.size for table in t) == q
-        assert sum(table.nbytes for table in t) == nbytes
-    assert sum(table.nbytes for table in make_field(2, 11).tables()) <= 64 * 2**10
+    # above q = 256 the ops build no table at all: a q x q uint16 table of
+    # GF(2^12) alone would be 32 MiB
+    for p, k in [(2, 11), (2, 12), (3, 7)]:
+        field = _fresh_spec(p, k)
+        a = np.arange(field.order)
+        array_sub_mul(field, a, array_pow(field, a, -1), a)
+        assert field._tables is None
     # q = 256 keeps its q x q tables: a uint8 mul table, and add for odd p
-    assert sum(table.nbytes for table in make_field(2, 8).tables()) == 256 * 256 + 2 * 256
-    assert sum(table.nbytes for table in make_field(251, 1).tables()) == 2 * 251 * 251 + 2 * 251
+    assert sum(table.nbytes for table in make_field(2, 8).tables()) == 256 * 256
+    assert sum(table.nbytes for table in make_field(251, 1).tables()) == 2 * 251 * 251

@@ -11,7 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from evasive.gf import array_add, array_sub_mul, make_extension, make_field  # noqa: E402
+from evasive.gf import (array_add, array_pow, array_sub_mul, make_extension,  # noqa: E402
+                        make_field)
 from evasive.jsonio import pointset_to_json_bytes  # noqa: E402
 from evasive.projgeom import PointSet, normalize  # noqa: E402
 
@@ -56,7 +57,8 @@ def test_scalar_ops_are_field_ops_and_match_tables(case):
     t = F.tables()
     assert (array_add(F, a, b), array_sub_mul(F, a, 1, b), t.mul[a, b]) \
         == (add(a, b), F.sub(a, b), mul(a, b))
-    assert t.neg[a] == F.neg(a) and t.inv[a] == (F.inv(a) if a else 0)
+    assert array_sub_mul(F, 0, 1, a) == F.neg(a)
+    assert array_pow(F, a, -1) == (F.inv(a) if a else 0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

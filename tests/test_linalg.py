@@ -111,9 +111,9 @@ def test_batch_span_members_chunks_agree_with_one_pass(monkeypatch, chunk_bytes)
 
 @pytest.mark.parametrize("field", [make_field(2, 8), make_field(257, 1)], ids=repr)
 def test_kernels_agree_across_input_dtypes(field):
-    # uint8 tables at q = 256, uint16 at 257; encoding 255 would wrap under
-    # uint8 arithmetic, so it fills pivots, whole rows and points
-    dtype = field.tables().neg.dtype
+    # uint8 encodings at q = 256, uint16 at 257; encoding 255 would wrap
+    # under uint8 arithmetic, so it fills pivots, whole rows and points
+    dtype = field.dtype
     assert dtype == (np.uint8 if field.order == 256 else np.uint16)
     mats = random_batch(field, 40, 3, 5, seed=field.order)
     mats[::4, 0, 0] = 255

@@ -4,6 +4,7 @@ import itertools
 import tracemalloc
 
 import numpy as np
+import prefix_rref_scan as reference
 import pytest
 
 from evasive import verifier
@@ -14,10 +15,11 @@ from evasive.constructions import (
     rational_normal_curve,
 )
 from evasive.errors import BudgetExceeded, ParameterError
-from evasive.gf import FieldSpec, make_extension, make_field
+from evasive.gf import FieldSpec, array_mul, array_pow, make_extension, make_field
 from evasive.projgeom import PointSet, all_points, normalize
 from evasive.randomized import Prng, cubic_92_construction
 from evasive.verifier import (
+    _make_witness,
     _scalar_rref,
     find_violation,
     is_proper,
@@ -277,6 +279,25 @@ def test_kernel_above_uint8(field):
             assert (w is None) if ref is None else (w.generating_points, w.intersection) == ref
 
 
+@pytest.mark.parametrize("field", [make_field(2, 13), make_field(5003, 1)], ids=repr)
+def test_walk_matches_prefix_rref_scan_past_4096(field):
+    # elimination once stopped at order 4096; a collinear triple planted
+    # among random points of PG(3, q) is the maximum over lines, and both
+    # scans find the same lex-first witness for it
+    q = field.order
+    rng = Prng(q)
+    base = [(1,) + tuple(rng.below(q) for _ in range(3)) for _ in range(6)]
+    third = tuple(field.add(a, field.mul(7, b)) for a, b in zip(base[1], base[4]))
+    X = PointSet.from_rows(field, 3, [normalize(field, v) for v in base + [third]])
+    count, w = max_in_s_space(X, 1)
+    ref_count, ref_idx = reference.max_subset(X, 1)
+    assert count == ref_count == 3
+    assert w == _make_witness(X, ref_idx)
+    for limit in (1, 2, 3):
+        ref = reference.first_violation(X, 1, limit)
+        assert find_violation(X, 1, limit) == (None if ref is None else _make_witness(X, ref))
+
+
 @pytest.mark.parametrize("field", [make_field(257, 1), make_field(2, 10)], ids=repr)
 def test_monomial_curve_above_uint8(field):
     # the n = 2 monomial curve is a (2, 1)-set: no three of its q - 1 points collinear
@@ -288,9 +309,9 @@ def test_monomial_curve_above_uint8(field):
 
 
 def test_early_exit_at_q2048_stays_small():
-    # a fresh spec equal to GF(2^11) has no tables yet, so the traced call
-    # builds them: above q = 256 they are O(q), where the mul table alone
-    # took 8 MiB
+    # a fresh spec equal to GF(2^11) has no logs yet, so the traced call
+    # builds them: above q = 256 the ops read those O(q) logs and build no
+    # table, where the mul table alone took 8 MiB
     cached = make_field(2, 11)
     field = FieldSpec(cached.base, cached.N, cached.modulus)
     X = monomial_curve(2, field)
@@ -300,7 +321,7 @@ def test_early_exit_at_q2048_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert field._tables is not None
+    assert field._logs is not None and field._tables is None
     assert not ok and w.count == 2
     assert peak <= 2**20
 
@@ -318,7 +339,9 @@ def test_class_sizes_counts_equal_rows_of_each_prefix():
 
 
 def traced_peak(X, r, s):
-    X.field.tables()  # built once per field, outside the scan
+    # the logs, and the tables up to q = 256, are built once per field,
+    # outside the scan: one product and one inverse build what the ops read
+    array_mul(X.field, 1, array_pow(X.field, 1, -1))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
