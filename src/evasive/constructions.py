@@ -26,7 +26,7 @@ from .arith import factor_prime_power, is_int
 from .errors import BudgetExceeded, ParameterError
 from .gf import ORDER_LIMIT, array_add, array_mul, array_pow, make_field
 from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _log10_power, _points_array,
-                       _scientific, _shown)
+                       _scientific, _shown, row_keys, sort_runs)
 from .verifier import is_proper, is_rs_set
 
 
@@ -96,9 +96,10 @@ def rational_normal_curve(c: int, field, budget: int = DEFAULT_BUDGET) -> PointS
     if (q + 1) * (c + 1) > budget:
         raise BudgetExceeded(f"(q + 1) * (c + 1) = {_shown((q + 1) * (c + 1))} coordinates "
                              f"exceed budget {budget}")
+    # (0, ..., 0, 1) first and t ascending: from_rows finds the rows sorted
     rows = np.zeros((q + 1, c + 1), dtype=field.dtype)
-    rows[:q] = array_pow(field, np.arange(q)[:, None], np.arange(c + 1))
-    rows[q, c] = 1
+    rows[0, c] = 1
+    rows[1:] = array_pow(field, np.arange(q)[:, None], np.arange(c + 1))
     return PointSet.from_rows(field, c, rows)
 
 
@@ -167,10 +168,8 @@ class BipartiteGraph:
         bad = (es < 0).any(axis=1) | (es >= order).any(axis=1)
         if bad.any():
             raise ParameterError(f"edge label out of range: {tuple(es[bad][0].tolist())}")
-        es = es[np.lexsort(es.T[::-1])]
-        keep = np.ones(len(es), dtype=bool)
-        keep[1:] = (es[1:] != es[:-1]).any(axis=1)
-        es = es[keep]
+        perm, first = sort_runs(row_keys(es, order))
+        es = es[perm[first]]
         es.setflags(write=False)
         return cls(order, es)
 
@@ -214,11 +213,12 @@ def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
     y = array_mul(field, y, array_pow(field, b, -1))
     # scaled to a leading 1 by the inverse of x, else of y, else of z = 1
     w = array_pow(field, np.where(x != 0, x, np.where(y != 0, y, 1)), -1)
-    # widened first: in the field's own dtype the keys would wrap
-    key = (array_mul(field, x, w).astype(np.int64) * q0 + array_mul(field, y, w)) * q0 + w
-    i = np.searchsorted(keep_pts.astype(np.int64) @ [q0 * q0, q0, 1], key)
-    j = np.broadcast_to(np.arange(q0 * q0)[:, None], i.shape)
-    return BipartiteGraph.from_edges(q0 * q0, np.column_stack((i.ravel(), j.ravel())))
+    met = np.stack(np.broadcast_arrays(array_mul(field, x, w), array_mul(field, y, w), w), axis=-1)
+    # the budget keeps q0^2 + q0 + 1 small, so q0^3 < 2^64: one word a key
+    [pts_key], [met_key] = row_keys(keep_pts, q0), row_keys(met.reshape(-1, 3), q0)
+    i = np.searchsorted(pts_key, met_key)
+    j = np.repeat(np.arange(q0 * q0), q0)
+    return BipartiteGraph.from_edges(q0 * q0, np.column_stack((i, j)))
 
 
 def graph_curve_32(graph: BipartiteGraph, field, budget: int = DEFAULT_BUDGET) -> PointSet:

@@ -11,8 +11,14 @@ rows are normalized encodings of the right width, then sorts and dedupes
 them unless they are already strictly ascending; PointSet(field, n, array)
 trusts an array that is already all of that, and casts it to the field's
 dtype (no copy when it is in it already).  Code that combines encodings
-into larger integers widens them first.  Tuples of points are built only
-on request (``points``, iteration and ``in``).
+into larger integers widens them first.  A PointSet holds no tuples:
+callers that want them read ``X.array.tolist()``.
+
+Rows are ordered, deduplicated, grouped and looked up by one key:
+row_keys packs each row, after an optional lead such as a prefix index,
+into as few uint64 words as hold it, and sort_runs sorts those keys with
+one argsort (one word) or a lexsort of the words, and marks the runs of
+equal keys.
 
 Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
@@ -157,6 +163,60 @@ def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
     return mat.astype(field.dtype, copy=False)
 
 
+def row_keys(rows: np.ndarray, base: int, lead: np.ndarray | None = None) -> list:
+    """One order-preserving key per row of an (m, w) array of entries in [0, base).
+
+    The key reads ``lead`` (when given, nonnegative integers) and then the
+    row's entries as the digits of one mixed-radix number, cut into uint64
+    words, most significant first: a word takes digits while the product
+    of their radices stays at most 2^64, so the words are as few as hold
+    the row.  Comparing keys word by word is comparing (lead, row)
+    lexicographically, and equal keys mean equal rows.
+    """
+    digits = [(rows[:, c], base) for c in range(rows.shape[1])]
+    if lead is not None:
+        digits.insert(0, (lead, int(lead.max()) + 1 if len(lead) else 1))
+    words, span = [], 0
+    for digit, radix in digits:
+        if words and span * radix <= 1 << 64:
+            words[-1] *= np.uint64(radix)
+            # in uint64: numpy adds uint64 and int64 in float64, which rounds
+            np.add(words[-1], digit, out=words[-1], dtype=np.uint64, casting="unsafe")
+            span *= radix
+        else:
+            words.append(digit.astype(np.uint64))
+            span = radix
+    return words
+
+
+def _rises(keys: list) -> np.ndarray:
+    """Whether each row's key is above the previous row's, compared word by word."""
+    head, *rest = keys
+    rise = head[1:] > head[:-1]
+    tie = head[1:] == head[:-1] if rest else None
+    for word in rest:
+        rise |= tie & (word[1:] > word[:-1])
+        tie &= word[1:] == word[:-1]
+    return rise
+
+
+def sort_runs(keys: list):
+    """(order, first): the order sorting row_keys' keys ascending, and
+    whether each row in that order starts a run of equal keys."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = _rises([word[order] for word in keys])
+    return order, first
+
+
+def _leads(rows: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row, 0 for a zero row."""
+    lead = rows[:, -1].copy()
+    for c in range(rows.shape[1] - 2, -1, -1):
+        np.copyto(lead, rows[:, c], where=rows[:, c] != 0)
+    return lead
+
+
 def rank(field, vectors) -> int:
     """Rank of a list of coordinate vectors."""
     return len(rref(field, vectors)[0])
@@ -175,15 +235,13 @@ def rref(field, vectors):
 class PointSet:
     """The rows of ``array``: deduplicated, sorted points of PG(n, field)."""
 
-    __slots__ = ("field", "n", "array", "_points", "_index")
+    __slots__ = ("field", "n", "array")
 
     def __init__(self, field, n: int, array: np.ndarray):
         self.array = np.asarray(array, dtype=field.dtype)
         self.array.setflags(write=False)
         self.field = field
         self.n = n
-        self._points = None
-        self._index = None
 
     @classmethod
     def from_rows(cls, field, n: int, rows) -> "PointSet":
@@ -195,27 +253,15 @@ class PointSet:
         done, so it works at any field order.
         """
         rows = _matrix(field, rows, n + 1)
-        nonzero = rows != 0
-        lead = rows[np.arange(len(rows)), nonzero.argmax(axis=1)]
-        if not (nonzero.any(axis=1) & (lead == 1)).all():
+        if not (_leads(rows) == 1).all():
             raise ParameterError("every row must be nonzero with first nonzero entry 1")
-        # rows already strictly ascending (every valid file's are) need no
-        # sort: each row is above the last at their first differing column,
-        # which for equal rows is column 0, where it is not above
-        first = (rows[1:] != rows[:-1]).argmax(axis=1)
-        step = np.arange(len(first))
-        if (rows[1:][step, first] > rows[:-1][step, first]).all():
+        keys = row_keys(rows, field.order)
+        # rows already strictly ascending (every valid file's are) need no sort
+        if _rises(keys).all():
             return cls(field, n, rows)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        keep = np.ones(len(rows), dtype=bool)
-        keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        return cls(field, n, rows[keep])
-
-    @property
-    def points(self) -> tuple[ProjPoint, ...]:
-        if self._points is None:
-            self._points = tuple(map(tuple, self.array.tolist()))
-        return self._points
+        order, first = sort_runs(keys)
+        del keys
+        return cls(field, n, rows[order[first]])
 
     def truncated(self, size: int) -> "PointSet":
         """The first `size` points in lexicographic order."""
@@ -225,14 +271,6 @@ class PointSet:
 
     def __len__(self):
         return len(self.array)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, point):
-        if self._index is None:
-            self._index = frozenset(self.points)
-        return point in self._index
 
     def __eq__(self, other):
         return (

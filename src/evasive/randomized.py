@@ -124,8 +124,10 @@ class HomogeneousForm:
 def hypersurface_points(*forms: HomogeneousForm, budget: int = DEFAULT_BUDGET) -> PointSet:
     """The common zeros in PG(n, q) of one or more forms over one field and n.
 
-    Every point of PG(n, q) is evaluated, so BudgetExceeded is raised before
-    anything is allocated when PG(n, q) has more than budget points.
+    The first form is evaluated at every point of PG(n, q), so
+    BudgetExceeded is raised before anything is allocated when PG(n, q)
+    has more than budget points; each later form only at the common zeros
+    of the earlier ones.
     """
     if not forms:
         raise ParameterError("need at least one form")
@@ -133,8 +135,9 @@ def hypersurface_points(*forms: HomogeneousForm, budget: int = DEFAULT_BUDGET) -
     if any(f.field != field or f.n != n for f in forms):
         raise ParameterError("the forms must share one field and one n")
     pts = _points_array(field, n, budget)
-    zero = np.logical_and.reduce([f.evaluate(pts) == 0 for f in forms])
-    return PointSet(field, n, pts[zero])  # PG(n, q) comes out sorted
+    for f in forms:
+        pts = pts[f.evaluate(pts) == 0]
+    return PointSet(field, n, pts)  # PG(n, q) comes out sorted
 
 
 def _random_form(n: int, degree: int, field, rng: Prng) -> HomogeneousForm:

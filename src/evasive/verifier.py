@@ -60,11 +60,14 @@ them.
 
 Grouping
 --------
-The last level groups each batch's residues, scaled to a leading 1, with
-one lexsort over the prefix index and the columns, for every field size.
-An int64 key per row sorted with argsort speeds up large scans but not
-the search benchmark, would need this lexsort anyway where the key does
-not fit (PG(8, 256)), and maps numpy's SIMD sort code, raising peak RSS.
+The last level groups each batch's residues, scaled to a leading 1, by
+projgeom's packed row key: the prefix index, then the residue's digits
+in base q, in as few uint64 words as hold them.  One word, as in every
+benchmark scan, is sorted with one argsort; PG(8, 256) and wider need
+two or more words, which are lexsorted.  The first argsort maps numpy's
+SIMD sort code: beside the column lexsort it replaced, the benchmark
+workloads' peak RSS measured 0.1 to 0.4 MiB higher, within the 1.6 MiB
+(5%) the benchmark allows.
 
 Workspace
 ---------
@@ -97,10 +100,13 @@ from .gf import array_mul, array_pow, array_sub_mul
 from .projgeom import (
     DEFAULT_BUDGET,
     PointSet,
+    _leads,
     _span,
     all_points,
     count_points,
     gaussian_binomial,
+    row_keys,
+    sort_runs,
 )
 
 ORACLE_SPACE_CAP = 100_000
@@ -127,10 +133,11 @@ class ViolationWitness:
 
     def recheck(self, X: PointSet) -> None:
         """Assert consistency against X with the oracle's scalar elimination (tests)."""
+        points = tuple(map(tuple, X.array.tolist()))
         rows, _ = _scalar_rref(X.field, self.generating_points)
-        assert all(p in X for p in self.generating_points)
+        assert set(self.generating_points) <= set(points)
         assert len(rows) == self.span_dim + 1
-        members = tuple(p for p in X.points
+        members = tuple(p for p in points
                         if len(_scalar_rref(X.field, (*rows, p))[0]) == len(rows))
         assert members == self.intersection
         assert set(self.generating_points) <= set(self.intersection)
@@ -155,14 +162,6 @@ def _subset(level: _Level, row: int, N: int) -> tuple:
     """The subset a row of a last-level batch stands for: its prefix, then its point."""
     k = int(np.searchsorted(level.start, row, side="right")) - 1
     return (*level.prefix[k].tolist(), row + N - int(level.start[k + 1]))
-
-
-def _leads(R: np.ndarray) -> np.ndarray:
-    """The first nonzero entry of each row of R, 0 for a zero row."""
-    lead = R[:, -1].copy()
-    for c in range(R.shape[1] - 2, -1, -1):
-        np.copyto(lead, R[:, c], where=R[:, c] != 0)
-    return lead
 
 
 def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
@@ -216,7 +215,8 @@ def _children(field, level: _Level, m: int, N: int, limit: list):
     cost = np.cumsum(after[a], dtype=np.int64)
     del after
     # workspace of one child row: 16 bytes a cell (values and intp
-    # indices) plus 96 for its index and sort arrays
+    # indices) plus 96 for its index and sort arrays, among them the
+    # packed key and its sorted copy, 16 bytes a uint64 word
     row_bytes = 16 * level.rows.shape[1] + 96
     lo, done = 0, 0
     while lo < len(a):
@@ -235,16 +235,12 @@ def _children(field, level: _Level, m: int, N: int, limit: list):
         lo, done = hi, int(cost[hi - 1])
 
 
-def _class_sizes(rows: np.ndarray, node: np.ndarray) -> np.ndarray:
-    """How many rows of the same node equal each row (rows scaled to a leading 1)."""
-    order = np.lexsort((*rows.T[::-1], node))
-    srt, owner = rows[order], node[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1) | (owner[1:] != owner[:-1])
-    del srt, owner
-    run = np.cumsum(new)
+def _class_sizes(keys: list) -> np.ndarray:
+    """How many rows share each row's key (a row_keys key)."""
+    order, first = sort_runs(keys)
+    run = np.cumsum(first)
     run -= 1
-    sizes = np.empty(len(rows), dtype=np.intp)
+    sizes = np.empty(len(order), dtype=np.intp)
     sizes[order] = np.bincount(run)[run]
     return sizes
 
@@ -256,7 +252,11 @@ def _counts(field, level: _Level) -> np.ndarray:
     node = np.repeat(np.arange(K, dtype=np.min_scalar_type(K)), np.diff(level.start))
     lead = _leads(R)
     zero = lead == 0
-    sizes = _class_sizes(array_mul(field, array_pow(field, lead, -1)[:, None], R), node)
+    # residues scaled to a leading 1 are equal exactly when proportional
+    scaled = array_mul(field, array_pow(field, lead, -1)[:, None], R)
+    keys = row_keys(scaled, field.order, lead=node)
+    del scaled
+    sizes = _class_sizes(keys)
     sizes[zero] = 0
     sizes += (level.base + np.add.reduceat(zero, level.start[:-1], dtype=np.intp))[node]
     return sizes
@@ -434,5 +434,5 @@ def oracle_max_in_s_space(X: PointSet, s: int) -> int:
     _check_dims(X, s)
     if len(X) == 0:
         raise ParameterError("point set is empty")
-    points = set(X.points)
+    points = set(map(tuple, X.array.tolist()))
     return max(len(points & space) for space in _all_s_spaces(X.field, X.n, s))

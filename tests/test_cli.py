@@ -236,7 +236,7 @@ def test_construct_monomial_wider_than_64_dimensions(tmp_path, capsys):
     assert code == 0
     assert stdout.strip() == "monomial 70 2 1 70 1 yes"
     X, _, _ = pointset_from_json_bytes(out.read_bytes())
-    assert X.points == ((1,) * 71,)
+    assert X.array.tolist() == [[1] * 71]
 
 
 def test_construct_quadrics_budget_refuses_before_drawing(tmp_path, capsys, monkeypatch):

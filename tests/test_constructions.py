@@ -45,7 +45,7 @@ def test_factor_prime_power():
 
 def test_monomial_curve_frozen_points():
     X = monomial_curve(3, make_field(3, 1))
-    assert X.points == ((1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1))
+    assert X.array.tolist() == [[1, 1, 1, 1], [1, 1, 2, 2], [1, 2, 1, 2], [1, 2, 2, 1]]
 
 
 MONOMIAL_CASES = [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)] + \
@@ -57,7 +57,7 @@ def test_monomial_curve_size_and_validity(n, q):
     field = field_of_order(q)
     X = monomial_curve(n, field)
     assert len(X) == (q - 1) ** (n - 1)
-    assert all(pt[0] == 1 for pt in X.points)
+    assert all(pt[0] == 1 for pt in X.array.tolist())
     if len(X) > n:
         assert is_rs_set(X, n, 1)[0]
         assert is_proper(X, n, 1)
@@ -80,8 +80,8 @@ def test_rnc_is_an_arc(c, q):
     field = field_of_order(q)
     X = rational_normal_curve(c, field)
     assert len(X) == q + 1
-    assert (0,) * c + (1,) in X
-    for subset in itertools.combinations(X.points, c + 1):
+    assert [0] * c + [1] in X.array.tolist()
+    for subset in itertools.combinations(X.array.tolist(), c + 1):
         assert rank(field, subset) == c + 1
 
 
@@ -104,7 +104,7 @@ def test_elliptic_ovoid(q, p, k):
     field = make_field(p, k)
     X = elliptic_ovoid(field)
     assert len(X) == q * q + 1
-    assert (0, 1, 0, 0) in X
+    assert [0, 1, 0, 0] in X.array.tolist()
     assert is_rs_set(X, 2, 1)[0]  # a cap: no three collinear
     assert is_proper(X, 2, 1)
 
@@ -195,6 +195,9 @@ def test_bipartite_graph_validation():
     assert BipartiteGraph.from_edges(2, np.array([[1, 0], [0, 0], [0, 1]])) == g
     assert BipartiteGraph.from_edges(3, g.edges) != g
     assert BipartiteGraph.from_edges(2, []).edges.shape == (0, 2)
+    # labels below 2^32 pack into one word near 2^63, past float64's 53 bits
+    big = BipartiteGraph.from_edges(2**32 - 1, [(2**31, 2), (2**31, 1), (2**31, 2)])
+    assert big.edges.tolist() == [[2**31, 1], [2**31, 2]]
     with pytest.raises(ParameterError, match=r"\(0, 2\)"):
         BipartiteGraph.from_edges(2, [(0, 1), (0, 2)])
     with pytest.raises(ParameterError):
@@ -221,7 +224,7 @@ def test_graph_curve_planted_quadrangle_fails():
     quad = BipartiteGraph.from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     X = graph_curve_32(quad, field)
     assert len(X) == 4
-    assert rank(field, X.points) <= 3
+    assert rank(field, X.array.tolist()) <= 3
     ok, witness = is_rs_set(X, 3, 2)
     assert not ok
     assert witness.count == 4
@@ -342,7 +345,7 @@ def test_product_field_order_refused_before_logs(monkeypatch):
     with pytest.raises(BudgetExceeded, match="field order 16 exceeds budget 15"):
         product_construction(e0, 2, Y, 1, validate=False, budget=15)
     monkeypatch.setattr(_TableMixin, "logs", logs)
-    assert product_construction(e0, 2, Y, 1, validate=False, budget=16).points == ((1, 0, 0, 0),)
+    assert product_construction(e0, 2, Y, 1, validate=False, budget=16).array.tolist() == [[1, 0, 0, 0]]
 
 
 def test_product_builds_no_tables(monkeypatch):
@@ -475,8 +478,7 @@ def test_graph32_matches_scalar_reference(field):
 def test_from_rows_sorts_dedupes_and_checks_rows():
     F3 = make_field(3, 1)
     X = PointSet.from_rows(F3, 2, [(1, 2, 0), (0, 0, 1), (1, 2, 0), (0, 1, 2)])
-    assert X.points == ((0, 0, 1), (0, 1, 2), (1, 2, 0))
-    assert X.array.tolist() == [list(pt) for pt in X.points]
+    assert X.array.tolist() == [[0, 0, 1], [0, 1, 2], [1, 2, 0]]
     assert not X.array.flags.writeable
     assert len(PointSet.from_rows(F3, 6, np.zeros((0, 7), dtype=np.int64))) == 0
     with pytest.raises(ParameterError):

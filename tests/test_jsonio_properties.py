@@ -40,7 +40,7 @@ def point_sets(draw):
 def mutated_files(draw):
     X = draw(point_sets())
     field = X.field
-    rows = [list(pt) for pt in X.points]
+    rows = X.array.tolist()
     kind = draw(st.sampled_from(MUTATIONS)) if rows else "none"
     i = draw(st.integers(0, len(rows) - 1)) if rows else 0
     if kind == "swap":

@@ -24,6 +24,11 @@ from evasive.randomized import (
 from evasive.verifier import _scalar_rref, is_rs_set
 
 
+def point_set(X):
+    """The points of X as a set of tuples."""
+    return set(map(tuple, X.array.tolist()))
+
+
 # Reference outputs for splitmix64, fixed for all time.  A stream change
 # would silently alter every seeded construction, so freeze it hard.
 SPLITMIX_VECTORS = {
@@ -143,12 +148,12 @@ def test_hypersurface_points_frozen():
     F3 = make_field(3, 1)
     # x0^2 = 0 cuts out exactly the line x0 = 0
     f = HomogeneousForm(F3, 2, 2, {(2, 0, 0): 1})
-    assert hypersurface_points(f).points == (
-        (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2))
+    assert hypersurface_points(f).array.tolist() == [
+        [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]]
     # the conic x0 x2 - x1^2 through the standard parametrization
     conic = HomogeneousForm(F3, 2, 2, {(1, 0, 1): 1, (0, 2, 0): 2})
-    assert hypersurface_points(conic).points == (
-        (0, 0, 1), (1, 0, 0), (1, 1, 1), (1, 2, 1))
+    assert hypersurface_points(conic).array.tolist() == [
+        [0, 0, 1], [1, 0, 0], [1, 1, 1], [1, 2, 1]]
 
 
 def test_hypersurface_matches_ovoid():
@@ -174,8 +179,8 @@ def test_hypersurface_points_of_several_forms():
     f = random_irreducible_quadric(3, F5, rng)
     g = random_irreducible_quadric(3, F5, rng)
     both = hypersurface_points(f, g)
-    assert set(both.points) == set(hypersurface_points(f).points) & set(
-        hypersurface_points(g).points)
+    assert point_set(both) == point_set(hypersurface_points(f)) & point_set(
+        hypersurface_points(g))
     assert 0 < len(both) < len(hypersurface_points(f))
 
 
@@ -234,12 +239,23 @@ def test_random_quadric_requires_odd_order():
         random_irreducible_quadric(3, make_field(2, 2), Prng(1))
 
 
+def test_hypersurface_points_after_an_empty_form():
+    # x0^2 + x0 x1 + x1^2 is irreducible over GF(2): no point of PG(1, 2)
+    # is a zero, so the later form is evaluated on no points at all
+    F2 = make_field(2, 1)
+    empty = HomogeneousForm(F2, 1, 2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+    line = HomogeneousForm(F2, 1, 3, {(3, 0): 1, (0, 3): 1})
+    assert len(hypersurface_points(line)) == 1
+    X = hypersurface_points(empty, line)
+    assert len(X) == 0 and X.array.shape == (0, 2) and X.array.dtype == np.uint8
+
+
 def test_cleanup_frozen_example():
     F3 = make_field(3, 1)
     X = PointSet.from_rows(
         F3, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (1, 0, 0)])
     out = cleanup(X, 2, 1)
-    assert out.points == ((1, 0, 0),)  # the full line is deleted in one step
+    assert out.array.tolist() == [[1, 0, 0]]  # the full line is deleted in one step
 
 
 def test_cleanup_identity_and_monotone():
@@ -248,7 +264,7 @@ def test_cleanup_identity_and_monotone():
     assert cleanup(ovoid, 2, 1) is ovoid  # already valid, untouched
     full = PointSet.from_rows(F2, 3, list(all_points(3, F2)))
     out = cleanup(full, 2, 1)
-    assert set(out.points) <= set(full.points)
+    assert point_set(out) <= point_set(full)
     assert is_rs_set(out, 2, 1)[0]
 
 
@@ -318,7 +334,7 @@ def test_cubic_intersection_degenerate_control():
     X = hypersurface_points(f)
     out = cleanup(X, 9, 2)
     assert is_rs_set(out, 9, 2)[0]
-    assert set(out.points) <= set(X.points)
+    assert point_set(out) <= point_set(X)
 
 
 def test_plane_cubics_meet_in_few_points():
@@ -333,8 +349,8 @@ def test_plane_cubics_meet_in_few_points():
         rng = Prng(1000 + seed)
         f = _random_form(2, 3, F7, rng)
         g = _random_form(2, 3, F7, rng)
-        zf = set(hypersurface_points(f).points)
-        zg = set(hypersurface_points(g).points)
+        zf = point_set(hypersurface_points(f))
+        zg = point_set(hypersurface_points(g))
         common = zf & zg
         hits += bool(common)
         if len(common) > 9:

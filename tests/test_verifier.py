@@ -16,7 +16,7 @@ from evasive.constructions import (
 )
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import FieldSpec, array_mul, array_pow, make_extension, make_field
-from evasive.projgeom import PointSet, all_points, normalize
+from evasive.projgeom import PointSet, all_points, normalize, row_keys
 from evasive.randomized import Prng, cubic_92_construction
 from evasive.verifier import (
     _make_witness,
@@ -38,10 +38,15 @@ LINE_IN_PLANE = PointSet.from_rows(
 THREE_COLLINEAR = PointSet.from_rows(F3, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
 
 
+def points(X):
+    """The points of X as tuples, in order, as witnesses hold them."""
+    return tuple(map(tuple, X.array.tolist()))
+
+
 def test_max_frozen_examples():
     count, w = max_in_s_space(LINE_IN_PLANE, 1)
     assert count == 4
-    assert set(w.intersection) == set(LINE_IN_PLANE.points)
+    assert set(w.intersection) == set(points(LINE_IN_PLANE))
     assert max_in_s_space(rational_normal_curve(4, F5), 2)[0] == 3
     assert max_in_s_space(monomial_curve(3, F3), 1)[0] <= 3
     full_plane = PointSet.from_rows(F2, 2, list(all_points(2, F2)))
@@ -168,12 +173,12 @@ def test_max_monotone_under_adding_points():
 def scalar_span(X, sub):
     """The points of X in the span of sub: those that leave the rank unchanged."""
     rows, _ = _scalar_rref(X.field, sub)
-    return tuple(p for p in X.points if len(_scalar_rref(X.field, (*rows, p))[0]) == len(rows))
+    return tuple(p for p in points(X) if len(_scalar_rref(X.field, (*rows, p))[0]) == len(rows))
 
 
 def brute_first_violation(X, dim, limit):
     """First subset in lex order whose span holds > limit points, scalar code."""
-    for sub in itertools.combinations(X.points, min(dim + 1, len(X))):
+    for sub in itertools.combinations(points(X), min(dim + 1, len(X))):
         inside = scalar_span(X, sub)
         if len(inside) > limit:
             return sub, inside
@@ -182,7 +187,7 @@ def brute_first_violation(X, dim, limit):
 
 def brute_max(X, s):
     return max(len(scalar_span(X, sub))
-               for sub in itertools.combinations(X.points, min(s + 1, len(X))))
+               for sub in itertools.combinations(points(X), min(s + 1, len(X))))
 
 
 def assert_matches_brute_force(X, s, limit):
@@ -200,14 +205,14 @@ def test_kernel_points_as_0_spaces():
     assert max_in_s_space(X, 0)[0] == 1
     assert find_violation(X, 0, 1) is None
     w = find_violation(X, 0, 0)
-    assert w.generating_points == w.intersection == (X.points[0],)
+    assert w.generating_points == w.intersection == points(X)[:1]
     assert w.span_dim == 0
 
 
 def test_kernel_fewer_points_than_subset_size():
     X = PointSet.from_rows(F3, 3, [(0, 0, 1, 2), (1, 2, 0, 0)])
     count, w = max_in_s_space(X, 2)
-    assert count == 2 and w.generating_points == w.intersection == X.points
+    assert count == 2 and w.generating_points == w.intersection == points(X)
     assert_matches_brute_force(X, 2, 1)
     one = PointSet.from_rows(F3, 3, [(1, 1, 1, 1)])
     assert max_in_s_space(one, 2)[0] == 1 and find_violation(one, 2, 0).count == 1
@@ -271,7 +276,7 @@ def test_kernel_above_uint8(field):
     assert len(X) == 9
     for s, most in [(1, 4), (2, 7)]:
         # brute_max and brute_first_violation in one pass: scalar spans are slow in towers
-        spans = [(sub, scalar_span(X, sub)) for sub in itertools.combinations(X.points, s + 1)]
+        spans = [(sub, scalar_span(X, sub)) for sub in itertools.combinations(points(X), s + 1)]
         assert max_in_s_space(X, s)[0] == max(len(inside) for _, inside in spans) == most
         for limit in (1, most - 1, most):
             w = find_violation(X, s, limit)
@@ -335,7 +340,7 @@ def test_class_sizes_counts_equal_rows_of_each_prefix():
     node = np.repeat(np.arange(4), 30)
     expect = [sum(int(node[k] == node[i]) * int((rows[k] == rows[i]).all()) for k in range(120))
               for i in range(120)]
-    assert verifier._class_sizes(rows, node).tolist() == expect
+    assert verifier._class_sizes(row_keys(rows, 3, lead=node)).tolist() == expect
 
 
 def traced_peak(X, r, s):
