@@ -40,7 +40,7 @@ _EXPORTS = {
     "errors": ("BudgetExceeded", "ParameterError"),
     "gf": ("FieldSpec", "make_extension", "make_field"),
     "jsonio": ("pointset_from_json_bytes", "pointset_to_json_bytes"),
-    "projgeom": ("PointSet", "all_points", "normalize"),
+    "projgeom": ("PointSet",),
     "randomized": (
         "HomogeneousForm",
         "Prng",
@@ -58,7 +58,6 @@ _EXPORTS = {
         "is_proper",
         "is_rs_set",
         "max_in_s_space",
-        "oracle_max_in_s_space",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

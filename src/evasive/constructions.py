@@ -173,10 +173,6 @@ class BipartiteGraph:
         es.setflags(write=False)
         return cls(order, es)
 
-    @classmethod
-    def complete(cls, order: int) -> "BipartiteGraph":
-        return cls.from_edges(order, itertools.product(range(order), range(order)))
-
     def is_c4_free(self) -> bool:
         """No two left vertices share two common neighbours."""
         nbrs: dict[int, set[int]] = {}

@@ -388,8 +388,6 @@ class FieldSpec(_TableMixin):
         self._logs = None
         self._key = (self.p, base, N, modulus)
         self._hash = hash(self._key)
-        # beta is the power-basis generator (the class of X); degenerate for N=1
-        self.beta = self._q if N > 1 else 1
         # mul reads this only when the base is GF(p): X^N == sum of r X^j
         # over the (j, r) in _red
         self._red = tuple((j, (-c) % self.p) for j, c in enumerate(modulus[:-1]) if c)
@@ -480,9 +478,6 @@ class FieldSpec(_TableMixin):
         for c in reversed(tuple(coords)):
             out = out * q + c
         return out
-
-    def elements(self) -> range:
-        return range(self.order)
 
     # -- identity ------------------------------------------------------------
 

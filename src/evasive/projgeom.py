@@ -40,25 +40,6 @@ from .arith import DEFAULT_BUDGET, count_points, gaussian_binomial
 from .errors import BudgetExceeded, ParameterError
 from . import linalg
 
-ProjPoint = tuple[int, ...]
-
-
-def normalize(field, vec) -> ProjPoint:
-    """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    vec = tuple(vec)
-    for c in vec:
-        if c != 0:
-            if c == 1:
-                return vec
-            li = field.inv(c)
-            return tuple(field.mul(li, x) for x in vec)
-    raise ParameterError("cannot normalize the zero vector")
-
-
-def all_points(n: int, field, budget: int = DEFAULT_BUDGET):
-    """Every point of PG(n, field) as tuples, in ascending lexicographic order."""
-    return map(tuple, _points_array(field, n, budget).tolist())
-
 
 def require_points(n: int, q: int, budget: int) -> int:
     """count_points(n, q), or BudgetExceeded when it is above budget.
@@ -253,6 +234,9 @@ class PointSet:
         done, so it works at any field order.
         """
         rows = _matrix(field, rows, n + 1)
+        # no rows: the per-column work below would cost O(n) for nothing
+        if not len(rows):
+            return cls(field, n, rows)
         if not (_leads(rows) == 1).all():
             raise ParameterError("every row must be nonzero with first nonzero entry 1")
         keys = row_keys(rows, field.order)

@@ -8,10 +8,11 @@ s-spaces: a smaller subset's span count is dominated by any size-m
 superset drawn from X.
 
 Subsets are enumerated in lexicographic order over the sorted point list,
-and reported witnesses are the first qualifying subset in that order.  An
-independent oracle enumerates every s-space of the ambient explicitly
-(plain scalar code that shares nothing with linalg) for cross-checking on
-tiny instances.
+and reported witnesses are the first qualifying subset in that order.  The
+independent oracle lives with the tests (tests/oracle.py): it enumerates
+every s-space of the ambient explicitly, in plain scalar code that shares
+nothing with projgeom, linalg or this module, to cross-check tiny
+instances.
 
 Levels
 ------
@@ -87,8 +88,6 @@ starts when the order is above the budget, as it does when C(N, m) is.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -97,20 +96,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
 from .gf import array_mul, array_pow, array_sub_mul
-from .projgeom import (
-    DEFAULT_BUDGET,
-    PointSet,
-    _leads,
-    _span,
-    all_points,
-    count_points,
-    gaussian_binomial,
-    row_keys,
-    sort_runs,
-)
+from .projgeom import DEFAULT_BUDGET, PointSet, _leads, _span, row_keys, sort_runs
 
-ORACLE_SPACE_CAP = 100_000
-ORACLE_SUBSET_CAP = 10**7
 WORKSPACE_BYTES = 1 << 21  # residue batch of the scan, index temporaries included
 
 
@@ -130,17 +117,6 @@ class ViolationWitness:
     @property
     def count(self) -> int:
         return len(self.intersection)
-
-    def recheck(self, X: PointSet) -> None:
-        """Assert consistency against X with the oracle's scalar elimination (tests)."""
-        points = tuple(map(tuple, X.array.tolist()))
-        rows, _ = _scalar_rref(X.field, self.generating_points)
-        assert set(self.generating_points) <= set(points)
-        assert len(rows) == self.span_dim + 1
-        members = tuple(p for p in points
-                        if len(_scalar_rref(X.field, (*rows, p))[0]) == len(rows))
-        assert members == self.intersection
-        assert set(self.generating_points) <= set(self.intersection)
 
 
 class _Level(NamedTuple):
@@ -378,61 +354,3 @@ def is_proper(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> b
         if find_violation(X, m_dim, limit, budget=budget) is not None:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: enumerate every s-space of the ambient space.  Its
-# Gauss-Jordan is the package's only scalar elimination, kept apart from
-# linalg on purpose; the tests' references share it.
-
-def _scalar_rref(field, vectors):
-    """Gauss-Jordan by per-element field calls: (rows, pivot_cols), zero rows dropped."""
-    rows = [list(v) for v in vectors]
-    pivots = []
-    r = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        li = field.inv(rows[r][col])
-        rows[r] = [field.mul(li, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
-
-
-@functools.lru_cache(maxsize=32)
-def _all_s_spaces(field, n: int, s: int):
-    """Every s-space as a frozenset of points: the union of its spanning
-    (s+1)-subsets, grouped by RREF, since each of its points lies in one."""
-    q = field.order
-    nspaces = gaussian_binomial(n + 1, s + 1, q)
-    if nspaces > ORACLE_SPACE_CAP:
-        raise BudgetExceeded(f"{nspaces} s-spaces exceed oracle cap {ORACLE_SPACE_CAP}")
-    pts = list(all_points(n, field))
-    if comb(len(pts), s + 1) > ORACLE_SUBSET_CAP:
-        raise BudgetExceeded("oracle subset enumeration too large")
-    spaces = {}
-    for subset in itertools.combinations(pts, s + 1):
-        rows, _ = _scalar_rref(field, subset)
-        if len(rows) == s + 1:
-            spaces.setdefault(rows, set()).update(subset)
-    assert len(spaces) == nspaces
-    assert all(len(members) == count_points(s, q) for members in spaces.values())
-    return tuple(frozenset(members) for members in spaces.values())
-
-
-def oracle_max_in_s_space(X: PointSet, s: int) -> int:
-    """max |X ∩ S| by explicit enumeration of every s-space (tiny instances)."""
-    _check_dims(X, s)
-    if len(X) == 0:
-        raise ParameterError("point set is empty")
-    points = set(map(tuple, X.array.tolist()))
-    return max(len(points & space) for space in _all_s_spaces(X.field, X.n, s))

@@ -13,6 +13,7 @@ from statistics import median
 import mpmath
 import numpy as np
 import pytest
+from oracle import all_points, oracle_max_in_s_space
 
 from evasive.bounds import (
     best_upper_bound,
@@ -35,14 +36,14 @@ from evasive.constructions import (
 from evasive.gf import make_extension, make_field
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
 from evasive.linalg import batch_rref
-from evasive.projgeom import PointSet, all_points
+from evasive.projgeom import PointSet
 from evasive.randomized import (
     Prng,
     cubic_92_construction,
     gv_construction,
     quadric_42_construction,
 )
-from evasive.verifier import is_rs_set, max_in_s_space, oracle_max_in_s_space
+from evasive.verifier import is_rs_set, max_in_s_space
 
 
 SEEDS = (1, 2, 3, 4, 5)

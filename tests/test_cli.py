@@ -23,6 +23,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """os.environ with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(evasive.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_construct_monomial_summary(tmp_path, capsys):
     out = tmp_path / "m.json"
     code, stdout, _ = run(capsys, "construct", "monomial",
@@ -157,6 +165,19 @@ def test_verify_refuses_encodings_past_64_bits(tmp_path, capsys):
     assert "budget" in stderr and str(p) in stderr
 
 
+def test_verify_empty_file_at_the_largest_n(tmp_path):
+    # no points at n = 2^31 - 1: reading the empty set once cost Python
+    # work and memory per column, hours and hundreds of GB at this n
+    path = tmp_path / "empty.json"
+    path.write_bytes(b'{"p":2,"k":1,"modulus":[0,1],"n":2147483647,"r":1,"s":0,'
+                     b'"points":[]}\n')
+    done = subprocess.run([sys.executable, "-m", "evasive", "verify", "empty.json"],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+                          timeout=20)
+    assert done.returncode == 0
+    assert done.stdout == "VALID (1,0)-set: 0 points in PG(2147483647,2)\n"
+
+
 def test_construct_certifies_past_order_4096(tmp_path, capsys):
     # elimination once stopped at order 4096, and this call exited 2
     out = tmp_path / "r.json"
@@ -277,9 +298,7 @@ def test_construct_budget_message_stays_short(args, count, tmp_path, capsys):
 def test_construct_huge_n_refused_before_counting(tmp_path):
     # 3^(10^8 + 1) as an exact int takes minutes to build, so the count is
     # compared with the budget through its logarithm first
-    env = dict(os.environ)
-    src = str(Path(evasive.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     argv = ["construct", "gv", "--n", "100000000", "--q", "3", "--r", "3", "--s", "2",
             "--seed", "1", "--budget", "10", "--out", "gv.json"]
     done = subprocess.run([sys.executable, "-m", "evasive", *argv], cwd=tmp_path, env=env,
@@ -602,9 +621,7 @@ def test_no_verb_imports_mpmath(tmp_path):
             code = cli.main(argv)
             print("LOADED", argv[0], code, "mpmath" in sys.modules)
     """)
-    env = dict(os.environ)
-    src = str(Path(evasive.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     loaded = [line.split()[1:] for line in done.stdout.splitlines()

@@ -10,11 +10,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from oracle import normalize  # noqa: E402
 
 from evasive.gf import (array_add, array_pow, array_sub_mul, make_extension,  # noqa: E402
                         make_field)
 from evasive.jsonio import pointset_to_json_bytes  # noqa: E402
-from evasive.projgeom import PointSet, normalize  # noqa: E402
+from evasive.projgeom import PointSet  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 ORDER_MAX = 256

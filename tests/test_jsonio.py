@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import normalize
 
 from evasive.arith import _is_prime
 from evasive.constructions import elliptic_ovoid, monomial_curve, rational_normal_curve
 from evasive.errors import ParameterError
 from evasive.gf import make_extension, make_field
 from evasive.jsonio import ROW_CHUNK, pointset_from_json_bytes, pointset_to_json_bytes
-from evasive.projgeom import PointSet, normalize
+from evasive.projgeom import PointSet
 from evasive.verifier import is_rs_set
 
 

@@ -13,12 +13,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from oracle import normalize  # noqa: E402
 from test_jsonio import assert_parsed_array, reference_parse, reference_write  # noqa: E402
 
 from evasive.errors import ParameterError  # noqa: E402
 from evasive.gf import make_field  # noqa: E402
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes  # noqa: E402
-from evasive.projgeom import PointSet, normalize  # noqa: E402
+from evasive.projgeom import PointSet  # noqa: E402
 
 FUZZ_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1),
                make_field(3, 2)]

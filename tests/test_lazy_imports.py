@@ -79,6 +79,14 @@ def test_unknown_public_name_raises_attribute_error():
         evasive.no_such_name
 
 
+@pytest.mark.parametrize("name", ["oracle_max_in_s_space", "normalize", "all_points"])
+def test_test_references_are_not_exported(name):
+    # the oracle and its tuple helpers live in tests/oracle.py
+    assert name not in evasive.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(evasive, name)
+
+
 def test_randomized_loads_no_file_format(tmp_path):
     code, modules = _loaded(tmp_path, "-c", "import evasive.randomized")
     assert code == 0

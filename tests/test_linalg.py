@@ -1,13 +1,14 @@
 """Batched elimination cross-checked against the oracle's scalar Gauss-Jordan.
 
-verifier._scalar_rref is the package's one elimination by per-element
-field calls and shares no code with linalg, so these references never
-check the kernels against themselves (projgeom's rank and rref run
+oracle.scalar_rref (tests/oracle.py) eliminates by per-element field
+calls and shares no code with linalg or projgeom, so these references
+never check the kernels against themselves (projgeom's rank and rref run
 batch_rref).
 """
 
 import numpy as np
 import pytest
+from oracle import scalar_rref
 
 from evasive import linalg
 from evasive.gf import make_extension, make_field
@@ -18,7 +19,6 @@ from evasive.linalg import (
 )
 from evasive.projgeom import rank
 from evasive.randomized import Prng
-from evasive.verifier import _scalar_rref
 
 FIELDS = [
     make_field(2, 1),
@@ -31,7 +31,7 @@ FIELDS = [
 
 
 def scalar_rank(field, vectors):
-    return len(_scalar_rref(field, vectors)[0])
+    return len(scalar_rref(field, vectors)[0])
 
 
 def random_batch(field, B, m, w, seed):
@@ -59,7 +59,7 @@ def test_batch_rref_matches_scalar_rref(field):
     work = mats.copy()
     ranks, pivot_cols = batch_rref(field, work)
     for i in range(60):
-        rows, pivots = _scalar_rref(field, mats[i].tolist())
+        rows, pivots = scalar_rref(field, mats[i].tolist())
         assert ranks[i] == len(rows)
         got = [tuple(r) for r in work[i, : ranks[i]].tolist()]
         assert got == list(rows)
@@ -135,7 +135,7 @@ def test_kernels_agree_across_input_dtypes(field):
     assert np.array_equal(residues, narrow_residues)
     assert not residues[0, 3].any()
     for i in range(len(mats)):
-        rows, piv = _scalar_rref(field, mats[i].tolist())
+        rows, piv = scalar_rref(field, mats[i].tolist())
         assert [tuple(r) for r in wide[i, :ranks[i]].tolist()] == list(rows)
         assert pivots[i, :ranks[i]].tolist() == list(piv)
         for j, point in enumerate(pts.tolist()):
@@ -170,7 +170,7 @@ def test_kernels_above_uint8_match_scalar(field):
     members = batch_span_members(field, work, pivot_cols, pts)
     assert sorted(set(ranks.tolist())) == [0, 2, 3]
     for i in range(len(mats)):
-        rows, pivots = _scalar_rref(field, mats[i].tolist())
+        rows, pivots = scalar_rref(field, mats[i].tolist())
         assert rank(field, mats[i]) == ranks[i] == len(rows)
         assert [tuple(r) for r in work[i, :ranks[i]].tolist()] == list(rows)
         assert pivot_cols[i, :ranks[i]].tolist() == list(pivots)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import all_points, normalize, scalar_rref, scalar_span
 
 from evasive import projgeom
 from evasive.constructions import elliptic_ovoid, product_construction, rational_normal_curve
@@ -15,10 +16,8 @@ from evasive.projgeom import (
     _log10_power,
     _scientific,
     _shown,
-    all_points,
     count_points,
     gaussian_binomial,
-    normalize,
     rank,
     require_points,
     rref,
@@ -26,7 +25,6 @@ from evasive.projgeom import (
     span_mask,
 )
 from evasive.randomized import Prng
-from evasive.verifier import _scalar_rref
 
 
 def test_normalize_frozen_examples():
@@ -66,10 +64,13 @@ def test_normalize_scale_invariant_exhaustive(q, p, k, n):
         assert normalize(field, tuple(vecs[i].tolist())) == tuple(normed[i].tolist())
 
 
-@pytest.mark.parametrize("n,q,p,k", [
+SPACES = pytest.mark.parametrize("n,q,p,k", [
     (1, 3, 3, 1), (2, 2, 2, 1), (2, 3, 3, 1), (3, 2, 2, 1),
     (3, 4, 2, 2), (4, 3, 3, 1), (2, 9, 3, 2),
 ])
+
+
+@SPACES
 def test_all_points_sorted_normalized_counted(n, q, p, k):
     field = make_field(p, k)
     pts = list(all_points(n, field))
@@ -80,9 +81,18 @@ def test_all_points_sorted_normalized_counted(n, q, p, k):
         assert pt[(np.array(pt) != 0).argmax()] == 1
 
 
+@SPACES
+def test_points_array_matches_oracle_enumeration(n, q, p, k):
+    # row for row, in order: callers draw points of PG(n, q) by index
+    field = make_field(p, k)
+    pts = projgeom._points_array(field, n, projgeom.DEFAULT_BUDGET)
+    assert pts.dtype == field.dtype
+    assert list(map(tuple, pts.tolist())) == list(all_points(n, field))
+
+
 def test_all_points_budget():
     with pytest.raises(BudgetExceeded):
-        list(all_points(9, make_field(5, 1), budget=1000))
+        projgeom._points_array(make_field(5, 1), 9, 1000)
 
 
 def test_require_points_at_the_budget():
@@ -252,12 +262,14 @@ def test_from_rows_does_not_sort_strictly_ascending_rows(monkeypatch):
 
 def scalar_spread(point, ext):
     """The rows beta^i * y, 0 <= i < N, by per-element field calls, reduced
-    by the oracle's scalar Gauss-Jordan."""
+    by the oracle's scalar Gauss-Jordan; beta is the class of X, whose
+    base-q digits are (0, 1)."""
+    beta = ext.from_coords((0, 1))
     rows, scale = [], 1
     for _ in range(ext.N):
         rows.append([d for c in point for d in ext.coords(ext.mul(scale, c))])
-        scale = ext.mul(scale, ext.beta)
-    return _scalar_rref(ext.base, rows)[0]
+        scale = ext.mul(scale, beta)
+    return scalar_rref(ext.base, rows)[0]
 
 
 def every_point(field, n):
@@ -364,13 +376,12 @@ def test_rref_rank_and_basis_match_scalar_reference(field):
             cases.append(rows + [rows[0]])  # rank-deficient
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     for rows in cases:
-        ref = _scalar_rref(field, rows)
+        ref = scalar_rref(field, rows)
         assert rref(field, rows) == ref
         assert rank(field, rows) == len(ref[0])
         X = PointSet.from_rows(field, 3, [normalize(field, v) for v in rows + units if any(v)])
         if ref[0]:
-            inside = [pt for pt in X.array.tolist()
-                      if len(_scalar_rref(field, (*ref[0], pt))[0]) == len(ref[0])]
+            inside = scalar_span(field, ref[0], map(tuple, X.array.tolist()))
             assert X.array[span_mask(rows, X)].tolist() == [list(pt) for pt in inside]
         else:
             with pytest.raises(ParameterError):

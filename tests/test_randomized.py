@@ -4,11 +4,12 @@ import logging
 
 import numpy as np
 import pytest
+from oracle import all_points, scalar_rref
 
 from evasive.constructions import elliptic_ovoid
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import make_field
-from evasive.projgeom import PointSet, all_points, gaussian_binomial, rank
+from evasive.projgeom import PointSet, gaussian_binomial, rank
 from evasive.randomized import (
     HomogeneousForm,
     Prng,
@@ -21,7 +22,7 @@ from evasive.randomized import (
     quadric_42_construction,
     random_irreducible_quadric,
 )
-from evasive.verifier import _scalar_rref, is_rs_set
+from evasive.verifier import is_rs_set
 
 
 def point_set(X):
@@ -220,7 +221,7 @@ def symmetric_rank(form):
         else:
             i, j = nz
             sym[i][j] = sym[j][i] = field.mul(c, half)
-    return len(_scalar_rref(field, sym)[0])
+    return len(scalar_rref(field, sym)[0])
 
 
 def test_random_quadric_rank_floor():

@@ -1,11 +1,14 @@
 """Subspace intersection verifier, frozen witnesses, and the brute-force oracle."""
 
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import prefix_rref_scan as reference
 import pytest
+from oracle import all_points, normalize, oracle_max_in_s_space, recheck, scalar_span
 
 from evasive import verifier
 from evasive.constructions import (
@@ -16,16 +19,14 @@ from evasive.constructions import (
 )
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import FieldSpec, array_mul, array_pow, make_extension, make_field
-from evasive.projgeom import PointSet, all_points, normalize, row_keys
+from evasive.projgeom import PointSet, row_keys
 from evasive.randomized import Prng, cubic_92_construction
 from evasive.verifier import (
     _make_witness,
-    _scalar_rref,
     find_violation,
     is_proper,
     is_rs_set,
     max_in_s_space,
-    oracle_max_in_s_space,
 )
 
 
@@ -79,12 +80,12 @@ def test_witness_structure_and_recheck():
     assert w is not None
     assert w.span_dim <= 1
     assert w.count == 3
-    w.recheck(THREE_COLLINEAR)
+    recheck(w, THREE_COLLINEAR)
 
     curve = rational_normal_curve(4, F5)
     w2 = find_violation(curve, 2, 2)
     assert w2 is not None and w2.count == 3
-    w2.recheck(curve)
+    recheck(w2, curve)
 
 
 def test_witness_is_lex_first():
@@ -138,7 +139,7 @@ def test_oracle_agreement_random_sets(seed, s):
     X = PointSet.from_rows(F2, 3, sorted(chosen))
     count, w = max_in_s_space(X, s)
     assert count == oracle_max_in_s_space(X, s)
-    w.recheck(X)
+    recheck(w, X)
 
 
 def test_oracle_agreement_structured_sets():
@@ -148,6 +149,22 @@ def test_oracle_agreement_structured_sets():
     assert oracle_max_in_s_space(one, 1) == 1
     curve = rational_normal_curve(3, F3)  # small enough for full enumeration
     assert oracle_max_in_s_space(curve, 2) == max_in_s_space(curve, 2)[0] == 3
+
+
+def test_oracle_imports_no_scan_code():
+    # the oracle checks projgeom, linalg and the verifier, so it must not
+    # run their code: it may share only gf's scalar ops and arith's counts
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "evasive.arith" in imported
+    banned = ("evasive.projgeom", "evasive.linalg", "evasive.verifier")
+    assert not {name for name in imported if name.startswith(banned)}
 
 
 def test_max_monotone_under_adding_points():
@@ -168,25 +185,24 @@ def test_max_monotone_under_adding_points():
 
 # ---------------------------------------------------------------------------
 # The projection kernel against scalar references built on the oracle's
-# Gauss-Jordan, which shares no code with linalg.
+# Gauss-Jordan (tests/oracle.py), which shares no code with linalg.
 
-def scalar_span(X, sub):
-    """The points of X in the span of sub: those that leave the rank unchanged."""
-    rows, _ = _scalar_rref(X.field, sub)
-    return tuple(p for p in points(X) if len(_scalar_rref(X.field, (*rows, p))[0]) == len(rows))
+def span_points(X, sub):
+    """The points of X in the span of sub, by scalar elimination."""
+    return scalar_span(X.field, sub, points(X))
 
 
 def brute_first_violation(X, dim, limit):
     """First subset in lex order whose span holds > limit points, scalar code."""
     for sub in itertools.combinations(points(X), min(dim + 1, len(X))):
-        inside = scalar_span(X, sub)
+        inside = span_points(X, sub)
         if len(inside) > limit:
             return sub, inside
     return None
 
 
 def brute_max(X, s):
-    return max(len(scalar_span(X, sub))
+    return max(len(span_points(X, sub))
                for sub in itertools.combinations(points(X), min(s + 1, len(X))))
 
 
@@ -197,7 +213,7 @@ def assert_matches_brute_force(X, s, limit):
         assert w is None
     else:
         assert (w.generating_points, w.intersection) == ref
-        w.recheck(X)
+        recheck(w, X)
 
 
 def test_kernel_points_as_0_spaces():
@@ -276,7 +292,7 @@ def test_kernel_above_uint8(field):
     assert len(X) == 9
     for s, most in [(1, 4), (2, 7)]:
         # brute_max and brute_first_violation in one pass: scalar spans are slow in towers
-        spans = [(sub, scalar_span(X, sub)) for sub in itertools.combinations(points(X), s + 1)]
+        spans = [(sub, span_points(X, sub)) for sub in itertools.combinations(points(X), s + 1)]
         assert max_in_s_space(X, s)[0] == max(len(inside) for _, inside in spans) == most
         for limit in (1, most - 1, most):
             w = find_violation(X, s, limit)
@@ -310,7 +326,7 @@ def test_monomial_curve_above_uint8(field):
     assert is_rs_set(X, 2, 1) == (True, None)
     ok, w = is_rs_set(X, 1, 1)
     assert not ok and w.count == 2
-    w.recheck(X)
+    recheck(w, X)
 
 
 def test_early_exit_at_q2048_stays_small():

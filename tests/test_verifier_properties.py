@@ -14,17 +14,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from oracle import all_points, normalize, oracle_max_in_s_space, recheck  # noqa: E402
 import prefix_rref_scan as reference  # noqa: E402
 from test_verifier import assert_matches_brute_force, brute_max  # noqa: E402
 
 from evasive.gf import make_field  # noqa: E402
-from evasive.projgeom import PointSet, all_points, count_points, normalize  # noqa: E402
-from evasive.verifier import (  # noqa: E402
-    _make_witness,
-    find_violation,
-    max_in_s_space,
-    oracle_max_in_s_space,
-)
+from evasive.projgeom import PointSet, count_points  # noqa: E402
+from evasive.verifier import _make_witness, find_violation, max_in_s_space  # noqa: E402
 
 KERNEL_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1)]
 ORACLE_WORK_CAP = 10_000  # (s+1)-subsets of the ambient the oracle may enumerate
@@ -46,7 +42,7 @@ def test_kernel_matches_scalar_references(inst, limit):
     X, s = inst
     count, w = max_in_s_space(X, s)
     assert count == brute_max(X, s) == w.count
-    w.recheck(X)
+    recheck(w, X)
     if comb(count_points(X.n, X.field.order), s + 1) <= ORACLE_WORK_CAP:
         assert count == oracle_max_in_s_space(X, s)
     assert_matches_brute_force(X, s, limit)
