@@ -253,7 +253,6 @@ def graph_curve_for_prime_power(q0: int, budget: int = DEFAULT_BUDGET) -> PointS
 # Product construction via field reduction.
 
 def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
-                         validate: bool = True,
                          budget: int = DEFAULT_BUDGET) -> PointSet:
     """Spread-product of a proper (r, r-1)-set X with an (r, s)-set Y.
 
@@ -262,10 +261,10 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
     PG(NM-1, q) via field reduction and receives a copy of X; the union is
     an (r, s)-set of size |X| * |Y|.
 
-    With validate=True (the default) both preconditions are checked by the
-    verifier and reported with witnesses; validate=False trusts the caller
-    and, when Y's field is above order 256, builds no table.  BudgetExceeded
-    is raised when the product's |X| * |Y| * N * M coordinates, or the order
+    Both preconditions are certified first, X by is_proper and Y by
+    is_rs_set; a failure raises ParameterError, and Y's names the size
+    of a subspace and the points it holds.  BudgetExceeded is raised when
+    either scan, the product's |X| * |Y| * N * M coordinates, or the order
     of Y's field, whose discrete logs the multiplication reads, exceed the
     budget.
     """
@@ -273,21 +272,30 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
         raise ParameterError(
             f"X must be a proper ({r}, {r - 1})-set, which needs r >= 2, got r={r}"
         )
+    if not is_proper(X, r, r - 1, budget=budget):
+        raise ParameterError(f"X is not a proper ({r}, {r - 1})-set")
+    ok, witness = is_rs_set(Y, r, s, budget=budget)
+    if not ok:
+        raise ParameterError(
+            f"Y is not an ({r}, {s})-set: some {witness.span_dim}-space "
+            f"holds {witness.count} points"
+        )
+    return _spread_product(X, Y, budget=budget)
+
+
+def _spread_product(X: PointSet, Y: PointSet, *, budget: int = DEFAULT_BUDGET) -> PointSet:
+    """product_construction's body without its checks of X and Y.
+
+    Refuses a Y whose field is not the degree-(X.n + 1) extension of X's,
+    checks both budgets, and builds no table when Y's field is above
+    order 256.
+    """
     ext = Y.field
     N = X.n + 1
     if ext.base != X.field or ext.N != N:
         raise ParameterError(
             f"Y's field must be the degree-{N} extension of X's field, got {ext!r}"
         )
-    if validate:
-        if not is_proper(X, r, r - 1, budget=budget):
-            raise ParameterError(f"X is not a proper ({r}, {r - 1})-set")
-        ok, witness = is_rs_set(Y, r, s, budget=budget)
-        if not ok:
-            raise ParameterError(
-                f"Y is not an ({r}, {s})-set: some {witness.span_dim}-space "
-                f"holds {witness.count} points"
-            )
     M = Y.n + 1
     if len(X) * len(Y) * N * M > budget:
         raise BudgetExceeded(f"product would hold {len(X) * len(Y)} points of PG({N * M - 1}, q)")

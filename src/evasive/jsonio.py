@@ -124,7 +124,7 @@ def _points_array(pts, width: int, field) -> np.ndarray:
 
 
 def pointset_from_json_bytes(data: bytes):
-    """Parse and fully validate a point-set file.
+    """Parse and fully check a point-set file.
 
     Returns (PointSet, r, s) with r, s possibly None.  Any deviation from
     the format contract (wrong modulus, unsorted or unnormalized points,

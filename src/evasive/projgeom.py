@@ -117,17 +117,19 @@ def _points_array(field, n: int, budget: int) -> np.ndarray:
 def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
     """vectors as a fresh (m, w) array in field.dtype, checked before any use.
 
-    Refuses ragged rows, entries of a non-integer dtype (floats are not
-    truncated), a width other than ``width`` (when given) and encodings
-    outside [0, q), then narrows; no rows at all give an (0, width) array.
-    Rows of Python ints are read exactly at any size.
+    Refuses ragged rows, entries that are not integers (floats are not
+    truncated, and bools are not read as 0 and 1), a width other than
+    ``width`` (when given) and encodings outside [0, q), then narrows; no
+    rows at all give an (0, width) array.  Rows of Python ints are read
+    exactly at any size.
     """
     try:
         mat = np.array(vectors)
-        if mat.dtype.kind in "fO":
-            # numpy infers float64 for ints from 2^63 on beside smaller
-            # ones, and object past 2^64; object keeps every int exact,
-            # and a float array read as object still holds floats
+        if mat.dtype.kind in "fO" or not isinstance(vectors, np.ndarray):
+            # beside ints numpy infers int64 for bools, float64 for ints
+            # from 2^63 on and object past 2^64; object keeps every entry
+            # as it was given, and a float array read as object still
+            # holds floats
             mat = np.array(vectors, dtype=object)
             if not all(type(x) is int or isinstance(x, np.integer) for x in mat.flat):
                 mat = None  # floats, bools, or the lists of ragged rows

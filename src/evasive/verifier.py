@@ -96,7 +96,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
 from .gf import array_mul, array_pow, array_sub_mul
-from .projgeom import DEFAULT_BUDGET, PointSet, _leads, _span, row_keys, sort_runs
+from .projgeom import DEFAULT_BUDGET, PointSet, _leads, _span, rank, row_keys, sort_runs
 
 WORKSPACE_BYTES = 1 << 21  # residue batch of the scan, index temporaries included
 
@@ -273,9 +273,9 @@ def _span_counts(X: PointSet, m: int, budget: int):
 
 def _make_witness(X: PointSet, idx) -> ViolationWitness:
     pts = X.array[list(idx)]
-    rank, inside = _span(pts, X)
+    k, inside = _span(pts, X)
     return ViolationWitness(generating_points=tuple(map(tuple, pts.tolist())),
-                            span_dim=rank - 1,
+                            span_dim=k - 1,
                             intersection=tuple(map(tuple, X.array[inside].tolist())))
 
 
@@ -339,18 +339,35 @@ def is_rs_set(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET):
 
 
 def is_proper(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> bool:
-    """No m-space contains m + 1 + (r - s) points of X, for any m in [0, s].
+    """No m-space contains more than m + g points of X, for any m in [1, s], g = r - s.
 
-    m = 0 is not scanned: its limit r - s is at least 1, and a point of
-    the ambient holds at most one point of X.
+    m = 0 needs no check: g >= 1, and a point of the ambient holds at
+    most one point of X.  One scan at dimension s and the rank of X
+    decide the rest.
+
+    Lemma.  Let D = rank(X) - 1.  Suppose an m-space, 1 <= m <= s, holds
+    more than m + g points of X.  Then either an s-space holds more than
+    s + g = r of them, or D < s and |X| > D + g.  Proof: the points it
+    holds span a t-space T ⊆ <X> with t <= m, so T holds more than
+    t + g points of X.  While dim T < min(s, D), some point of X lies
+    outside T; adding it raises dim T by one and the count by at least
+    one, so the count stays above dim T + g.  At dim T = s that is the
+    first case; at dim T = D < s, T = <X> holds all of X, the second.
+    Conversely both cases break the rule: the first at m = s, the second
+    at m = D, which is at least 1 since |X| > D + g >= D + 1 and a
+    0-space holds one point.
+
+    So X is proper exactly when find_violation(X, s, r) finds nothing and
+    D >= s or |X| <= D + g.  The rank is taken after the scan, whose
+    budget checks come first; it reads the field's O(q) logs, so it is
+    refused like the scan when q is above the budget.
     """
     if not r > s >= 1:
         raise ParameterError(f"need r > s >= 1, got r={r}, s={s}")
-    _check_dims(X, s)
-    if len(X) == 0:
-        return True
-    for m_dim in range(1, s + 1):
-        limit = m_dim + r - s
-        if find_violation(X, m_dim, limit, budget=budget) is not None:
-            return False
-    return True
+    if find_violation(X, s, r, budget=budget) is not None:
+        return False
+    # the scan stops before its budget checks when |X| <= r
+    if X.field.order > budget:
+        raise BudgetExceeded(f"field order {X.field.order} exceeds budget {budget}")
+    D = rank(X.field, X.array) - 1
+    return D >= s or len(X) <= D + r - s

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import evasive
+from evasive import verifier
 from evasive.cli import main
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
 from evasive.verifier import is_rs_set
@@ -449,6 +450,39 @@ def test_construct_product_refuses_r_below_2(tmp_path, capsys):
     assert code == 2
     assert "proper (1, 0)-set" in stderr and "r >= 2" in stderr and "s=0" not in stderr
     assert not (tmp_path / "p.json").exists()
+
+
+def test_construct_product_scans_x_once(tmp_path, capsys, monkeypatch):
+    # is_proper certifies X with one call at dimension s: product-51's calls
+    # are X's, Y's and the product's, each at (dim, limit) = (2, 3)
+    calls = []
+    real = verifier.find_violation
+
+    def recording(X, dim, limit, **kwargs):
+        calls.append((X.n, X.field.order, dim, limit))
+        return real(X, dim, limit, **kwargs)
+
+    monkeypatch.setattr(verifier, "find_violation", recording)
+    code, stdout, _ = run(
+        capsys, "construct", "product", "--q", "2", "--r", "3", "--s", "2",
+        "--x-kind", "rnc", "--x-c", "3", "--y-kind", "rnc", "--y-c", "3",
+        "--out", str(tmp_path / "p.json"))
+    assert code == 0 and stdout.split() == ["product", "15", "2", "51", "3", "2", "yes"]
+    assert calls == [(3, 2, 2, 3), (3, 16, 2, 3), (15, 2, 2, 3)]
+
+
+def test_construct_product_x_scan_past_budget_is_exit_3(tmp_path, capsys):
+    # the monomial curve over GF(16) has collinear triples, but is_proper
+    # scans its planes only, and C(225, 3) spans are past the budget: exit 3,
+    # where a scan of its lines ended in exit 2 ("not a proper (3, 2)-set")
+    out = tmp_path / "p.json"
+    code, stdout, stderr = run(
+        capsys, "construct", "product", "--q", "16", "--r", "3", "--s", "2",
+        "--x-kind", "monomial", "--x-n", "3", "--y-kind", "rnc", "--y-c", "3",
+        "--budget", "1000000", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "subset scan needs C(225, 3) = 1873200 spans, budget is 1000000" in stderr
+    assert not out.exists()
 
 
 # sha256 of the files the tuple-based PointSet wrote, an independent reference;

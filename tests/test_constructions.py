@@ -20,7 +20,7 @@ from evasive.constructions import (
     rational_normal_curve,
     trimmed_incidence_graph,
 )
-from evasive.constructions import _smallest_irreducible_binary_quadratic
+from evasive.constructions import _smallest_irreducible_binary_quadratic, _spread_product
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import FieldSpec, _TableMixin, make_extension, make_field
 from evasive.jsonio import pointset_to_json_bytes
@@ -312,12 +312,23 @@ def test_product_validates_fields():
         product_construction(X, 2, Y3, 1)
 
 
+def test_product_x_scan_past_budget_is_refused():
+    # X of `construct product --q 64 --r 3 --s 2 --x-kind monomial --x-n 3`
+    # has collinear triples, but is_proper scans its planes only, which is
+    # past the default budget; Y is one point here, not that call's conic
+    X = monomial_curve(3, field_of_order(64))
+    Y = PointSet.from_rows(make_extension(X.field, 4), 3, [(1, 0, 0, 0)])
+    with pytest.raises(BudgetExceeded,
+                       match=r"C\(3969, 3\) = 10412708544 spans, budget is 100000000"):
+        product_construction(X, 3, Y, 2)
+
+
 def test_product_validate_false_skips_checks():
     base = make_field(2, 1)
     bad = PointSet.from_rows(base, 2, [(0, 0, 1), (0, 1, 0), (0, 1, 1)])
     ext = make_extension(base, 3)
     Y = rational_normal_curve(2, ext)
-    Z = product_construction(bad, 2, Y, 1, validate=False)
+    Z = _spread_product(bad, Y)
     assert len(Z) == len(bad) * len(Y)
 
 
@@ -331,8 +342,8 @@ def test_product_budget_covers_coordinates():
     # one point of X: 17 copies of four digits in each of three coordinates
     e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
     with pytest.raises(BudgetExceeded):
-        product_construction(e0, 2, Y, 1, validate=False, budget=1 * 17 * 4 * 3 - 1)
-    assert len(product_construction(e0, 2, Y, 1, validate=False, budget=1 * 17 * 4 * 3)) == 17
+        _spread_product(e0, Y, budget=1 * 17 * 4 * 3 - 1)
+    assert len(_spread_product(e0, Y, budget=1 * 17 * 4 * 3)) == 17
 
 
 def test_product_field_order_refused_before_logs(monkeypatch):
@@ -348,16 +359,16 @@ def test_product_field_order_refused_before_logs(monkeypatch):
 
     monkeypatch.setattr(_TableMixin, "logs", no_logs)
     with pytest.raises(BudgetExceeded, match="field order 16 exceeds budget 15"):
-        product_construction(e0, 2, Y, 1, validate=False, budget=15)
+        _spread_product(e0, Y, budget=15)
     monkeypatch.setattr(_TableMixin, "logs", logs)
-    assert product_construction(e0, 2, Y, 1, validate=False, budget=16).array.tolist() == [[1, 0, 0, 0]]
+    assert _spread_product(e0, Y, budget=16).array.tolist() == [[1, 0, 0, 0]]
 
 
 def test_product_builds_no_tables(monkeypatch):
     # above q = 256 products multiply in the extension through its discrete
-    # logs alone (up to 256 through its q x q tables); validate=True runs
-    # the verifier, which builds GF(7)'s tables: a conic over GF(7) times a
-    # conic over GF(7^3)
+    # logs alone (up to 256 through its q x q tables); product_construction
+    # runs the verifier, which builds GF(7)'s tables, and _spread_product,
+    # its unchecked body, does not: a conic over GF(7) times a conic over GF(7^3)
     base = make_field(7, 1)
     X = rational_normal_curve(2, base)
     Y = rational_normal_curve(2, make_extension(base, 3))
@@ -368,7 +379,7 @@ def test_product_builds_no_tables(monkeypatch):
         raise AssertionError("tables were built")
 
     monkeypatch.setattr(_TableMixin, "tables", no_tables)
-    assert product_construction(X, 2, Y, 1, validate=False) == Z
+    assert _spread_product(X, Y) == Z
 
 
 def test_monomial_size_compared_exactly_near_the_budget():
@@ -387,9 +398,7 @@ def test_product_q8_bytes_pinned():
     # 65 copies of the GF(8) ovoid in each of the 4097 spread elements of
     # the conic over GF(8)^4: 266,305 points of PG(11, 8), rows 12 wide
     base = make_field(2, 3)
-    Z = product_construction(elliptic_ovoid(base), 2,
-                             rational_normal_curve(2, make_extension(base, 4)), 1,
-                             validate=False)
+    Z = _spread_product(elliptic_ovoid(base), rational_normal_curve(2, make_extension(base, 4)))
     assert len(Z) == 266305
     assert hashlib.sha256(pointset_to_json_bytes(Z, 2, 1)).hexdigest() == \
         "d8b0e67a3fce99ef63a8880e26945841de2a7c605e1ad96367e047e49c19c46a"

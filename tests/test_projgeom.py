@@ -8,7 +8,7 @@ import pytest
 from oracle import all_points, normalize, scalar_rref, scalar_span
 
 from evasive import projgeom
-from evasive.constructions import elliptic_ovoid, product_construction, rational_normal_curve
+from evasive.constructions import _spread_product, elliptic_ovoid, rational_normal_curve
 from evasive.errors import BudgetExceeded, ParameterError
 from evasive.gf import array_pow, make_extension, make_field
 from evasive.projgeom import (
@@ -300,7 +300,7 @@ def test_product_matches_scalar_reference(p, k, N):
             for xi, row in zip(x, spread):
                 image = [base.add(a, base.mul(xi, b)) for a, b in zip(image, row)]
             expected.append(normalize(base, image))
-    assert product_construction(X, 2, Y, 1, validate=False) == \
+    assert _spread_product(X, Y) == \
         PointSet.from_rows(base, 2 * N - 1, expected)
 
 
@@ -309,8 +309,7 @@ def test_spread_partitions_space(p, k, N):
     # PG(1, q^N) -> q^N+1 pairwise disjoint (N-1)-spaces covering PG(2N-1, q):
     # the copies of all of PG(N-1, q) are all of PG(2N-1, q), none twice
     base = make_field(p, k)
-    Z = product_construction(every_point(base, N - 1), 2,
-                             every_point(make_extension(base, N), 1), 1, validate=False)
+    Z = _spread_product(every_point(base, N - 1), every_point(make_extension(base, N), 1))
     assert Z == every_point(base, 2 * N - 1)
 
 
@@ -319,16 +318,15 @@ def test_product_degenerate_shapes():
     # M = 1: the single point of PG(0, q^N) fills all of PG(N-1, q)
     ext = make_extension(base, 3)
     plane = every_point(base, 2)
-    assert product_construction(plane, 2, PointSet.from_rows(ext, 0, [(1,)]), 1,
-                                validate=False) == plane
+    assert _spread_product(plane, PointSet.from_rows(ext, 0, [(1,)])) == plane
     # N = 1: points map to themselves
     ident = make_extension(base, 1)
     one = PointSet.from_rows(base, 0, [(1,)])
     Y = PointSet.from_rows(ident, 2, [(1, 0, 1)])
-    assert product_construction(one, 2, Y, 1, validate=False).array.tolist() == [[1, 0, 1]]
+    assert _spread_product(one, Y).array.tolist() == [[1, 0, 1]]
     # no points, no copies
     empty = PointSet.from_rows(ext, 1, np.zeros((0, 2), dtype=np.int64))
-    Z = product_construction(plane, 2, empty, 1, validate=False)
+    Z = _spread_product(plane, empty)
     assert Z.n == 5 and Z.array.shape == (0, 6)
 
 
@@ -339,9 +337,9 @@ def test_product_refuses_zero_rows_and_prime_fields():
     # the trusted constructor lets a zero row through; its copies are zero
     zero = PointSet(ext, 1, np.array([[0, 0], [1, 4]], dtype=np.int64))
     with pytest.raises(ParameterError, match="nonzero"):
-        product_construction(X, 2, zero, 1, validate=False)
+        _spread_product(X, zero)
     with pytest.raises(ParameterError, match="extension"):
-        product_construction(X, 2, PointSet.from_rows(base, 1, [(1, 2)]), 1, validate=False)
+        _spread_product(X, PointSet.from_rows(base, 1, [(1, 2)]))
 
 
 def test_product_copies_fill_their_spread_elements():
@@ -350,13 +348,13 @@ def test_product_copies_fill_their_spread_elements():
     Y = PointSet.from_rows(ext, 1, [(1, 3)])
     rows = scalar_spread(Y.array.tolist()[0], ext)  # a 3-space of PG(7, 2)
     ovoid = elliptic_ovoid(base)
-    copy = product_construction(ovoid, 2, Y, 1, validate=False)
+    copy = _spread_product(ovoid, Y)
     assert len(copy) == len(ovoid)
     assert copy.n == 7
     assert span_mask(rows, copy).all()
     # the first unit vector lands on the first basis row
     e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
-    img = product_construction(e0, 2, Y, 1, validate=False)
+    img = _spread_product(e0, Y)
     assert img.array.tolist() == [list(rows[0])]
 
 
@@ -425,6 +423,22 @@ def test_non_integer_coordinates_refused_not_truncated():
     # any integer dtype is taken, and an empty float array is just empty
     assert rank(F3, np.array([[1, 2, 0]], dtype=np.uint8)) == 1
     assert len(PointSet.from_rows(F3, 2, np.zeros((0, 3)))) == 0
+
+
+def test_bools_in_lists_refused_not_read_as_ints():
+    # beside ints numpy infers int64 for True and np.True_, so the plain
+    # array would read (True, 2, 0) as (1, 2, 0)
+    F3 = make_field(3, 1)
+    plane = PointSet.from_rows(F3, 2, [(0, 0, 1), (1, 2, 0)])
+    for true in (True, np.True_):
+        rows = [(true, 2, 0)]
+        for call in (lambda: rank(F3, rows), lambda: PointSet.from_rows(F3, 2, rows),
+                     lambda: span_mask(rows, plane)):
+            with pytest.raises(ParameterError, match="integer rows"):
+                call()
+    # numpy integers in a list are still integers
+    assert rank(F3, [(np.uint8(1), np.int64(2), 0)]) == 1
+    assert span_mask([(np.uint8(1), 2, 0)], plane).tolist() == [False, True]
 
 
 @pytest.mark.parametrize("field,row", [

@@ -18,7 +18,7 @@ from evasive.constructions import (
     rational_normal_curve,
 )
 from evasive.errors import BudgetExceeded, ParameterError
-from evasive.gf import FieldSpec, array_mul, array_pow, make_extension, make_field
+from evasive.gf import FieldSpec, _TableMixin, array_mul, array_pow, make_extension, make_field
 from evasive.projgeom import PointSet, row_keys
 from evasive.randomized import Prng, cubic_92_construction
 from evasive.verifier import (
@@ -417,7 +417,21 @@ def test_is_proper_skips_the_point_scan(monkeypatch):
     for (X, r, s), proper in zip(cases, expect):
         dims.clear()
         assert is_proper(X, r, s) == proper
-        if proper:
-            assert dims == list(range(1, s + 1))
-        else:
-            assert dims and 0 not in dims
+        assert dims == [s]
+
+
+def test_is_proper_refuses_the_field_order_before_rank(monkeypatch):
+    # three points and r = 3 end the scan before its budget checks, and the
+    # rank that decides them reads the field's logs: a line holds the three
+    X = PointSet.from_rows(F5, 3, [(0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1)])
+    logs = _TableMixin.logs
+
+    def no_logs(self):
+        raise AssertionError("logs were built")
+
+    monkeypatch.setattr(_TableMixin, "logs", no_logs)
+    with pytest.raises(BudgetExceeded, match="field order 5 exceeds budget 4"):
+        is_proper(X, 3, 2, budget=4)
+    monkeypatch.setattr(_TableMixin, "logs", logs)
+    assert not is_proper(X, 3, 2, budget=5)
+    assert is_proper(X, 4, 2, budget=5)
