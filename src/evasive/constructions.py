@@ -25,8 +25,8 @@ import numpy as np
 from .arith import factor_prime_power, is_int
 from .errors import BudgetExceeded, ParameterError
 from .gf import ORDER_LIMIT, array_add, array_mul, array_pow, make_field
-from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _log10_power, _points_array,
-                       _scientific, _shown, row_keys, sort_runs)
+from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _integer_array, _log10_power,
+                       _points_array, _scientific, _shown, row_keys, sort_runs)
 from .verifier import is_proper, is_rs_set
 
 
@@ -160,7 +160,9 @@ class BipartiteGraph:
     def from_edges(cls, order: int, edges) -> "BipartiteGraph":
         """The graph of (x, y) pairs in any order, as an (E, 2) integer array or
         an iterable of pairs; refuses a label outside [0, order)."""
-        es = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        es = _integer_array(edges if isinstance(edges, np.ndarray) else list(edges))
+        if es is None:
+            raise ParameterError("edges must be (x, y) pairs of integers")
         if not es.size:
             es = es.reshape(0, 2)
         if es.ndim != 2 or es.shape[1] != 2:
@@ -168,6 +170,7 @@ class BipartiteGraph:
         bad = (es < 0).any(axis=1) | (es >= order).any(axis=1)
         if bad.any():
             raise ParameterError(f"edge label out of range: {tuple(es[bad][0].tolist())}")
+        es = es.astype(np.int64, copy=False)
         perm, first = sort_runs(row_keys(es, order))
         es = es[perm[first]]
         es.setflags(write=False)

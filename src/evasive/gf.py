@@ -388,9 +388,6 @@ class FieldSpec(_TableMixin):
         self._logs = None
         self._key = (self.p, base, N, modulus)
         self._hash = hash(self._key)
-        # mul reads this only when the base is GF(p): X^N == sum of r X^j
-        # over the (j, r) in _red
-        self._red = tuple((j, (-c) % self.p) for j, c in enumerate(modulus[:-1]) if c)
 
     # -- scalar operations ---------------------------------------------------
 
@@ -426,22 +423,8 @@ class FieldSpec(_TableMixin):
         base = self.base
         if base is None:
             return a * b % self.p
-        ca, cb = self.coords(a), self.coords(b)
-        if base.base is not None:
-            return self.from_coords(_pmod(base, _pmul(base, ca, cb), self.modulus))
-        # coefficients in GF(p): integer convolution, reduced mod p on the way
-        p, N = self.p, self.N
-        conv = [0] * (2 * N - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb, i):
-                    conv[j] += x * y
-        for i in range(2 * N - 2, N - 1, -1):
-            c = conv[i] % p
-            if c:
-                for j, r in self._red:
-                    conv[i - N + j] += c * r
-        return self.from_coords([c % p for c in conv[:N]])
+        return self.from_coords(_pmod(base, _pmul(base, self.coords(a), self.coords(b)),
+                                      self.modulus))
 
     def inv(self, a: int) -> int:
         if a == 0:

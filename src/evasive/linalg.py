@@ -9,8 +9,14 @@ read q x q tables, above it the field's O(q) logs, which inverses read at
 every order, and in characteristic 2 the subtraction is an XOR.  Like
 gf's ops, these functions build the field's logs with no limit on q, so
 callers bound q first.  Results, residues included, come out in the
-field's dtype.  Batches are eliminated in lock step: one pass over the
-columns, with per-matrix pivot bookkeeping carried in index arrays.
+field's dtype.
+
+The package has one elimination step, and the verifier's walk takes it
+too: unit_pivots scales a row to 1 at its first nonzero column, and that
+column is cleared from the other rows.  batch_rref takes the rows of a
+matrix one at a time, for every matrix of the batch in lock step, and
+then sorts the rows by pivot column; batch_residues clears the points
+with the finished rows the same way.
 """
 
 from __future__ import annotations
@@ -20,44 +26,44 @@ import numpy as np
 from .gf import array_mul, array_pow, array_sub_mul
 
 
+def unit_pivots(field, rows: np.ndarray):
+    """The pivot of each row of a (K, w) array, w >= 1: (cols, nonzero, units).
+
+    cols[i] is the first nonzero column of row i (0 for a zero row),
+    nonzero[i] whether the row has one, and units[i] the row scaled to 1
+    at cols[i]; zero rows stay zero.
+    """
+    cols = (rows != 0).argmax(axis=1)
+    lead = rows[np.arange(len(rows)), cols]
+    return cols, lead != 0, array_mul(field, array_pow(field, lead, -1)[:, None], rows)
+
+
 def batch_rref(field, mats: np.ndarray):
     """Reduce a batch of matrices to reduced row echelon form in place.
 
     mats has shape (B, m, w).  Returns (ranks, pivot_cols) where ranks is
     (B,) and pivot_cols is (B, m) holding the pivot column of each nonzero
     row in order, -1 past the rank.
+
+    Row i, which the pivots of rows 0..i-1 have already cleared, is scaled
+    to 1 at its first nonzero column, and that column is cleared from
+    every other row.  A zero row clears nothing.  The nonzero rows then go
+    in pivot-column order, and the zero rows after them.
     """
     B, m, w = mats.shape
-    row = np.zeros(B, dtype=np.int64)
-    pivot_cols = np.full((B, m), -1, dtype=np.int64)
-    rows_idx = np.arange(m, dtype=np.int64)
-    batch_idx = np.arange(B, dtype=np.int64)
-    for col in range(w):
-        active = row < m
-        cand = (mats[:, :, col] != 0) & (rows_idx[None, :] >= row[:, None]) & active[:, None]
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        sel = batch_idx[has]
-        prow = cand[has].argmax(axis=1)
-        rsel = row[has]
-        swap = prow != rsel
-        if swap.any():
-            ssel, sr, sp = sel[swap], rsel[swap], prow[swap]
-            tmp = mats[ssel, sr].copy()
-            mats[ssel, sr] = mats[ssel, sp]
-            mats[ssel, sp] = tmp
-        pv = mats[sel, rsel, col]
-        mats[sel, rsel] = array_mul(field, array_pow(field, pv, -1)[:, None], mats[sel, rsel])
-        factors = mats[sel, :, col]
-        factors[np.arange(len(sel)), rsel] = 0  # leave the pivot row itself alone
-        mats[sel] = array_sub_mul(field, mats[sel], factors[:, :, None],
-                                  mats[sel, rsel][:, None, :])
-        pivot_cols[sel, rsel] = col
-        row[has] += 1
-        if (row == m).all():
-            break
-    return row, pivot_cols
+    pivot_cols = np.full((B, m), w, dtype=np.int64)  # w marks a zero row, which sorts last
+    for i in range(m if w else 0):
+        cols, nonzero, units = unit_pivots(field, mats[:, i])
+        f = np.take_along_axis(mats, cols[:, None, None], axis=2)
+        mats[...] = array_sub_mul(field, mats, f, units[:, None, :])
+        mats[:, i] = units
+        pivot_cols[nonzero, i] = cols[nonzero]
+    order = np.argsort(pivot_cols, axis=1)
+    mats[...] = np.take_along_axis(mats, order[:, :, None], axis=1)
+    pivot_cols = np.take_along_axis(pivot_cols, order, axis=1)
+    ranks = (pivot_cols < w).sum(axis=1)
+    pivot_cols[pivot_cols == w] = -1
+    return ranks, pivot_cols
 
 
 def batch_residues(field, rref_mats, pivot_cols, points):
@@ -71,18 +77,12 @@ def batch_residues(field, rref_mats, pivot_cols, points):
     space together with the rows.
     """
     B, m, w = rref_mats.shape
-    N = points.shape[0]
-    V = np.empty((B, N, w), dtype=field.dtype)
+    V = np.empty((B, points.shape[0], w), dtype=field.dtype)
     V[...] = points
-    for step in range(m):
-        cols = pivot_cols[:, step]
-        live = cols >= 0
-        if not live.any():
-            break
-        c = np.where(live, cols, 0)
-        f = np.take_along_axis(V, c[:, None, None], axis=2)[:, :, 0]
-        rrow = np.where(live[:, None], rref_mats[:, step, :], 0)
-        V = array_sub_mul(field, V, f[:, :, None], rrow[:, None, :])
+    # a row past the rank is zero, so its pivot column -1 clears nothing
+    for step in range(m if w else 0):
+        f = np.take_along_axis(V, pivot_cols[:, step, None, None], axis=2)
+        V = array_sub_mul(field, V, f, rref_mats[:, step, None, :])
     return V
 
 

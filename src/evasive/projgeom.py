@@ -24,10 +24,15 @@ Subspaces are represented by the reduced row echelon form of any spanning
 set: pivots are 1 with zeros above and below, rows ordered by pivot column.
 Two subspaces are equal iff their RREF rows are equal, so the basis doubles
 as a canonical form.  Every rank, RREF and span test here runs
-linalg.batch_rref on a batch of one matrix, at every field order; input
-vectors are checked for shape and encoding range before they are
-eliminated.  Like gf's ops, elimination builds the field's O(q) logs with
-no limit on q, so callers bound q first.
+linalg.batch_rref on a batch of one matrix, at every field order.  It
+takes the rows one at a time, with the verifier walk's step: a row is
+scaled to 1 at its first nonzero column, that column is cleared from the
+other rows, and the nonzero rows are then put in pivot-column order.  A
+span test reduces each point with the finished rows the same way, and
+the point is in the span when nothing is left.  Input vectors are
+checked for shape, integer type and encoding range before they are
+eliminated.  Like gf's ops, elimination builds the field's O(q) logs
+with no limit on q, so callers bound q first.
 """
 
 from __future__ import annotations
@@ -114,28 +119,39 @@ def _points_array(field, n: int, budget: int) -> np.ndarray:
     return out
 
 
-def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
-    """vectors as a fresh (m, w) array in field.dtype, checked before any use.
+def _integer_array(values) -> np.ndarray | None:
+    """values as a fresh integer array, or None when an entry is not an integer.
 
-    Refuses ragged rows, entries that are not integers (floats are not
-    truncated, and bools are not read as 0 and 1), a width other than
-    ``width`` (when given) and encodings outside [0, q), then narrows; no
-    rows at all give an (0, width) array.  Rows of Python ints are read
-    exactly at any size.
+    Floats are not truncated and bools are not read as 0 and 1, in lists
+    or in arrays, and ragged rows are refused too.  Python ints are kept
+    exactly at any size, in an object array past what int64 holds.
     """
     try:
-        mat = np.array(vectors)
-        if mat.dtype.kind in "fO" or not isinstance(vectors, np.ndarray):
+        if isinstance(values, np.ndarray) and values.dtype.kind in "iub":
+            arr = np.array(values)
+        else:
             # beside ints numpy infers int64 for bools, float64 for ints
             # from 2^63 on and object past 2^64; object keeps every entry
             # as it was given, and a float array read as object still
             # holds floats
-            mat = np.array(vectors, dtype=object)
-            if not all(type(x) is int or isinstance(x, np.integer) for x in mat.flat):
-                mat = None  # floats, bools, or the lists of ragged rows
+            arr = np.array(values, dtype=object)
+            if not all(type(x) is int or isinstance(x, np.integer) for x in arr.flat):
+                return None  # floats, bools, or the lists of ragged rows
     except (TypeError, ValueError, OverflowError):
-        mat = None
-    if mat is None or mat.size and mat.dtype.kind not in "iuO":
+        return None
+    return arr if not arr.size or arr.dtype.kind in "iuO" else None
+
+
+def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
+    """vectors as a fresh (m, w) array in field.dtype, checked before any use.
+
+    Refuses ragged rows, entries that are not integers (see
+    _integer_array), a width other than ``width`` (when given) and
+    encodings outside [0, q), then narrows; no rows at all give an
+    (0, width) array.
+    """
+    mat = _integer_array(vectors)
+    if mat is None:
         raise ParameterError("vectors must be integer rows of one length")
     if mat.shape == (0,):
         mat = mat.reshape(0, width or 0)

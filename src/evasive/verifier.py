@@ -25,7 +25,8 @@ at its first nonzero column c, subtract f·r from every later residue
 (f its entry at c) and drop column c.  A residue is zero exactly when its
 point lies in <P, b>, and two nonzero residues are proportional exactly
 when their points span the same space together with P.  No prefix is
-ever eliminated from scratch, and batch_rref is not used by the scan.
+ever eliminated from scratch.  The step's pivot comes from
+linalg.unit_pivots, which batch_rref takes its row steps with too.
 
 The greedy-basis argument
 -------------------------
@@ -96,6 +97,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ParameterError
 from .gf import array_mul, array_pow, array_sub_mul
+from .linalg import unit_pivots
 from .projgeom import DEFAULT_BUDGET, PointSet, _leads, _span, rank, row_keys, sort_runs
 
 WORKSPACE_BYTES = 1 << 21  # residue batch of the scan, index temporaries included
@@ -149,11 +151,7 @@ def _extend(field, R: np.ndarray, a: np.ndarray, L: np.ndarray):
     already), in which case its rows are R's unchanged.
     """
     width = R.shape[1]
-    piv = R[a]
-    col = (piv != 0).argmax(axis=1)
-    lead = piv[np.arange(len(a)), col]
-    full = lead != 0
-    unit = array_mul(field, array_pow(field, lead, -1)[:, None], piv)  # zero rows stay zero
+    col, full, unit = unit_pivots(field, R[a])
     start = np.zeros(len(a) + 1, dtype=np.intp)
     np.cumsum(L, out=start[1:])
     src = np.repeat(a + 1 - start[:-1], L)

@@ -4,9 +4,14 @@ For every prefix P (the first m-1 points of an m-subset, in lex order) it
 eliminates P with linalg.batch_rref, reduces all N points modulo <P> with
 linalg.batch_residues, and groups the residues of all N points by a
 lexsort.  Then |X ∩ <P, p_j>| = |X ∩ <P>| + |class of j| for p_j ∉ <P>.
-It shares the elimination kernels with the package but none of the
-projection walk, so the walk's maxima, witnesses and first violations can
-be compared with it on the same inputs.
+Since batch_rref takes its rows one at a time with the walk's step, the
+two share linalg.unit_pivots, which picks and scales each pivot; the
+scan's prefix bookkeeping, its layer counts and its grouping share
+nothing with the walk, so the walk's maxima, witnesses and first
+violations can be compared with it on the same inputs.  The independent
+reference for the elimination itself stays oracle.scalar_rref, which
+test_linalg and test_linalg_properties check batch_rref and
+batch_residues against.
 """
 
 import itertools

@@ -212,6 +212,14 @@ def test_bipartite_graph_validation():
     for pairs in ([(0, 1, 2)], [(0, 1, 0, 1)], [0, 1]):
         with pytest.raises(ParameterError, match="pairs"):
             BipartiteGraph.from_edges(3, pairs)
+    # bools and floats are not read as integers, in lists or in arrays,
+    # and a label past int64 is out of range, not an overflow
+    for pairs in ([(True, 0), (0, 1)], [(0, 1.9)], np.array([[0.0, 1.0]]),
+                  np.array([[True, False]]), [(0, 1), (1,)]):
+        with pytest.raises(ParameterError, match="pairs"):
+            BipartiteGraph.from_edges(2, pairs)
+    with pytest.raises(ParameterError, match=rf"out of range: \({2**70}, 0\)"):
+        BipartiteGraph.from_edges(2, [(2**70, 0)])
 
 
 @pytest.mark.parametrize("q0", [2, 3, 4])
