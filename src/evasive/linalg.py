@@ -15,8 +15,10 @@ The package has one elimination step, and the verifier's walk takes it
 too: unit_pivots scales a row to 1 at its first nonzero column, and that
 column is cleared from the other rows.  batch_rref takes the rows of a
 matrix one at a time, for every matrix of the batch in lock step, and
-then sorts the rows by pivot column; batch_residues clears the points
-with the finished rows the same way.
+then sorts the rows by pivot column.  A row that is zero in every matrix
+takes no step, so one matrix takes at most its rank in full-array
+passes, however tall it is.  batch_residues clears the points with the
+finished rows the same way, up to the largest rank.
 """
 
 from __future__ import annotations
@@ -47,17 +49,26 @@ def batch_rref(field, mats: np.ndarray):
 
     Row i, which the pivots of rows 0..i-1 have already cleared, is scaled
     to 1 at its first nonzero column, and that column is cleared from
-    every other row.  A zero row clears nothing.  The nonzero rows then go
-    in pivot-column order, and the zero rows after them.
+    every other row.  A zero row clears nothing and takes no step.  The
+    nonzero rows then go in pivot-column order, and the zero rows after
+    them.
     """
     B, m, w = mats.shape
     pivot_cols = np.full((B, m), w, dtype=np.int64)  # w marks a zero row, which sorts last
-    for i in range(m if w else 0):
+    i = 0
+    while True:
+        # skip the rows that are zero in every matrix: they clear nothing,
+        # so a single matrix takes at most min(m, w) steps
+        nonzero_rows = mats[:, i:].any(axis=(0, 2))
+        if not nonzero_rows.any():
+            break
+        i += int(nonzero_rows.argmax())
         cols, nonzero, units = unit_pivots(field, mats[:, i])
         f = np.take_along_axis(mats, cols[:, None, None], axis=2)
         mats[...] = array_sub_mul(field, mats, f, units[:, None, :])
         mats[:, i] = units
         pivot_cols[nonzero, i] = cols[nonzero]
+        i += 1
     order = np.argsort(pivot_cols, axis=1)
     mats[...] = np.take_along_axis(mats, order[:, :, None], axis=1)
     pivot_cols = np.take_along_axis(pivot_cols, order, axis=1)
@@ -76,11 +87,12 @@ def batch_residues(field, rref_mats, pivot_cols, points):
     two points have proportional residues exactly when they span the same
     space together with the rows.
     """
-    B, m, w = rref_mats.shape
+    B, _, w = rref_mats.shape
     V = np.empty((B, points.shape[0], w), dtype=field.dtype)
     V[...] = points
-    # a row past the rank is zero, so its pivot column -1 clears nothing
-    for step in range(m if w else 0):
+    # a row past its matrix's rank is zero, so its pivot column -1 clears
+    # nothing; the steps stop at the largest rank
+    for step in range(int((pivot_cols >= 0).sum(axis=1).max(initial=0))):
         f = np.take_along_axis(V, pivot_cols[:, step, None, None], axis=2)
         V = array_sub_mul(field, V, f, rref_mats[:, step, None, :])
     return V

@@ -191,3 +191,28 @@ def test_batch_rref_empty_and_zero_matrices():
     # pivot row was normalized to leading 1
     assert mats[2, 0, 1] == 1
 
+
+
+def test_tall_and_dependent_rows_take_one_pass_per_pivot(monkeypatch):
+    # a single matrix takes one full-array pass per pivot, however many
+    # rows it has: 4097 rows of width 4, of rank 3, the last row needed
+    # for the span; and residues stop at the largest rank of the batch
+    field = make_field(2, 6)
+    rng = np.random.default_rng(1)
+    mats = rng.integers(1, 64, (1, 4097, 4))
+    mats[0, :, 2:] = 0
+    mats[0, -1] = (0, 0, 1, 5)
+    expect = scalar_rref(field, [tuple(mats[0, i].tolist()) for i in (0, 1, -1)])
+    passes = []
+    sub_mul = linalg.array_sub_mul
+    monkeypatch.setattr(linalg, "array_sub_mul",
+                        lambda *args: passes.append(args[1].shape) or sub_mul(*args))
+    ranks, pivot_cols = batch_rref(field, mats)
+    assert passes == [(1, 4097, 4)] * 3
+    assert list(ranks) == [3] and pivot_cols[0, :4].tolist() == [0, 1, 2, -1]
+    assert mats[0, :3].tolist() == [list(row) for row in expect[0]]
+    assert not mats[0, 3:].any()
+    passes.clear()
+    residues = batch_residues(field, mats[:, :40], pivot_cols[:, :40], np.eye(4, dtype=np.int64))
+    assert len(passes) == 3
+    assert residues[0].tolist() == [[0] * 4, [0] * 4, [0, 0, 0, 5], [0, 0, 0, 1]]
