@@ -507,6 +507,17 @@ PINNED_FILES = [
                   "--y-kind", "rnc", "--y-c", "2", "--no-verify"],
                  "15e1fb9ac868f2fdf14da68a38f17b7e62da49e756cf0485658aeff187d15676",
                  id="product-4369-tower"),
+    pytest.param(["monomial-affine", "--n", "3", "--q", "4"],
+                 "ca19f82a691f9b01ae325a760a255908094523a0a4e43ca5e594ac9085b97efd",
+                 id="monomial-affine-9"),
+    pytest.param(["product", "--q", "2", "--r", "2", "--s", "1", "--x-kind", "ovoid",
+                  "--y-kind", "ovoid"],
+                 "c1b3e0c32d1ff654d12dfcd70bc628274db5af380f09d3566128cff036556962",
+                 id="product-1285-ovoid-y"),
+    pytest.param(["product", "--q", "2", "--r", "3", "--s", "1", "--x-kind", "monomial",
+                  "--x-n", "3", "--y-kind", "ovoid"],
+                 "7016b1592acdb92996325592d9189d95e72fa3c3469e510f88dc57924e944502",
+                 id="product-257-monomial-x"),
     # pinned from the scalar point-line incidence scan
     *(pytest.param(["graph32", "--q0", str(q0), "--no-verify"], sha256, id=f"graph32-q0-{q0}")
       for q0, sha256 in [
