@@ -5,6 +5,12 @@ error, 3 enumeration budget exceeded.  Every randomized construction
 requires an explicit --seed; given the same arguments the tool writes
 byte-identical files.
 
+``construct`` reads each kind from one table, ``KINDS``: the options the
+kind needs and the (r, s) it is certified as.  A product's X and Y factors
+are built by the same family helper as the top-level monomial, rnc and
+ovoid kinds.  Every option a kind needs, the product's --x-* and --y-*
+options included, is checked before any field or point set is built.
+
 Each handler imports the modules its verb uses when it runs, so ``bounds``
 and ``table`` load no numpy and ``verify`` loads no construction module.
 ``python -m evasive`` and the ``evasive`` console script both run ``main``.
@@ -19,6 +25,26 @@ import sys
 from .arith import DEFAULT_BUDGET
 from .errors import BudgetExceeded, ParameterError
 
+# kind -> (the options it needs, the (r, s) it is certified as).  A term of
+# (r, s) is a number or an option, and "c-1" is one less than --c.  A
+# product factor of a family kind needs that kind's options but q, under
+# its --x- or --y- name.
+KINDS = {
+    "monomial": (("n", "q"), ("n", "1")),
+    "monomial-affine": (("n", "q"), ("n", "1")),
+    "rnc": (("c", "q"), ("c", "c-1")),
+    "ovoid": (("q",), ("2", "1")),
+    "graph32": (("q0",), ("3", "2")),
+    "gv": (("n", "q", "r", "s"), ("r", "s")),
+    "quadrics": (("m", "q"), ("4", "2")),
+    "cubics": (("q",), ("9", "2")),
+    "product": (("q", "r", "s"), ("r", "s")),
+}
+# the kinds built over a given field, by the name of their builder in
+# constructions, looked up at each call: a tracer that rebinds module
+# attributes (bench/trace_cli.py) would miss functions held in a table
+FAMILIES = {"monomial": "monomial_curve", "monomial-affine": "monomial_curve_affine_variant",
+            "rnc": "rational_normal_curve", "ovoid": "elliptic_ovoid"}
 RANDOMIZED_KINDS = frozenset({"gv", "quadrics", "cubics"})
 
 
@@ -35,10 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a point set and write it as JSON")
-    c.add_argument("kind", choices=[
-        "monomial", "monomial-affine", "rnc", "ovoid", "graph32",
-        "gv", "quadrics", "cubics", "product",
-    ])
+    c.add_argument("kind", choices=list(KINDS))
     c.add_argument("--n", type=int, help="ambient projective dimension")
     c.add_argument("--q", type=int, help="field order (any prime power)")
     c.add_argument("--q0", type=int, help="graph32: base plane order; ambient is PG(6, q0^2)")
@@ -83,42 +106,60 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _need(args, names: list[str], kind: str) -> None:
+def _options(kind: str, prefix: str = "") -> list[str]:
+    """The options a family needs besides q, under a product factor's prefix."""
+    return [prefix + name for name in KINDS[kind][0] if name != "q"]
+
+
+def _need(args, names, kind: str) -> None:
     missing = [f"--{name.replace('_', '-')}" for name in names
                if getattr(args, name) is None]
     if missing:
         raise ParameterError(f"construct {kind} requires {', '.join(missing)}")
 
 
-def _construct_product(args):
-    from .constructions import (
-        elliptic_ovoid,
-        field_of_order,
-        monomial_curve,
-        product_construction,
-        rational_normal_curve,
-    )
-    from .gf import make_extension
+def _term(args, term: str) -> int:
+    name, _, less = term.partition("-")
+    return (int(name) if name.isdigit() else getattr(args, name)) - int(less or 0)
 
-    _need(args, ["q", "r", "s"], "product")
-    base = field_of_order(args.q)
-    if args.x_kind == "ovoid":
-        X = elliptic_ovoid(base, budget=args.budget)
-    elif args.x_kind == "rnc":
-        _need(args, ["x_c"], "product --x-kind rnc")
-        X = rational_normal_curve(args.x_c, base, budget=args.budget)
-    else:
-        _need(args, ["x_n"], "product --x-kind monomial")
-        X = monomial_curve(args.x_n, base, budget=args.budget)
-    ext = make_extension(base, X.n + 1)
-    if args.y_kind == "rnc":
-        _need(args, ["y_c"], "product --y-kind rnc")
-        Y = rational_normal_curve(args.y_c, ext, budget=args.budget)
-    else:
-        Y = elliptic_ovoid(ext, budget=args.budget)
-    if args.y_trunc is not None:
-        Y = Y.truncated(args.y_trunc)
-    return product_construction(X, args.r, Y, args.s, budget=args.budget)
+
+def _family(kind: str, field, args, prefix: str = ""):
+    """A family kind over ``field``, its options read under ``prefix``."""
+    from . import constructions
+
+    values = [getattr(args, name) for name in _options(kind, prefix)]
+    return getattr(constructions, FAMILIES[kind])(*values, field, budget=args.budget)
+
+
+def _build(args):
+    from .constructions import field_of_order
+
+    kind = args.kind
+    if kind == "graph32":
+        from .constructions import graph_curve_for_prime_power
+
+        return graph_curve_for_prime_power(args.q0, budget=args.budget)
+    field = field_of_order(args.q)
+    if kind in FAMILIES:
+        return _family(kind, field, args)
+    if kind == "product":
+        from .constructions import product_construction
+        from .gf import make_extension
+
+        X = _family(args.x_kind, field, args, "x_")
+        Y = _family(args.y_kind, make_extension(field, X.n + 1), args, "y_")
+        if args.y_trunc is not None:
+            Y = Y.truncated(args.y_trunc)
+        return product_construction(X, args.r, Y, args.s, budget=args.budget)
+    from . import randomized
+
+    prng = randomized.Prng(args.seed)
+    if kind == "gv":
+        return randomized.gv_construction(args.n, field, args.r, args.s, prng,
+                                          budget=args.budget)
+    if kind == "quadrics":
+        return randomized.quadric_42_construction(args.m, field, prng, budget=args.budget)
+    return randomized.cubic_92_construction(field, prng, budget=args.budget)
 
 
 def _default_out(kind: str, args, X) -> str:
@@ -130,62 +171,18 @@ def _default_out(kind: str, args, X) -> str:
 
 
 def cmd_construct(args) -> int:
-    from .constructions import (
-        elliptic_ovoid,
-        field_of_order,
-        graph_curve_for_prime_power,
-        monomial_curve,
-        monomial_curve_affine_variant,
-        rational_normal_curve,
-    )
     from .jsonio import pointset_to_json_bytes
     from .verifier import is_rs_set
 
     kind = args.kind
     if kind in RANDOMIZED_KINDS and args.seed is None:
         raise ParameterError(f"construct {kind} is randomized and requires --seed")
-    if kind == "monomial" or kind == "monomial-affine":
-        _need(args, ["n", "q"], kind)
-        field = field_of_order(args.q)
-        build = monomial_curve if kind == "monomial" else monomial_curve_affine_variant
-        X = build(args.n, field, budget=args.budget)
-        r, s = args.n, 1
-    elif kind == "rnc":
-        _need(args, ["c", "q"], kind)
-        X = rational_normal_curve(args.c, field_of_order(args.q), budget=args.budget)
-        r, s = args.c, args.c - 1
-    elif kind == "ovoid":
-        _need(args, ["q"], kind)
-        X = elliptic_ovoid(field_of_order(args.q), budget=args.budget)
-        r, s = 2, 1
-    elif kind == "graph32":
-        _need(args, ["q0"], kind)
-        X = graph_curve_for_prime_power(args.q0, budget=args.budget)
-        r, s = 3, 2
-    elif kind == "gv":
-        from .randomized import Prng, gv_construction
-
-        _need(args, ["n", "q", "r", "s"], kind)
-        X = gv_construction(args.n, field_of_order(args.q), args.r, args.s,
-                            Prng(args.seed), budget=args.budget)
-        r, s = args.r, args.s
-    elif kind == "quadrics":
-        from .randomized import Prng, quadric_42_construction
-
-        _need(args, ["m", "q"], kind)
-        X = quadric_42_construction(args.m, field_of_order(args.q), Prng(args.seed),
-                                    budget=args.budget)
-        r, s = 4, 2
-    elif kind == "cubics":
-        from .randomized import Prng, cubic_92_construction
-
-        _need(args, ["q"], kind)
-        X = cubic_92_construction(field_of_order(args.q), Prng(args.seed),
-                                  budget=args.budget)
-        r, s = 9, 2
-    else:
-        X = _construct_product(args)
-        r, s = args.r, args.s
+    needs, certified = KINDS[kind]
+    if kind == "product":
+        needs += (*_options(args.x_kind, "x_"), *_options(args.y_kind, "y_"))
+    _need(args, needs, kind)
+    X = _build(args)
+    r, s = (_term(args, term) for term in certified)
 
     if args.no_verify:
         verified = "skipped"

@@ -264,17 +264,24 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
     PG(NM-1, q) via field reduction and receives a copy of X; the union is
     an (r, s)-set of size |X| * |Y|.
 
-    Both preconditions are certified first, X by is_proper and Y by
-    is_rs_set; a failure raises ParameterError, and Y's names the size
-    of a subspace and the points it holds.  BudgetExceeded is raised when
-    either scan, the product's |X| * |Y| * N * M coordinates, or the order
-    of Y's field, whose discrete logs the multiplication reads, exceed the
-    budget.
+    r - 1 must be below X's dimension and s below Y's, which is checked
+    before any scan and refused naming the factor and its space.  Then
+    both preconditions are certified, X by is_proper and Y by is_rs_set;
+    a failure raises ParameterError, and Y's names the size of a subspace
+    and the points it holds.  BudgetExceeded is raised when either scan,
+    the product's |X| * |Y| * N * M coordinates, or the order of Y's
+    field, whose discrete logs the multiplication reads, exceed the budget.
     """
     if r < 2:
         raise ParameterError(
             f"X must be a proper ({r}, {r - 1})-set, which needs r >= 2, got r={r}"
         )
+    if r - 1 >= X.n:
+        raise ParameterError(f"X lies in PG({X.n}, {X.field.order}), where a proper "
+                             f"({r}, {r - 1})-set needs r - 1 < {X.n}, got r={r}")
+    if not 0 <= s < Y.n:
+        raise ParameterError(f"Y lies in PG({Y.n}, {Y.field.order}), where an "
+                             f"({r}, {s})-set needs 0 <= s < {Y.n}, got s={s}")
     if not is_proper(X, r, r - 1, budget=budget):
         raise ParameterError(f"X is not a proper ({r}, {r - 1})-set")
     ok, witness = is_rs_set(Y, r, s, budget=budget)

@@ -348,7 +348,8 @@ HUGE = "9" * 4300  # the most digits int() parses
      "q has 14285 bits"),
     (["construct", "quadrics", "--m", "2", "--q", HUGE, "--seed", "1"], "q has 14285 bits"),
     (["construct", "cubics", "--q", HUGE, "--seed", "1"], "q has 14285 bits"),
-    (["construct", "product", "--q", HUGE, "--r", "2", "--s", "1"], "q has 14285 bits"),
+    (["construct", "product", "--q", HUGE, "--r", "2", "--s", "1", "--y-c", "2"],
+     "q has 14285 bits"),
     (["bounds", "--n", "2", "--q", HUGE, "--r", "3", "--s", "1"], "than a float can hold"),
     (["bounds", "--n", "1" + "0" * 400, "--q", "2", "--r", "3", "--s", "1"],
      "than a float can hold"),
@@ -451,6 +452,34 @@ def test_construct_product_refuses_r_below_2(tmp_path, capsys):
     assert "proper (1, 0)-set" in stderr and "r >= 2" in stderr and "s=0" not in stderr
     assert not (tmp_path / "p.json").exists()
 
+
+
+def test_construct_product_checks_options_before_building(tmp_path, capsys, monkeypatch):
+    # a missing --y-c is reported before X, a 4,012,010-point ovoid, is built
+    def no_ovoid(*args, **kwargs):
+        raise AssertionError("X was built before the options were checked")
+
+    monkeypatch.setattr("evasive.constructions.elliptic_ovoid", no_ovoid)
+    code, stdout, stderr = run(
+        capsys, "construct", "product", "--q", "2003", "--r", "2", "--s", "1",
+        "--x-kind", "ovoid", "--y-kind", "rnc", "--out", str(tmp_path / "p.json"))
+    assert code == 2 and stdout == ""
+    assert "requires --y-c" in stderr
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--q", "4", "--r", "3", "--s", "2", "--x-kind", "rnc", "--x-c", "2",
+      "--y-kind", "rnc", "--y-c", "3"],
+     "X lies in PG(2, 4), where a proper (3, 2)-set needs r - 1 < 2, got r=3"),
+    (["--q", "2", "--r", "2", "--s", "2", "--x-kind", "ovoid", "--y-kind", "rnc", "--y-c", "2"],
+     "Y lies in PG(2, 16), where an (2, 2)-set needs 0 <= s < 2, got s=2"),
+], ids=["x-r-past-dimension", "y-s-past-dimension"])
+def test_construct_product_dimension_error_names_the_factor(args, message, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    code, stdout, stderr = run(capsys, "construct", "product", *args, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {message}\n"
+    assert not out.exists()
 
 def test_construct_product_scans_x_once(tmp_path, capsys, monkeypatch):
     # is_proper certifies X with one call at dimension s: product-51's calls
