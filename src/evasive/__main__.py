@@ -111,7 +111,7 @@ def _options(kind: str, prefix: str = "") -> list[str]:
     return [prefix + name for name in KINDS[kind][0] if name != "q"]
 
 
-def _need(args, names, kind: str) -> None:
+def _need(args, names: tuple[str, ...], kind: str) -> None:
     missing = [f"--{name.replace('_', '-')}" for name in names
                if getattr(args, name) is None]
     if missing:
@@ -132,25 +132,22 @@ def _family(kind: str, field, args, prefix: str = ""):
 
 
 def _build(args):
-    from .constructions import field_of_order
+    from . import constructions
 
     kind = args.kind
     if kind == "graph32":
-        from .constructions import graph_curve_for_prime_power
-
-        return graph_curve_for_prime_power(args.q0, budget=args.budget)
-    field = field_of_order(args.q)
+        return constructions.graph_curve_for_prime_power(args.q0, budget=args.budget)
+    field = constructions.field_of_order(args.q)
     if kind in FAMILIES:
         return _family(kind, field, args)
     if kind == "product":
-        from .constructions import product_construction
         from .gf import make_extension
 
         X = _family(args.x_kind, field, args, "x_")
         Y = _family(args.y_kind, make_extension(field, X.n + 1), args, "y_")
         if args.y_trunc is not None:
             Y = Y.truncated(args.y_trunc)
-        return product_construction(X, args.r, Y, args.s, budget=args.budget)
+        return constructions.product_construction(X, args.r, Y, args.s, budget=args.budget)
     from . import randomized
 
     prng = randomized.Prng(args.seed)

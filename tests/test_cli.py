@@ -453,7 +453,6 @@ def test_construct_product_refuses_r_below_2(tmp_path, capsys):
     assert not (tmp_path / "p.json").exists()
 
 
-
 def test_construct_product_checks_options_before_building(tmp_path, capsys, monkeypatch):
     # a missing --y-c is reported before X, a 4,012,010-point ovoid, is built
     def no_ovoid(*args, **kwargs):
@@ -480,6 +479,7 @@ def test_construct_product_dimension_error_names_the_factor(args, message, tmp_p
     assert code == 2 and stdout == ""
     assert stderr == f"error: {message}\n"
     assert not out.exists()
+
 
 def test_construct_product_scans_x_once(tmp_path, capsys, monkeypatch):
     # is_proper certifies X with one call at dimension s: product-51's calls
