@@ -514,41 +514,55 @@ def test_construct_product_x_scan_past_budget_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
-# sha256 of the files the tuple-based PointSet wrote, an independent reference;
-# no benchmark call covers cleanup deletions, gv or products
+# stdout, and sha256 of the files the tuple-based PointSet wrote, an
+# independent reference; no benchmark call covers cleanup deletions, gv or products
 PINNED_FILES = [
     pytest.param(["quadrics", "--m", "3", "--q", "5", "--seed", "3"],
+                 "quadrics 5 5 34 4 2 yes",
                  "177887d14a5681031d0fc6e3fa7228b4911b2a6b33b48c1027362143b110f42c",
                  id="quadrics-cleanup-deletes-7-of-41"),
     pytest.param(["gv", "--n", "3", "--q", "5", "--r", "2", "--s", "1", "--seed", "2"],
+                 "gv 3 5 3 2 1 yes",
                  "5eee5b619dbaabbd6ea27a626be2e967660e2127e97c0f30d8d55eb2ce4175a2",
                  id="gv-cleanup-6-to-3"),
     pytest.param(["product", "--q", "3", "--r", "2", "--s", "1", "--x-kind", "ovoid",
                   "--y-kind", "rnc", "--y-c", "2"],
+                 "product 11 3 820 2 1 yes",
                  "75295edbccc26f95bf66a4b4743c387f635dd7ab47343a3d87222ca09710b70a",
                  id="product-820"),
     pytest.param(["product", "--q", "2", "--r", "3", "--s", "2", "--x-kind", "rnc",
                   "--x-c", "3", "--y-kind", "rnc", "--y-c", "3"],
+                 "product 15 2 51 3 2 yes",
                  "0249ec348ed9044d3c02157fa024659a4870f318b79609cdbb96af0549c51178",
                  id="product-51"),
     # over the tower GF(4)^4; pinned from the per-point scalar spread code
     pytest.param(["product", "--q", "4", "--r", "2", "--s", "1", "--x-kind", "ovoid",
                   "--y-kind", "rnc", "--y-c", "2", "--no-verify"],
+                 "product 11 4 4369 2 1 skipped",
                  "15e1fb9ac868f2fdf14da68a38f17b7e62da49e756cf0485658aeff187d15676",
                  id="product-4369-tower"),
     pytest.param(["monomial-affine", "--n", "3", "--q", "4"],
+                 "monomial-affine 3 4 9 3 1 yes",
                  "ca19f82a691f9b01ae325a760a255908094523a0a4e43ca5e594ac9085b97efd",
                  id="monomial-affine-9"),
     pytest.param(["product", "--q", "2", "--r", "2", "--s", "1", "--x-kind", "ovoid",
                   "--y-kind", "ovoid"],
+                 "product 15 2 1285 2 1 yes",
                  "c1b3e0c32d1ff654d12dfcd70bc628274db5af380f09d3566128cff036556962",
                  id="product-1285-ovoid-y"),
     pytest.param(["product", "--q", "2", "--r", "3", "--s", "1", "--x-kind", "monomial",
                   "--x-n", "3", "--y-kind", "ovoid"],
+                 "product 15 2 257 3 1 yes",
                  "7016b1592acdb92996325592d9189d95e72fa3c3469e510f88dc57924e944502",
                  id="product-257-monomial-x"),
+    # the ovoid's log path: above q = 256 it reads discrete logs and no table
+    pytest.param(["ovoid", "--q", "257", "--no-verify"],
+                 "ovoid 3 257 66050 2 1 skipped",
+                 "a1cd4d3cef12513765fe0a78fb0d808ab265b702049f65ed867cc8054b59209a",
+                 id="ovoid-q257"),
     # pinned from the scalar point-line incidence scan
-    *(pytest.param(["graph32", "--q0", str(q0), "--no-verify"], sha256, id=f"graph32-q0-{q0}")
+    *(pytest.param(["graph32", "--q0", str(q0), "--no-verify"],
+                   f"graph32 6 {q0 * q0} {q0**3} 3 2 skipped", sha256, id=f"graph32-q0-{q0}")
       for q0, sha256 in [
           (5, "dc0f55b454e32fa14c09f02736d6b8c64ff9ec556b3b889fcc59c8c84cf3214b"),
           (8, "a6c327e46d62014f21aa63529d8e752d501f185ae4ab30ffffac52bb02594483"),
@@ -557,11 +571,12 @@ PINNED_FILES = [
 ]
 
 
-@pytest.mark.parametrize("args,sha256", PINNED_FILES)
-def test_construct_writes_pinned_bytes(args, sha256, tmp_path, capsys):
+@pytest.mark.parametrize("args,summary,sha256", PINNED_FILES)
+def test_construct_writes_pinned_bytes(args, summary, sha256, tmp_path, capsys):
     out = tmp_path / "x.json"
-    code, _, _ = run(capsys, "construct", *args, "--out", str(out))
+    code, stdout, _ = run(capsys, "construct", *args, "--out", str(out))
     assert code == 0
+    assert stdout == summary + "\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
