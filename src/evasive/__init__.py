@@ -27,7 +27,6 @@ _EXPORTS = {
         "rao_decomposition",
     ),
     "constructions": (
-        "BipartiteGraph",
         "elliptic_ovoid",
         "graph_curve_32",
         "graph_curve_for_prime_power",

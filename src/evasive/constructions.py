@@ -17,16 +17,13 @@ copy in the spread element of y is x~ * y, coordinate by coordinate.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arith import factor_prime_power, is_int
 from .errors import BudgetExceeded, ParameterError
 from .gf import ORDER_LIMIT, array_add, array_mul, array_pow, make_field
-from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _integer_array, _log10_power,
-                       _points_array, _scientific, _shown, row_keys, sort_runs)
+from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _log10_power, _matrix,
+                       _points_array, _scientific, _shown, row_keys)
 from .verifier import is_proper, is_rs_set
 
 
@@ -130,13 +127,17 @@ def elliptic_ovoid(field, budget: int = DEFAULT_BUDGET) -> PointSet:
     if q * q + 1 > budget:
         raise BudgetExceeded(f"q^2 + 1 = {q * q + 1} points exceed budget {budget}")
     b, c = _smallest_irreducible_binary_quadratic(field)
-    s, t = np.divmod(np.arange(q * q), q)
-    # f(s, t) = s*s + (b s + c t)*t
-    bs_ct = array_add(field, array_mul(field, b, s), array_mul(field, c, t))
-    f = array_add(field, array_mul(field, s, s), array_mul(field, bs_ct, t))
+    # the columns are written in place: row 1 + s q + t is (1, f(s, t), s, t)
     rows = np.empty((q * q + 1, 4), dtype=field.dtype)
     rows[0] = (0, 1, 0, 0)
-    rows[1:] = np.stack([np.ones_like(s), f, s, t], axis=1)
+    grid = rows[1:].reshape(q, q, 4)
+    grid[:, :, 0] = 1
+    grid[:, :, 2] = np.arange(q)[:, None]
+    grid[:, :, 3] = np.arange(q)
+    s, t = rows[1:, 2], rows[1:, 3]
+    # f(s, t) = s*s + (b s + c t)*t
+    bs_ct = array_add(field, array_mul(field, b, s), array_mul(field, c, t))
+    rows[1:, 1] = array_add(field, array_mul(field, s, s), array_mul(field, bs_ct, t))
     out = PointSet.from_rows(field, 3, rows)
     assert len(out) == q * q + 1
     return out
@@ -145,60 +146,16 @@ def elliptic_ovoid(field, budget: int = DEFAULT_BUDGET) -> PointSet:
 # ---------------------------------------------------------------------------
 # C4-free graphs and the curve construction over them.
 
-@dataclass(frozen=True, eq=False)
-class BipartiteGraph:
-    """Bipartite graph on two label sets {0..order-1}.
-
-    ``edges`` is a read-only (E, 2) int64 array of the (x, y) pairs, sorted
-    and deduplicated, as ``from_edges`` builds it.
-    """
-
-    order: int
-    edges: np.ndarray
-
-    @classmethod
-    def from_edges(cls, order: int, edges) -> "BipartiteGraph":
-        """The graph of (x, y) pairs in any order, as an (E, 2) integer array or
-        an iterable of pairs; refuses a label outside [0, order)."""
-        es = _integer_array(edges if isinstance(edges, np.ndarray) else list(edges))
-        if es is None:
-            raise ParameterError("edges must be (x, y) pairs of integers")
-        if not es.size:
-            es = es.reshape(0, 2)
-        if es.ndim != 2 or es.shape[1] != 2:
-            raise ParameterError("edges must be (x, y) pairs")
-        bad = (es < 0).any(axis=1) | (es >= order).any(axis=1)
-        if bad.any():
-            raise ParameterError(f"edge label out of range: {tuple(es[bad][0].tolist())}")
-        es = es.astype(np.int64, copy=False)
-        perm, first = sort_runs(row_keys(es, order))
-        es = es[perm[first]]
-        es.setflags(write=False)
-        return cls(order, es)
-
-    def is_c4_free(self) -> bool:
-        """No two left vertices share two common neighbours."""
-        nbrs: dict[int, set[int]] = {}
-        for x, y in self.edges.tolist():
-            nbrs.setdefault(x, set()).add(y)
-        for a, b in itertools.combinations(nbrs.values(), 2):
-            if len(a & b) >= 2:
-                return False
-        return True
-
-    def __eq__(self, other):
-        return (isinstance(other, BipartiteGraph) and self.order == other.order
-                and np.array_equal(self.edges, other.edges))
-
-
-def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
+def trimmed_incidence_graph(q0: int) -> np.ndarray:
     """The point-line incidence graph of PG(2, q0), trimmed to q0^2 + q0^2 vertices.
 
     Removes the q0+1 points of the lexicographically smallest line L and the
     q0+1 lines through the lexicographically smallest point of L.  What
     remains has q0^2 points, q0^2 lines, and q0^3 incidences, and it stays
     C4-free because two points still lie on at most one line.  Surviving
-    points and lines are labeled 0..q0^2-1 in sorted coordinate order.
+    points and lines are labeled 0..q0^2-1 in sorted coordinate order, and
+    the graph is returned as its (q0^3, 2) int64 array of (point, line)
+    labels, one row an incidence, sorted ascending.
     """
     field = field_of_order(q0)
     pts = _points_array(field, 2, DEFAULT_BUDGET)
@@ -217,30 +174,29 @@ def trimmed_incidence_graph(q0: int) -> BipartiteGraph:
     [pts_key], [met_key] = row_keys(keep_pts, q0), row_keys(met.reshape(-1, 3), q0)
     i = np.searchsorted(pts_key, met_key)
     j = np.repeat(np.arange(q0 * q0), q0)
-    return BipartiteGraph.from_edges(q0 * q0, np.column_stack((i, j)))
+    order = np.lexsort((j, i))
+    return np.column_stack((i[order], j[order])).astype(np.int64, copy=False)
 
 
-def graph_curve_32(graph: BipartiteGraph, field, budget: int = DEFAULT_BUDGET) -> PointSet:
+def graph_curve_32(edges, field, budget: int = DEFAULT_BUDGET) -> PointSet:
     """{(1, x, x^2, x^3, y, y^2, y^3) : xy an edge} in PG(6, q).
 
-    Edge labels are read as field elements, so graph.order must not exceed
-    the field order.  When the graph is C4-free the result is a (3, 2)-set:
-    four of these points are coplanar only when the x's and y's each take
-    exactly two values, which would be a C4 (``graph.is_c4_free()``).
+    ``edges`` are the graph's (x, y) rows, as a list of pairs or an (E, 2)
+    integer array, in any order and with repeats.  Labels are read as
+    field elements, so each must be an integer in [0, q); they are checked
+    as point rows are, after the edge count and the field order are
+    checked against the budget.  When the graph is C4-free the result is
+    a (3, 2)-set: four of these points are coplanar only when the x's and
+    y's each take exactly two values, which would be a C4.
     """
-    if graph.order > field.order:
-        raise ParameterError(
-            f"graph labels run to {graph.order - 1} but the field has order {field.order}"
-        )
-    if len(graph.edges) > budget:
-        raise BudgetExceeded(f"{len(graph.edges)} edges exceed budget {budget}")
+    if len(edges) > budget:
+        raise BudgetExceeded(f"{len(edges)} edges exceed budget {budget}")
     # the powers come from field.logs(), which costs O(q)
     if field.order > budget:
         raise BudgetExceeded(f"field order {field.order} exceeds budget {budget}")
-    edges = graph.edges.reshape(-1, 2, 1)
     # (x, x^2, x^3, y, y^2, y^3) per edge, after a leading 1
-    powers = array_pow(field, edges, np.arange(1, 4)).reshape(-1, 6)
-    rows = np.hstack([np.ones((len(powers), 1), dtype=field.dtype), powers])
+    powers = array_pow(field, _matrix(field, edges, 2)[:, :, None], np.arange(1, 4))
+    rows = np.hstack([np.ones((len(powers), 1), dtype=field.dtype), powers.reshape(-1, 6)])
     return PointSet.from_rows(field, 6, rows)
 
 

@@ -119,39 +119,29 @@ def _points_array(field, n: int, budget: int) -> np.ndarray:
     return out
 
 
-def _integer_array(values) -> np.ndarray | None:
-    """values as a fresh integer array, or None when an entry is not an integer.
-
-    Floats are not truncated and bools are not read as 0 and 1, in lists
-    or in arrays, and ragged rows are refused too.  Python ints are kept
-    exactly at any size, in an object array past what int64 holds.
-    """
-    try:
-        if isinstance(values, np.ndarray) and values.dtype.kind in "iub":
-            arr = np.array(values)
-        else:
-            # beside ints numpy infers int64 for bools, float64 for ints
-            # from 2^63 on and object past 2^64; object keeps every entry
-            # as it was given, and a float array read as object still
-            # holds floats
-            arr = np.array(values, dtype=object)
-            if not all(type(x) is int or isinstance(x, np.integer) for x in arr.flat):
-                return None  # floats, bools, or the lists of ragged rows
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return arr if not arr.size or arr.dtype.kind in "iuO" else None
-
-
 def _matrix(field, vectors, width: int | None = None) -> np.ndarray:
     """vectors as a fresh (m, w) array in field.dtype, checked before any use.
 
-    Refuses ragged rows, entries that are not integers (see
-    _integer_array), a width other than ``width`` (when given) and
-    encodings outside [0, q), then narrows; no rows at all give an
-    (0, width) array.
+    Refuses ragged rows, entries that are not integers (floats are not
+    truncated and bools are not read as 0 and 1, in lists or in arrays),
+    a width other than ``width`` (when given) and encodings outside
+    [0, q), then narrows; no rows at all give an (0, width) array.
+    Python ints are compared exactly at any size.
     """
-    mat = _integer_array(vectors)
-    if mat is None:
+    try:
+        if isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iu":
+            mat = np.array(vectors)
+        else:
+            # beside ints numpy infers int64 for bools, float64 for ints
+            # from 2^63 on and object past 2^64; object keeps every entry
+            # as it was given, a bool or float array's too, and holds the
+            # lists of ragged rows
+            mat = np.array(vectors, dtype=object)
+        integers = mat.dtype.kind != "O" or all(
+            type(x) is int or isinstance(x, np.integer) for x in mat.flat)
+    except (TypeError, ValueError, OverflowError):
+        integers = False
+    if not integers:
         raise ParameterError("vectors must be integer rows of one length")
     if mat.shape == (0,):
         mat = mat.reshape(0, width or 0)

@@ -1,9 +1,11 @@
-"""The tests' independent references: scalar elimination and the subspace oracle.
+"""The tests' independent references: scalar elimination, the subspace oracle
+and the C4 test of a bipartite graph.
 
 Nothing here runs in the package.  PG(n, q) is enumerated with itertools,
 vectors are eliminated by a scalar Gauss-Jordan (one field call per
-element), and the oracle lists every s-space of the ambient as the points
-of its spanning subsets.  The only package code used is the field's
+element), the oracle lists every s-space of the ambient as the points
+of its spanning subsets, and a graph's 4-cycles are found from its
+neighbour sets.  The only package code used is the field's
 scalar ops, arith's counts and the error types; nothing comes from
 projgeom, linalg or the verifier, so their kernels are never checked
 against themselves.
@@ -107,3 +109,12 @@ def oracle_max_in_s_space(X, s: int) -> int:
         raise ParameterError(f"need a nonempty set and 0 <= s < n, got s={s}, n={X.n}")
     points = set(map(tuple, X.array.tolist()))
     return max(len(points & space) for space in _all_s_spaces(X.field, X.n, s))
+
+
+def is_c4_free(edges) -> bool:
+    """Whether the bipartite graph of these (x, y) edges has no 4-cycle:
+    no two left vertices share two right neighbours."""
+    nbrs: dict[int, set[int]] = {}
+    for x, y in edges:
+        nbrs.setdefault(x, set()).add(y)
+    return all(len(a & b) < 2 for a, b in itertools.combinations(nbrs.values(), 2))

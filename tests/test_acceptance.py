@@ -23,7 +23,6 @@ from evasive.bounds import (
 )
 from evasive.cli import main as cli_main
 from evasive.constructions import (
-    BipartiteGraph,
     elliptic_ovoid,
     field_of_order,
     graph_curve_32,
@@ -139,7 +138,7 @@ def test_criterion_03_quadrangle_freeness_characterizes_coplanarity():
     assert checked == 12650
 
     # negative control: planting a quadrangle in the graph breaks (3,2)
-    quad = BipartiteGraph.from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    quad = [(0, 0), (0, 1), (1, 0), (1, 1)]
     planted = graph_curve_32(quad, make_field(3, 1))
     ok, witness = is_rs_set(planted, 3, 2)
     assert not ok and witness.count == 4

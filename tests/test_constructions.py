@@ -2,13 +2,13 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracle import all_points, recheck
+from oracle import all_points, is_c4_free, recheck
 
 from evasive.constructions import (
-    BipartiteGraph,
     elliptic_ovoid,
     factor_prime_power,
     field_of_order,
@@ -110,16 +110,30 @@ def test_elliptic_ovoid(q, p, k):
     assert is_proper(X, 2, 1)
 
 
+def test_ovoid_peak_is_a_few_times_its_array():
+    # the columns are written in place: int64 coordinates and a stacked
+    # copy of them took the peak to 8.5 times the array the set keeps
+    field = make_field(257, 1)
+    field.logs()
+    tracemalloc.start()
+    try:
+        X = elliptic_ovoid(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(X) == 257 * 257 + 1
+    assert peak <= 7 * X.array.nbytes
+
+
 @pytest.mark.parametrize("q0", [2, 3, 4])
 def test_trimmed_incidence_graph(q0):
-    g = trimmed_incidence_graph(q0)
-    assert g.order == q0 * q0
-    assert len(g.edges) == q0**3
-    assert g.is_c4_free()
-    degrees = [0] * g.order
-    for x, _ in g.edges:
-        degrees[x] += 1
-    assert all(d == q0 for d in degrees)
+    edges = trimmed_incidence_graph(q0)
+    assert edges.shape == (q0**3, 2) and edges.dtype == np.int64
+    assert edges.tolist() == sorted(edges.tolist())
+    assert is_c4_free(edges.tolist())
+    # q0 lines through each point, q0 points on each line, labels below q0^2
+    for side in edges.T:
+        assert np.bincount(side).tolist() == [q0] * (q0 * q0)
 
 
 def scalar_trimmed_graph(q0):
@@ -137,15 +151,15 @@ def scalar_trimmed_graph(q0):
     p0 = next(p for p in pts if incident(p, lines[0]))
     keep_pts = [p for p in pts if not incident(p, lines[0])]
     keep_lines = [l for l in lines if not incident(p0, l)]
-    edges = [(i, j) for i, p in enumerate(keep_pts) for j, l in enumerate(keep_lines)
-             if incident(p, l)]
-    return BipartiteGraph.from_edges(q0 * q0, edges)
+    # (point, line) pairs, found in ascending order
+    return [[i, j] for i, p in enumerate(keep_pts) for j, l in enumerate(keep_lines)
+            if incident(p, l)]
 
 
 # from q0 = 13 the keys (u q0 + v) q0 + w no longer fit in the points' uint8
 @pytest.mark.parametrize("q0", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_trimmed_incidence_graph_matches_scalar_scan(q0):
-    assert trimmed_incidence_graph(q0) == scalar_trimmed_graph(q0)
+    assert trimmed_incidence_graph(q0).tolist() == scalar_trimmed_graph(q0)
 
 
 def _cleaned_line_and_point():
@@ -185,41 +199,47 @@ def test_every_kind_keeps_the_field_dtype(kind):
 
 
 def complete_graph(order):
-    return BipartiteGraph.from_edges(order, itertools.product(range(order), repeat=2))
+    return list(itertools.product(range(order), repeat=2))
+
+
+QUADRANGLE = complete_graph(2)
 
 
 def test_complete_bipartite_has_c4():
-    assert not complete_graph(2).is_c4_free()
-    assert complete_graph(1).is_c4_free()
+    assert not is_c4_free(QUADRANGLE)
+    assert is_c4_free(complete_graph(1))
+    assert is_c4_free([])
 
 
 def test_bipartite_graph_validation():
-    g = BipartiteGraph.from_edges(2, [(1, 0), (0, 1), (0, 0), (1, 0)])
-    assert g.edges.tolist() == [[0, 0], [0, 1], [1, 0]]  # sorted, deduped
-    assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
-    assert BipartiteGraph.from_edges(2, np.array([[1, 0], [0, 0], [0, 1]])) == g
-    assert BipartiteGraph.from_edges(3, g.edges) != g
-    assert BipartiteGraph.from_edges(2, []).edges.shape == (0, 2)
-    # labels below 2^32 pack into one word near 2^63, past float64's 53 bits
-    big = BipartiteGraph.from_edges(2**32 - 1, [(2**31, 2), (2**31, 1), (2**31, 2)])
-    assert big.edges.tolist() == [[2**31, 1], [2**31, 2]]
-    with pytest.raises(ParameterError, match=r"\(0, 2\)"):
-        BipartiteGraph.from_edges(2, [(0, 1), (0, 2)])
-    with pytest.raises(ParameterError):
-        BipartiteGraph.from_edges(3, [(-1, 0)])
-    with pytest.raises(ParameterError):
-        BipartiteGraph.from_edges(3, np.array([[0, 3]]))
-    for pairs in ([(0, 1, 2)], [(0, 1, 0, 1)], [0, 1]):
-        with pytest.raises(ParameterError, match="pairs"):
-            BipartiteGraph.from_edges(3, pairs)
+    # graph_curve_32 reads its edges as point rows are read
+    F3 = make_field(3, 1)
+    X = graph_curve_32([(1, 0), (0, 1), (0, 0), (1, 0)], F3)
+    assert len(X) == 3
+    # edge order, repeats and the array's dtype do not change the points
+    for edges in ([(0, 0), (0, 1), (1, 0)], np.array([[1, 0], [0, 0], [0, 1]]),
+                  np.array([[0, 1], [1, 0], [0, 0], [0, 1]], dtype=np.uint8)):
+        assert graph_curve_32(edges, F3) == X
+    assert len(graph_curve_32(np.zeros((0, 2), dtype=np.int64), F3)) == 0
+    # the largest label, q - 1, is accepted: 2^2 = 1 and 2^3 = 2 in GF(3)
+    assert graph_curve_32([(2, 0)], F3).array.tolist() == [[1, 2, 1, 2, 0, 0, 0]]
+    # a negative label, a label equal to q, and one past int64
+    for edges in ([(0, 1), (0, 3)], [(-1, 0)], np.array([[0, 3]]), [(2**70, 0)]):
+        with pytest.raises(ParameterError, match=r"encodings in \[0, 3\)"):
+            graph_curve_32(edges, F3)
+    # triples and bare ints are not pairs
+    for edges in ([(0, 1, 2)], [(0, 1, 0, 1)], [0, 1]):
+        with pytest.raises(ParameterError, match="vector length"):
+            graph_curve_32(edges, F3)
     # bools and floats are not read as integers, in lists or in arrays,
-    # and a label past int64 is out of range, not an overflow
-    for pairs in ([(True, 0), (0, 1)], [(0, 1.9)], np.array([[0.0, 1.0]]),
+    # and ragged rows are refused
+    for edges in ([(True, 0), (0, 1)], [(0, 1.9)], np.array([[0.0, 1.0]]),
                   np.array([[True, False]]), [(0, 1), (1,)]):
-        with pytest.raises(ParameterError, match="pairs"):
-            BipartiteGraph.from_edges(2, pairs)
-    with pytest.raises(ParameterError, match=rf"out of range: \({2**70}, 0\)"):
-        BipartiteGraph.from_edges(2, [(2**70, 0)])
+        with pytest.raises(ParameterError, match="integer rows"):
+            graph_curve_32(edges, F3)
+    # a generator has no length to check against the budget: pass a list
+    with pytest.raises(TypeError):
+        graph_curve_32(((x, 0) for x in range(3)), F3)
 
 
 @pytest.mark.parametrize("q0", [2, 3, 4])
@@ -234,8 +254,7 @@ def test_graph_curve_sizes_and_validity(q0):
 def test_graph_curve_planted_quadrangle_fails():
     # a C4 in the graph forces four curve points into a plane
     field = make_field(3, 1)
-    quad = BipartiteGraph.from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    X = graph_curve_32(quad, field)
+    X = graph_curve_32(QUADRANGLE, field)
     assert len(X) == 4
     assert rank(field, X.array.tolist()) <= 3
     ok, witness = is_rs_set(X, 3, 2)
@@ -246,13 +265,14 @@ def test_graph_curve_planted_quadrangle_fails():
 
 def test_graph_curve_guards():
     field = make_field(3, 1)
-    empty = BipartiteGraph.from_edges(1, [])
-    assert len(graph_curve_32(empty, field)) == 0
-    big = BipartiteGraph.from_edges(5, [(4, 4)])
+    assert len(graph_curve_32([], field)) == 0
     with pytest.raises(ParameterError):
-        graph_curve_32(big, field)  # labels exceed the field
-    quad = BipartiteGraph.from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert not quad.is_c4_free()
+        graph_curve_32([(4, 4)], field)  # labels exceed the field
+    # the budget bounds the edges and the field order before the edges are read
+    with pytest.raises(BudgetExceeded, match="4 edges exceed budget 3"):
+        graph_curve_32([(0, 0.5)] * 4, field, budget=3)
+    with pytest.raises(BudgetExceeded, match="field order 3 exceeds budget 2"):
+        graph_curve_32([(0, 0.5)], field, budget=2)
 
 
 def build_85_point_product():
@@ -452,10 +472,10 @@ def scalar_ovoid(F):
     return PointSet.from_rows(F, 3, pts)
 
 
-def scalar_graph32(graph, F):
+def scalar_graph32(edges, F):
     return PointSet.from_rows(F, 6, [
         (1, x, F.mul(x, x), F.pow(x, 3), y, F.mul(y, y), F.pow(y, 3))
-        for x, y in graph.edges.tolist()])
+        for x, y in np.asarray(edges).tolist()])
 
 
 REFERENCE_FIELDS = [
@@ -538,7 +558,7 @@ def test_families_make_no_per_point_scalar_calls(mul_calls):
 
 def test_incidence_graph_makes_no_per_pair_scalar_calls(mul_calls):
     # the scalar scan made about 13k calls at q0 = 8, three per pair
-    assert len(trimmed_incidence_graph(8).edges) == 8**3
+    assert len(trimmed_incidence_graph(8)) == 8**3
     assert mul_calls() <= 4 * 8 * 8
 
 

@@ -1,7 +1,8 @@
 """Property tests: the projection walk against references on random small sets.
 
 The references are scalar brute force (test_verifier.py), the former
-prefix-RREF scan (prefix_rref_scan.py) and the oracle.  Needs hypothesis
+prefix-RREF scan (prefix_rref_scan.py), the oracle, and the C4 test of
+the graphs behind graph_curve_32.  Needs hypothesis
 (the `test` extra); skipped without it, so the fixed verifier tests in
 test_verifier.py never depend on it.
 """
@@ -14,15 +15,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracle import (all_points, normalize, oracle_max_in_s_space, recheck,  # noqa: E402
-                    scalar_span)
+from oracle import (all_points, is_c4_free, normalize, oracle_max_in_s_space,  # noqa: E402
+                    recheck, scalar_span)
 import prefix_rref_scan as reference  # noqa: E402
 from test_verifier import assert_matches_brute_force, brute_max  # noqa: E402
 
+from evasive.constructions import graph_curve_32  # noqa: E402
 from evasive.gf import make_field  # noqa: E402
 from evasive.projgeom import PointSet, count_points  # noqa: E402
 from evasive.verifier import (_make_witness, find_violation, is_proper,  # noqa: E402
-                              max_in_s_space)
+                              is_rs_set, max_in_s_space)
 
 KERNEL_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(5, 1)]
 ORACLE_WORK_CAP = 10_000  # (s+1)-subsets of the ambient the oracle may enumerate
@@ -136,3 +138,16 @@ def test_walk_matches_prefix_rref_scan_and_oracle(inst, limit):
         ref = reference.first_violation(X, s, lim)
         got = find_violation(X, s, lim)
         assert got == (None if ref is None else _make_witness(X, ref))
+
+
+GF25 = make_field(5, 2)
+LABEL_PAIRS = [(x, y) for x in range(5) for y in range(5)]
+
+
+# 300 examples draw about 40 graphs with a C4
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(LABEL_PAIRS), max_size=25))
+def test_graph_curve_is_a_32_set_exactly_when_c4_free(edges):
+    # over GF(25) four curve points with labels below 5 are coplanar
+    # exactly when their edges form a C4 (acceptance criterion 03)
+    assert is_rs_set(graph_curve_32(edges, GF25), 3, 2)[0] == is_c4_free(edges)
