@@ -13,6 +13,10 @@ options included, is checked before any field or point set is built.
 
 Each handler imports the modules its verb uses when it runs, so ``bounds``
 and ``table`` load no numpy and ``verify`` loads no construction module.
+gv, quadrics and cubics take their field from ``gf`` and load no
+construction module either, nor ``logging``, ``fractions``, ``decimal`` or
+``dataclasses``, unless gv warns that it is outside its regime.  A
+product certifies X before it builds Y over Y's field.
 ``python -m evasive`` and the ``evasive`` console script both run ``main``.
 """
 
@@ -132,31 +136,34 @@ def _family(kind: str, field, args, prefix: str = ""):
 
 
 def _build(args):
-    from . import constructions
+    from .gf import field_of_order
 
     kind = args.kind
+    if kind in RANDOMIZED_KINDS:
+        from . import randomized
+
+        field = field_of_order(args.q)
+        prng = randomized.Prng(args.seed)
+        if kind == "gv":
+            return randomized.gv_construction(args.n, field, args.r, args.s, prng,
+                                              budget=args.budget)
+        if kind == "quadrics":
+            return randomized.quadric_42_construction(args.m, field, prng, budget=args.budget)
+        return randomized.cubic_92_construction(field, prng, budget=args.budget)
+    from . import constructions
+
     if kind == "graph32":
         return constructions.graph_curve_for_prime_power(args.q0, budget=args.budget)
-    field = constructions.field_of_order(args.q)
+    field = field_of_order(args.q)
     if kind in FAMILIES:
         return _family(kind, field, args)
-    if kind == "product":
-        from .gf import make_extension
 
-        X = _family(args.x_kind, field, args, "x_")
-        Y = _family(args.y_kind, make_extension(field, X.n + 1), args, "y_")
-        if args.y_trunc is not None:
-            Y = Y.truncated(args.y_trunc)
-        return constructions.product_construction(X, args.r, Y, args.s, budget=args.budget)
-    from . import randomized
+    def build_Y(ext):
+        Y = _family(args.y_kind, ext, args, "y_")
+        return Y if args.y_trunc is None else Y.truncated(args.y_trunc)
 
-    prng = randomized.Prng(args.seed)
-    if kind == "gv":
-        return randomized.gv_construction(args.n, field, args.r, args.s, prng,
-                                          budget=args.budget)
-    if kind == "quadrics":
-        return randomized.quadric_42_construction(args.m, field, prng, budget=args.budget)
-    return randomized.cubic_92_construction(field, prng, budget=args.budget)
+    X = _family(args.x_kind, field, args, "x_")
+    return constructions.product_construction(X, args.r, build_Y, args.s, budget=args.budget)
 
 
 def _default_out(kind: str, args, X) -> str:

@@ -19,21 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import factor_prime_power, is_int
 from .errors import BudgetExceeded, ParameterError
-from .gf import ORDER_LIMIT, array_add, array_mul, array_pow, make_field
+from .gf import array_add, array_mul, array_pow, field_of_order, make_extension
 from .projgeom import (DEFAULT_BUDGET, PointSet, _far_past, _log10_power, _matrix,
                        _points_array, _scientific, _shown, row_keys)
 from .verifier import is_proper, is_rs_set
-
-
-def field_of_order(q: int):
-    """GF(q) for a prime power q below gf.ORDER_LIMIT, which is checked
-    first: factoring costs more with q's digits."""
-    if is_int(q) and q >= ORDER_LIMIT:
-        raise ParameterError(f"q has {q.bit_length()} bits; field orders must fit in 64 bits")
-    p, k = factor_prime_power(q)
-    return make_field(p, k)
 
 
 def _monomial_points(n: int, field, budget: int, columns) -> PointSet:
@@ -211,7 +201,7 @@ def graph_curve_for_prime_power(q0: int, budget: int = DEFAULT_BUDGET) -> PointS
 # ---------------------------------------------------------------------------
 # Product construction via field reduction.
 
-def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
+def product_construction(X: PointSet, r: int, build_Y, s: int, *,
                          budget: int = DEFAULT_BUDGET) -> PointSet:
     """Spread-product of a proper (r, r-1)-set X with an (r, s)-set Y.
 
@@ -220,13 +210,16 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
     PG(NM-1, q) via field reduction and receives a copy of X; the union is
     an (r, s)-set of size |X| * |Y|.
 
-    r - 1 must be below X's dimension and s below Y's, which is checked
-    before any scan and refused naming the factor and its space.  Then
-    both preconditions are certified, X by is_proper and Y by is_rs_set;
-    a failure raises ParameterError, and Y's names the size of a subspace
-    and the points it holds.  BudgetExceeded is raised when either scan,
-    the product's |X| * |Y| * N * M coordinates, or the order of Y's
-    field, whose discrete logs the multiplication reads, exceed the budget.
+    Y is built lazily: ``build_Y(ext)`` is called with that extension
+    field once X has passed its checks, so a refused X costs nothing of
+    Y's.  r - 1 must be below X's dimension, which is checked before any
+    scan, and s below Y's; either is refused naming the factor and its
+    space.  Both preconditions are certified, X by is_proper and Y by
+    is_rs_set; a failure raises ParameterError, and Y's names the size of
+    a subspace and the points it holds.  BudgetExceeded is raised when
+    either scan, the product's |X| * |Y| * N * M coordinates, or the order
+    of Y's field, whose discrete logs the multiplication reads, exceed the
+    budget.
     """
     if r < 2:
         raise ParameterError(
@@ -235,11 +228,12 @@ def product_construction(X: PointSet, r: int, Y: PointSet, s: int, *,
     if r - 1 >= X.n:
         raise ParameterError(f"X lies in PG({X.n}, {X.field.order}), where a proper "
                              f"({r}, {r - 1})-set needs r - 1 < {X.n}, got r={r}")
+    if not is_proper(X, r, r - 1, budget=budget):
+        raise ParameterError(f"X is not a proper ({r}, {r - 1})-set")
+    Y = build_Y(make_extension(X.field, X.n + 1))
     if not 0 <= s < Y.n:
         raise ParameterError(f"Y lies in PG({Y.n}, {Y.field.order}), where an "
                              f"({r}, {s})-set needs 0 <= s < {Y.n}, got s={s}")
-    if not is_proper(X, r, r - 1, budget=budget):
-        raise ParameterError(f"X is not a proper ({r}, {r - 1})-set")
     ok, witness = is_rs_set(Y, r, s, budget=budget)
     if not ok:
         raise ParameterError(

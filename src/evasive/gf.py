@@ -3,7 +3,8 @@
 One class, ``FieldSpec``, covers every field.  A field is either GF(p), which
 has no base, or base[X]/(f) for a monic irreducible f of degree N over a base
 field.  ``make_field(p, k)`` is the degree-k quotient over GF(p) and
-``make_extension(base, N)`` the degree-N quotient over ``base``.  Fields are
+``make_extension(base, N)`` the degree-N quotient over ``base``;
+``field_of_order(q)`` factors a prime power q and makes GF(q).  Fields are
 equal when their (base, N, modulus) are, plus p for GF(p), so GF(p)^N is
 GF(p^N): ``make_extension(make_field(p, 1), N) == make_field(p, N)``.
 
@@ -64,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import _is_prime, _prime_factors, _require_ints, factor_prime_power
+from .arith import _is_prime, _prime_factors, _require_ints, factor_prime_power, is_int
 from .errors import ParameterError
 
 ORDER_LIMIT = 2**64  # field orders must fit in 64 bits
@@ -502,6 +503,15 @@ def make_field(p: int, k: int) -> FieldSpec:
     if not _is_prime(p):
         raise ParameterError(f"p={p} is not prime")
     return FieldSpec(None, 1, (0, 1), p)
+
+
+def field_of_order(q: int) -> FieldSpec:
+    """GF(q) for a prime power q below ORDER_LIMIT, which is checked
+    first: factoring costs more with q's digits."""
+    if is_int(q) and q >= ORDER_LIMIT:
+        raise ParameterError(f"q has {q.bit_length()} bits; field orders must fit in 64 bits")
+    p, k = factor_prime_power(q)
+    return make_field(p, k)
 
 
 @functools.lru_cache(maxsize=None, typed=True)

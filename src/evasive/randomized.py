@@ -12,9 +12,6 @@ rejection sampling, so no draw depends on platform word size.
 from __future__ import annotations
 
 import itertools
-import logging
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,8 +20,6 @@ from .errors import ParameterError
 from .gf import array_add, array_mul
 from .projgeom import DEFAULT_BUDGET, PointSet, _points_array, rank, require_points, span_mask
 from .verifier import is_rs_set
-
-log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
 
@@ -75,38 +70,49 @@ def monomial_exponents(nvars: int, degree: int):
         yield tuple(exps)
 
 
-@dataclass(frozen=True)
 class HomogeneousForm:
     """A homogeneous polynomial, stored as exponent-vector -> coefficient.
 
     Zero coefficients are dropped; at least one must remain.  Evaluation is
-    well defined on projective points since F(av) = a^degree F(v).
+    well defined on projective points since F(av) = a^degree F(v).  The
+    fields ``field``, ``n``, ``degree`` and ``coefficients`` are read-only,
+    and two forms are equal when all four are.
     """
 
-    field: object
-    n: int
-    degree: int
-    coefficients: dict
-
-    def __post_init__(self):
-        if not (is_int(self.n) and is_int(self.degree)):
-            raise ParameterError(f"n and degree must be integers, got {self.n!r}, {self.degree!r}")
-        if self.degree not in (2, 3):
-            raise ParameterError(f"degree must be 2 or 3, got {self.degree}")
+    def __init__(self, field, n: int, degree: int, coefficients: dict):
+        if not (is_int(n) and is_int(degree)):
+            raise ParameterError(f"n and degree must be integers, got {n!r}, {degree!r}")
+        if degree not in (2, 3):
+            raise ParameterError(f"degree must be 2 or 3, got {degree}")
         cleaned = {}
-        for exps, c in sorted(self.coefficients.items()):
+        for exps, c in sorted(coefficients.items()):
             exps = tuple(exps)
-            if len(exps) != self.n + 1 or not all(is_int(e) and e >= 0 for e in exps) \
-                    or sum(exps) != self.degree:
+            if len(exps) != n + 1 or not all(is_int(e) and e >= 0 for e in exps) \
+                    or sum(exps) != degree:
                 raise ParameterError(f"bad exponent vector {exps}")
-            if not (is_int(c) and 0 <= c < self.field.order):
+            if not (is_int(c) and 0 <= c < field.order):
                 raise ParameterError(f"coefficient {c!r} is not an encoding in "
-                                     f"[0, {self.field.order})")
+                                     f"[0, {field.order})")
             if c:
                 cleaned[exps] = c
         if not cleaned:
             raise ParameterError("the zero polynomial is not a form")
-        object.__setattr__(self, "coefficients", cleaned)
+        vars(self).update(field=field, n=n, degree=degree, coefficients=cleaned)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a HomogeneousForm")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a HomogeneousForm")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"HomogeneousForm({fields})"
 
     def evaluate(self, vectors: np.ndarray) -> np.ndarray:
         """Values at each row of an integer-encoded (m, n+1) array, in the field's dtype."""
@@ -199,8 +205,9 @@ def cleanup(X: PointSet, r: int, s: int, *, budget: int = DEFAULT_BUDGET) -> Poi
 
 def gv_keep_probability(n: int, q: int, r: int, s: int) -> float:
     """The deletion-method keep probability q^(-s - s(n-s)/r)."""
-    exponent = Fraction(s) + Fraction(s * (n - s), r)
-    return float(q) ** float(-exponent)
+    # s + s(n-s)/r as one correctly rounded integer division, the float
+    # that the exact fraction rounds to
+    return float(q) ** -((s * r + s * (n - s)) / r)
 
 
 def gv_construction(n: int, field, r: int, s: int, rng: Prng, *,
@@ -215,7 +222,9 @@ def gv_construction(n: int, field, r: int, s: int, rng: Prng, *,
     if not (r >= 2 and 1 <= s < n):
         raise ParameterError(f"need r >= 2 and 1 <= s < n, got r={r}, s={s}, n={n}")
     if not (s + 1 >= r >= 3):
-        log.warning(
+        import logging  # off the in-regime path, which loads no logging
+
+        logging.getLogger(__name__).warning(
             "gv_construction(r=%d, s=%d) is outside the size-guarantee "
             "regime s+1 >= r >= 3; the output is still a valid (r, s)-set",
             r, s,

@@ -89,7 +89,6 @@ starts when the order is above the budget, as it does when C(N, m) is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -103,8 +102,7 @@ from .projgeom import DEFAULT_BUDGET, PointSet, _leads, _span, rank, row_keys, s
 WORKSPACE_BYTES = 1 << 21  # residue batch of the scan, index temporaries included
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(NamedTuple):
     """A subspace together with the points of X it captures.
 
     generating_points span the subspace (rank = span_dim + 1) and are
@@ -118,6 +116,7 @@ class ViolationWitness:
 
     @property
     def count(self) -> int:
+        """The number of points of X in the subspace; shadows tuple.count."""
         return len(self.intersection)
 
 

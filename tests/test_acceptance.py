@@ -32,7 +32,7 @@ from evasive.constructions import (
     product_construction,
     rational_normal_curve,
 )
-from evasive.gf import make_extension, make_field
+from evasive.gf import make_field
 from evasive.jsonio import pointset_from_json_bytes, pointset_to_json_bytes
 from evasive.linalg import batch_rref
 from evasive.projgeom import PointSet
@@ -84,12 +84,11 @@ def gv_runs():
 def product_sets():
     base2 = make_field(2, 1)
     Z85 = product_construction(
-        elliptic_ovoid(base2), 2,
-        rational_normal_curve(2, make_extension(base2, 4)), 1)
+        elliptic_ovoid(base2), 2, lambda ext: rational_normal_curve(2, ext), 1)
     F3 = make_field(3, 1)
     Z40 = product_construction(
         rational_normal_curve(4, F3), 3,
-        rational_normal_curve(4, make_extension(F3, 5)).truncated(10), 2)
+        lambda ext: rational_normal_curve(4, ext).truncated(10), 2)
     return Z85, Z40
 
 

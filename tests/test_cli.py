@@ -514,6 +514,23 @@ def test_construct_product_x_scan_past_budget_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_construct_product_certifies_x_before_building_y(tmp_path, capsys, monkeypatch):
+    # X's scan, C(3969, 3) spans, is past the default budget, so the call
+    # exits 3 before Y, a 16,777,217-point conic over GF(2^24), is built
+    def no_conic(*args, **kwargs):
+        raise AssertionError("Y was built before X was certified")
+
+    monkeypatch.setattr("evasive.constructions.rational_normal_curve", no_conic)
+    out = tmp_path / "p.json"
+    code, stdout, stderr = run(
+        capsys, "construct", "product", "--q", "64", "--r", "3", "--s", "2",
+        "--x-kind", "monomial", "--x-n", "3", "--y-kind", "rnc", "--y-c", "3",
+        "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "C(3969, 3) = 10412708544 spans" in stderr
+    assert not out.exists()
+
+
 # stdout, and sha256 of the files the tuple-based PointSet wrote, an
 # independent reference; no benchmark call covers cleanup deletions, gv or products
 PINNED_FILES = [

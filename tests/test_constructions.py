@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from oracle import all_points, is_c4_free, recheck
 
+from evasive.arith import factor_prime_power
 from evasive.constructions import (
     elliptic_ovoid,
-    factor_prime_power,
     field_of_order,
     graph_curve_32,
     graph_curve_for_prime_power,
@@ -171,7 +171,7 @@ def _product_q2():
     # construct product --q 2 --r 2 --s 1: an ovoid over GF(2) times a conic over GF(16)
     base = make_field(2, 1)
     return product_construction(elliptic_ovoid(base), 2,
-                                rational_normal_curve(2, make_extension(base, 4)), 1)
+                                lambda ext: rational_normal_curve(2, ext), 1)
 
 
 EVERY_KIND = {
@@ -280,7 +280,7 @@ def build_85_point_product():
     X = elliptic_ovoid(base)
     ext = make_extension(base, 4)
     Y = rational_normal_curve(2, ext)
-    return X, Y, product_construction(X, 2, Y, 1)
+    return X, Y, product_construction(X, 2, lambda _: Y, 1)
 
 
 def test_product_multiplicative_sizes():
@@ -293,7 +293,7 @@ def test_product_multiplicative_sizes():
     A = rational_normal_curve(4, F3)            # 4 points in PG(4,3)
     ext = make_extension(F3, 5)
     B = rational_normal_curve(4, ext).truncated(10)
-    Z2 = product_construction(A, 3, B, 2)
+    Z2 = product_construction(A, 3, lambda _: B, 2)
     assert len(Z2) == len(A) * len(B) == 40
     assert Z2.n == 24
 
@@ -303,7 +303,7 @@ def test_product_accepts_flat_field_for_prime_base():
     X, Y, Z = build_85_point_product()
     flat = make_field(2, 4)
     assert Y.field == flat
-    assert product_construction(X, 2, rational_normal_curve(2, flat), 1) == Z
+    assert product_construction(X, 2, lambda _: rational_normal_curve(2, flat), 1) == Z
 
 
 def test_product_validates_left_factor():
@@ -313,7 +313,7 @@ def test_product_validates_left_factor():
     ext = make_extension(base, 3)
     Y = rational_normal_curve(2, ext)
     with pytest.raises(ParameterError, match="not a proper"):
-        product_construction(bad, 2, Y, 1)
+        product_construction(bad, 2, lambda _: Y, 1)
 
 
 def test_product_validates_right_factor():
@@ -323,7 +323,7 @@ def test_product_validates_right_factor():
     line = [(1, t) for t in range(4)]
     bad = PointSet.from_rows(ext, 2, [(1, t, 0) for t in range(4)])
     with pytest.raises(ParameterError):
-        product_construction(X, 2, bad, 1)
+        product_construction(X, 2, lambda _: bad, 1)
 
 
 def test_product_validates_fields():
@@ -332,12 +332,12 @@ def test_product_validates_fields():
     wrong = make_extension(make_field(3, 1), 4)
     Y = rational_normal_curve(2, wrong)
     with pytest.raises(ParameterError, match="extension"):
-        product_construction(X, 2, Y, 1)
+        product_construction(X, 2, lambda _: Y, 1)
     # degree must equal X.n + 1
     ext3 = make_extension(base, 3)
     Y3 = rational_normal_curve(2, ext3)
     with pytest.raises(ParameterError):
-        product_construction(X, 2, Y3, 1)
+        product_construction(X, 2, lambda _: Y3, 1)
 
 
 def test_product_x_scan_past_budget_is_refused():
@@ -348,7 +348,7 @@ def test_product_x_scan_past_budget_is_refused():
     Y = PointSet.from_rows(make_extension(X.field, 4), 3, [(1, 0, 0, 0)])
     with pytest.raises(BudgetExceeded,
                        match=r"C\(3969, 3\) = 10412708544 spans, budget is 100000000"):
-        product_construction(X, 3, Y, 2)
+        product_construction(X, 3, lambda _: Y, 2)
 
 
 def test_product_validate_false_skips_checks():
@@ -365,8 +365,8 @@ def test_product_budget_covers_coordinates():
     Y = rational_normal_curve(2, make_extension(base, 4))  # 17 points, M = 3
     X = elliptic_ovoid(base)                               # 5 points, N = 4
     with pytest.raises(BudgetExceeded):
-        product_construction(X, 2, Y, 1, budget=5 * 17 * 4 * 3 - 1)
-    assert len(product_construction(X, 2, Y, 1, budget=5 * 17 * 4 * 3)) == 85
+        product_construction(X, 2, lambda _: Y, 1, budget=5 * 17 * 4 * 3 - 1)
+    assert len(product_construction(X, 2, lambda _: Y, 1, budget=5 * 17 * 4 * 3)) == 85
     # one point of X: 17 copies of four digits in each of three coordinates
     e0 = PointSet.from_rows(base, 3, [(1, 0, 0, 0)])
     with pytest.raises(BudgetExceeded):
@@ -400,7 +400,7 @@ def test_product_builds_no_tables(monkeypatch):
     base = make_field(7, 1)
     X = rational_normal_curve(2, base)
     Y = rational_normal_curve(2, make_extension(base, 3))
-    Z = product_construction(X, 2, Y, 1)
+    Z = product_construction(X, 2, lambda _: Y, 1)
     assert len(Z) == 8 * 344
 
     def no_tables(self):
@@ -569,5 +569,5 @@ def test_products_make_no_per_point_scalar_calls(mul_calls):
     X = elliptic_ovoid(base)
     Y = rational_normal_curve(2, make_extension(make_field(2, 2), 4))
     before = mul_calls()
-    assert len(product_construction(X, 2, Y, 1)) == 17 * 257
+    assert len(product_construction(X, 2, lambda _: Y, 1)) == 17 * 257
     assert mul_calls() - before <= 4 * base.order

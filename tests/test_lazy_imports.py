@@ -91,3 +91,33 @@ def test_randomized_loads_no_file_format(tmp_path):
     code, modules = _loaded(tmp_path, "-c", "import evasive.randomized")
     assert code == 0
     assert "evasive.randomized" in modules and "evasive.jsonio" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "cubics", "--q", "7", "--seed", "1"],
+    ["construct", "quadrics", "--m", "3", "--q", "7", "--seed", "1"],
+], ids=["cubics", "quadrics"])
+def test_randomized_constructs_load_only_what_they_run(argv, tmp_path):
+    # the field comes from gf, and no warning, fraction or dataclass is on this path
+    code, modules = _loaded(tmp_path, "-m", "evasive", *argv, "--out", "x.json")
+    assert code == 0
+    assert "evasive.randomized" in modules
+    unused = {"evasive.constructions", "logging", "fractions", "decimal", "dataclasses"}
+    assert unused & modules == set()
+
+
+def test_construct_and_verify_load_no_dataclasses(tmp_path):
+    for argv in (["construct", "ovoid", "--q", "3", "--out", "o.json"], ["verify", "o.json"]):
+        code, modules = _loaded(tmp_path, "-m", "evasive", *argv)
+        assert code == 0
+        assert "evasive.verifier" in modules and "dataclasses" not in modules
+
+
+def test_gv_loads_logging_only_to_warn(tmp_path):
+    # r = 3, s = 2 is inside the size-guarantee regime; r = 2, s = 1 is not
+    gv = ["-m", "evasive", "construct", "gv", "--n", "4", "--q", "3", "--seed", "1"]
+    code, modules = _loaded(tmp_path, *gv, "--r", "3", "--s", "2", "--out", "in.json")
+    assert code == 0
+    assert "evasive.randomized" in modules and "logging" not in modules
+    code, modules = _loaded(tmp_path, *gv, "--r", "2", "--s", "1", "--out", "out.json")
+    assert code == 0 and "logging" in modules

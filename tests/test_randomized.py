@@ -1,6 +1,7 @@
 """Deterministic PRNG, random forms, and the probabilistic constructions."""
 
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,27 @@ def test_form_validation():
     # zero coefficients are dropped on construction
     f = HomogeneousForm(F3, 2, 2, {(2, 0, 0): 1, (0, 2, 0): 0})
     assert f.coefficients == {(2, 0, 0): 1}
+
+
+def test_form_equality_repr_and_read_only_fields():
+    F3 = make_field(3, 1)
+    f = HomogeneousForm(F3, 2, 2, {(0, 2, 0): 2, (2, 0, 0): 1, (1, 1, 0): 0})
+    # equal when field, n, degree and the cleaned coefficients are
+    assert f == HomogeneousForm(F3, 2, 2, {(2, 0, 0): 1, (0, 2, 0): 2})
+    assert f != HomogeneousForm(F3, 2, 2, {(2, 0, 0): 1})
+    assert f != HomogeneousForm(make_field(5, 1), 2, 2, {(2, 0, 0): 1, (0, 2, 0): 2})
+    assert f != HomogeneousForm(F3, 3, 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 2})
+    assert f != (F3, 2, 2, {(2, 0, 0): 1, (0, 2, 0): 2})
+    assert repr(f) == (f"HomogeneousForm(field={F3!r}, n=2, degree=2, "
+                       "coefficients={(0, 2, 0): 2, (2, 0, 0): 1})")
+    for name in ("field", "n", "degree", "coefficients"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    assert (f.n, f.degree, f.coefficients) == (2, 2, {(0, 2, 0): 2, (2, 0, 0): 1})
 
 
 def test_form_evaluate_matches_pointwise():
@@ -272,6 +294,17 @@ def test_cleanup_identity_and_monotone():
 def test_gv_keep_probability():
     assert gv_keep_probability(3, 2, 2, 1) == pytest.approx(2.0**-2)
     assert gv_keep_probability(6, 4, 3, 2) == pytest.approx(4.0 ** -(2 + 8 / 3))
+
+
+def test_gv_keep_probability_matches_the_exact_fraction():
+    # every seeded gv draw is compared with this float, so it must be the
+    # float the exact exponent s + s(n-s)/r gives, bit for bit
+    for q in (2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49, 64, 81, 125, 128, 243, 256):
+        for n in range(2, 13):
+            for s in range(1, n):
+                for r in range(2, 13):
+                    exact = float(q) ** float(-(Fraction(s) + Fraction(s * (n - s), r)))
+                    assert gv_keep_probability(n, q, r, s).hex() == exact.hex(), (n, q, r, s)
 
 
 def test_gv_construction_deterministic_and_valid():

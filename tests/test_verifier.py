@@ -22,6 +22,7 @@ from evasive.gf import FieldSpec, _TableMixin, array_mul, array_pow, make_extens
 from evasive.projgeom import PointSet, row_keys
 from evasive.randomized import Prng, cubic_92_construction
 from evasive.verifier import (
+    ViolationWitness,
     _make_witness,
     find_violation,
     is_proper,
@@ -86,6 +87,16 @@ def test_witness_structure_and_recheck():
     w2 = find_violation(curve, 2, 2)
     assert w2 is not None and w2.count == 3
     recheck(w2, curve)
+
+
+def test_witness_fields_and_count():
+    w = find_violation(THREE_COLLINEAR, 1, 2)
+    assert ViolationWitness._fields == ("generating_points", "span_dim", "intersection")
+    assert w == ViolationWitness(((0, 0, 1), (0, 1, 0)), 1, ((0, 0, 1), (0, 1, 0), (0, 1, 1)))
+    # the property shadows tuple.count, so the count stays an int
+    assert type(w.count) is int and w.count == 3
+    with pytest.raises(AttributeError):
+        w.span_dim = 2
 
 
 def test_witness_is_lex_first():
